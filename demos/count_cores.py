@@ -3,8 +3,8 @@
 A partition is a 7-core when no hook length is divisible by 7.  The
 alternating parity statistic over its parts splits those counts into
 four residue families, and all the machinery below must agree row by
-row: brute-force enumeration, a 6-dimensional lattice walk, and the
-infinite-product quotient.
+row: brute-force enumeration, a count of zero-sum vectors in Z^7 done
+one coordinate at a time, and the infinite-product quotient.
 """
 
 from sevencores.exprlang import evaluate

@@ -30,6 +30,8 @@ ENV_ORDER = "SEVENCORES_ORDER"
 def _resolve_order(parser, flag_value, fallback):
     """Explicit flag wins; then the environment; then the fallback."""
     if flag_value is not None:
+        if flag_value < 0:
+            parser.error(f"--order must be nonnegative, got {flag_value}")
         return flag_value
     raw = os.environ.get(ENV_ORDER)
     if raw is None:

@@ -19,6 +19,11 @@ binaries left-associative.  ``to_text`` inverts ``parse``: printing any
 AST and reparsing reconstructs the identical tree, so parentheses are
 emitted exactly where reparsing would otherwise regroup.  A bare caret
 on q folds into the q^k atom itself.
+
+Input may nest at most MAX_DEPTH levels deep, counting parentheses,
+unary minus signs and function arguments while parsing, and operator
+chains in the finished tree.  Deeper input is a syntax error rather than
+a stack overflow in the parser, the printer or the evaluator.
 """
 
 from __future__ import annotations
@@ -201,11 +206,46 @@ _KNOWN_NAMES = (
 )
 
 
+MAX_DEPTH = 100
+
+
+def _too_deep(offset: int) -> ExprSyntaxError:
+    return ExprSyntaxError(
+        offset, f"expression nests deeper than {MAX_DEPTH} levels"
+    )
+
+
+def _check_height(root: Node) -> None:
+    """Reject trees taller than MAX_DEPTH, which printing and evaluation
+    would otherwise recurse through; walked without recursion."""
+    stack = [(root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise _too_deep(node.span[0] + 1)
+        if isinstance(node, Unary):
+            stack.append((node.child, depth + 1))
+        elif isinstance(node, Binary):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, Power):
+            stack.append((node.base, depth + 1))
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
+
+    def nested(self, tok: Token, parse_child) -> Node:
+        """Parse one level below tok, refusing more than MAX_DEPTH levels."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(tok.pos + 1)
+        node = parse_child()
+        self.depth -= 1
+        return node
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -233,6 +273,7 @@ class _Parser:
             raise ExprSyntaxError(
                 tok.pos + 1, f"unexpected trailing input {tok.text!r}"
             )
+        _check_height(node)
         return node
 
     def parse_expr(self) -> Node:
@@ -255,7 +296,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.advance()
-            child = self.parse_factor()
+            child = self.nested(tok, self.parse_factor)
             return Unary("neg", child, span=(tok.pos, child.span[1]))
         return self.parse_power()
 
@@ -276,7 +317,7 @@ class _Parser:
             return Const(int(tok.text), span=(tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.nested(tok, self.parse_expr)
             self.expect(")")
             return node
         if tok.kind == "NAME":
@@ -315,7 +356,7 @@ class _Parser:
             return ThetaAtom(sa, r, sb, s, span=(start, end))
         if name in _UNARY_NAMES:
             self.expect("(")
-            child = self.parse_expr()
+            child = self.nested(tok, self.parse_expr)
             end = self.expect(")").pos + 1
             return Unary(name, child, span=(start, end))
         if name == "lattice":

@@ -6,20 +6,18 @@ Two independent views of the same counts live here.
   classify them by the parity-alternating rank.  Exponential in n, so it is capped, but it
   assumes nothing beyond the hook-length definition and serves as the
   oracle for everything built on series.
-* Lattice enumeration: t-cores of n correspond to integer vectors
-  n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i).  Sorting
-  vectors by coordinate parities splits the generating function into the
-  classes that the rank refinement needs.
+* Lattice counting: t-cores of n correspond to integer vectors
+  n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i)
+  (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
+  over the coordinates rather than visited one by one, and keeping the
+  number of coordinate parities that differ from (1,0,1,0,1,0,1) splits
+  the 7-core generating function into the four rank classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import isqrt
-from types import MappingProxyType
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .series import TruncSeries
 
@@ -121,179 +119,113 @@ def core_rank_census(max_n: int, t: int) -> list:
     return rows
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Selection of lattice vectors: dimension t plus a parity filter.
-
-    residues is either None (keep every vector) or a frozenset of 0/1
-    tuples of length t; a vector is kept when its coordinate parities
-    match one of them.  The offset vector weighting the linear term is
-    always (0, 1, ..., t-1); it is stored explicitly so an instance is fully
-    self-describing, and validated rather than trusted.
-    """
-
-    t: int
-    residues: Optional[frozenset] = None
-    offset: tuple = ()
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise ValueError(f"t must be at least 2, got {self.t}")
-        canonical = tuple(range(self.t))
-        if self.offset == ():
-            object.__setattr__(self, "offset", canonical)
-        elif self.offset != canonical:
-            raise ValueError(
-                f"offset must be {canonical}, got {self.offset}"
-            )
-        if self.residues is not None:
-            for pattern in self.residues:
-                if len(pattern) != self.t:
-                    raise ValueError(
-                        f"parity pattern {pattern} does not have length {self.t}"
-                    )
-                if any(bit not in (0, 1) for bit in pattern):
-                    raise ValueError(
-                        f"parity pattern {pattern} must contain only 0 and 1"
-                    )
-
-
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
-_ODD_BASE = (1, 0, 1, 0, 1, 0, 1)
 
 
-def rank_residue_classes(j: int) -> frozenset:
-    """Parity patterns of 7-dimensional vectors whose cores have rank j.
+def _coordinate_ranges(t: int, order: int) -> list:
+    """Per coordinate i, the (x, cost) pairs with cost <= order.
 
-    Patterns at Hamming distance 0, 2, 4, 6 from (1,0,1,0,1,0,1) carry
-    ranks 2, 1, 0, -1; the four families exhaust all 64 patterns with an
-    even number of odd coordinates.
+    With sum(v) = 0 the size is n = sum_i (t*v_i^2 + (2i - t + 2)*v_i) / 2,
+    and each term is a nonnegative integer on its own: t*x^2 + c*x is even
+    for every x, and never negative because -t < c <= t.  So partial sizes
+    only grow, a coordinate whose own term passes the order can be dropped
+    outright, and every kept x has |x| <= M, the largest m with
+    t*m*(m - 1)/2 <= order.
     """
-    if j not in _RANK_FLIPS:
-        raise ValueError(f"rank class must be in -1..2, got {j}")
-    flips = _RANK_FLIPS[j]
-    out = set()
-    for idxs in combinations(range(7), flips):
-        v = list(_ODD_BASE)
-        for i in idxs:
-            v[i] ^= 1
-        out.add(tuple(v))
-    return frozenset(out)
+    m = 0
+    while t * (m + 1) * m <= 2 * order:
+        m += 1
+    ranges = []
+    for i in range(t):
+        c = 2 * i - t + 2
+        costs = ((x, (t * x * x + c * x) // 2) for x in range(-m, m + 1))
+        ranges.append([(x, cost) for x, cost in costs if cost <= order])
+    return ranges
+
+
+def _slot_bytes(ranges: list) -> int:
+    """Bytes per packed coefficient, from a bound on every packed count.
+
+    A state after i coordinates counts distinct choices of those i
+    coordinates, so each of its coefficients is at most the product of
+    the first i range sizes; the last coordinate is forced by the zero
+    sum and multiplies nothing.  The product is at most (2M + 1)^(t - 1).
+    All counts are nonnegative, so slots never borrow from each other.
+    """
+    bound = 1
+    for xs in ranges[:-1]:
+        bound *= len(xs)
+    return (bound.bit_length() + 7) // 8
 
 
 @lru_cache(maxsize=None)
-def _residue_series(t: int, order: int):
-    """Lattice point counts bucketed by coordinate parity pattern.
+def _flip_layers(t: int, order: int) -> tuple:
+    """Counts of zero-sum vectors in Z^t by size, split by parity flips.
 
-    Works in doubled exponents e2 = t*|v|^2 + 2*b.v with b = (0..t-1),
-    which is always even for vectors summing to zero.  Returns a mapping
-    from parity bitmask (bit i = v_i mod 2) to a coefficient tuple.
+    Entry f is the coefficient tuple, to q^order, of the vectors with f
+    coordinates whose parity differs from (1, 0, 1, 0, ...).  The vectors
+    are built one coordinate at a time; a state is keyed by the partial
+    sum and the flips so far, and holds its q-polynomial Kronecker-packed
+    into one nonnegative int, slot k at bit 8 * width * k.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    n2 = 2 * order
-    min2 = [min(0, t - 2 * i) for i in range(t)]
-    total_min = sum(min2)
-
-    def box_excludes(radius: int) -> bool:
-        # No vector with some |v_i| = radius fits under n2 even when all
-        # other coordinates sit at their unconstrained minima.
-        return all(
-            t * radius * radius - 2 * i * radius + (total_min - min2[i]) > n2
-            for i in range(t)
-        )
-
-    m_bound = 0
-    while not box_excludes(m_bound + 1):
-        m_bound += 1
-    assert box_excludes(m_bound + 1)
-
-    suffmin = [0] * (t + 1)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    ranges = _coordinate_ranges(t, order)
+    width = _slot_bytes(ranges)
+    bits = 8 * width
+    keep = (1 << (bits * (order + 1))) - 1
+    # The coordinates after i must be able to bring the sum back to zero.
+    rest_lo = [0] * (t + 1)
+    rest_hi = [0] * (t + 1)
     for i in range(t - 1, -1, -1):
-        suffmin[i] = suffmin[i + 1] + min2[i]
+        rest_lo[i] = rest_lo[i + 1] + ranges[i][0][0]
+        rest_hi[i] = rest_hi[i + 1] + ranges[i][-1][0]
 
-    buckets: dict[int, list[int]] = {}
+    states = {(0, 0): 1}
+    for i in range(t):
+        moves = [(x, (x ^ i ^ 1) & 1, bits * cost) for x, cost in ranges[i]]
+        lo, hi = -rest_hi[i + 1], -rest_lo[i + 1]
+        grown: dict = {}
+        for (s, f), poly in states.items():
+            for x, flip, shift in moves:
+                if lo <= s + x <= hi:
+                    key = (s + x, f + flip)
+                    grown[key] = grown.get(key, 0) + (poly << shift)
+        states = {}
+        for key, poly in grown.items():
+            poly &= keep
+            if poly:
+                states[key] = poly
 
-    def close(i: int, s: int, e2: int, mask: int) -> None:
-        # Last free coordinate x at index t-2; index t-1 takes -(s + x).
-        # Doubled total is 2t*x^2 + 2(ts-1)*x + e2 + t*s^2 - 2(t-1)*s.
-        bq = t * s - 1
-        c0 = e2 + t * s * s - 2 * (t - 1) * s - n2
-
-        def q(x: int) -> int:
-            return 2 * t * x * x + 2 * bq * x + c0
-
-        disc = bq * bq - 2 * t * c0
-        if disc < 0:
-            return
-        root = isqrt(disc)
-        lo = (-bq - root) // (2 * t)
-        hi = (-bq + root) // (2 * t)
-        while q(lo - 1) <= 0:
-            lo -= 1
-        while lo <= hi and q(lo) > 0:
-            lo += 1
-        while q(hi + 1) <= 0:
-            hi += 1
-        while hi >= lo and q(hi) > 0:
-            hi -= 1
-        for x in range(lo, hi + 1):
-            y = -(s + x)
-            e2_total = q(x) + n2
-            assert e2_total % 2 == 0 and 0 <= e2_total <= n2
-            full = mask | ((x & 1) << (t - 2)) | ((y & 1) << (t - 1))
-            row = buckets.get(full)
-            if row is None:
-                row = buckets[full] = [0] * (order + 1)
-            row[e2_total // 2] += 1
-
-    def visit(i: int, s: int, e2: int, mask: int) -> None:
-        if i == t - 2:
-            close(i, s, e2, mask)
-            return
-        floor_rest = suffmin[i + 1]
-        for x in range(-m_bound, m_bound + 1):
-            contrib = t * x * x + 2 * i * x
-            if e2 + contrib + floor_rest > n2:
-                continue
-            visit(i + 1, s + x, e2 + contrib, mask | ((x & 1) << i))
-
-    visit(0, 0, 0, 0)
-    return MappingProxyType(
-        {mask: tuple(row) for mask, row in buckets.items()}
-    )
-
-
-def _pattern_mask(pattern: tuple) -> int:
-    mask = 0
-    for i, bit in enumerate(pattern):
-        mask |= bit << i
-    return mask
+    # Past the last coordinate only the sum 0 survives.
+    size = width * (order + 1)
+    layers = []
+    for f in range(t + 1):
+        raw = states.get((0, f), 0).to_bytes(size, "little")
+        layers.append(
+            tuple(
+                int.from_bytes(raw[k : k + width], "little")
+                for k in range(0, size, width)
+            )
+        )
+    return tuple(layers)
 
 
 @lru_cache(maxsize=None)
-def lattice_theta(spec: LatticeSpec, order: int) -> TruncSeries:
-    """Generating function of the selected lattice vectors by exponent."""
-    table = _residue_series(spec.t, order)
-    if spec.residues is None:
-        masks = list(table)
-    else:
-        masks = [_pattern_mask(p) for p in spec.residues]
-    cs = [0] * (order + 1)
-    for mask in masks:
-        row = table.get(mask)
-        if row is None:
-            continue
-        for k, c in enumerate(row):
-            cs[k] += c
-    return TruncSeries(order, cs)
-
-
 def lattice_sum(t: int, order: int) -> TruncSeries:
     """Full t-core generating function from the lattice view."""
-    return lattice_theta(LatticeSpec(t, None), order)
+    return TruncSeries(order, map(sum, zip(*_flip_layers(t, order))))
 
 
+@lru_cache(maxsize=None)
 def lattice_rank_sum(j: int, order: int) -> TruncSeries:
-    """Generating function of 7-cores with rank j, from the lattice view."""
-    return lattice_theta(LatticeSpec(7, rank_residue_classes(j)), order)
+    """Generating function of 7-cores with rank j, from the lattice view.
+
+    Vectors at 0, 2, 4, 6 parity flips from (1,0,1,0,1,0,1) carry ranks
+    2, 1, 0, -1; no zero-sum vector has an odd number of flips.
+    """
+    if j not in _RANK_FLIPS:
+        raise ValueError(f"rank class must be in -1..2, got {j}")
+    return TruncSeries(order, _flip_layers(7, order)[_RANK_FLIPS[j]])

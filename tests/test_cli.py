@@ -211,6 +211,13 @@ def test_coeffs_syntax_error_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_coeffs_deep_nesting_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "(" * 2000 + "q" + ")" * 2000, "--order", "4"])
+    assert exc.value.code == 2
+    assert "nests deeper than" in capsys.readouterr().err
+
+
 def test_coeffs_eval_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "1/(1 - 1)", "--order", "4"])
@@ -241,3 +248,21 @@ def test_no_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "E(q)", "--order", "-3"],
+        ["verify", "eq-5.2", "--order", "-1"],
+        ["scan", "--theorems", "--order", "-7"],
+    ],
+    ids=["coeffs", "verify", "scan"],
+)
+def test_negative_order_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order must be nonnegative" in captured.err

@@ -14,6 +14,7 @@ from sevencores.exprlang import (
     Const,
     EulerAtom,
     ExprEvalError,
+    MAX_DEPTH,
     ExprSyntaxError,
     Lattice7Atom,
     LatticeAtom,
@@ -99,6 +100,28 @@ def test_trailing_input_rejected():
 def test_empty_input_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("   ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 2000 + "q" + ")" * 2000,
+        "-" * 5000 + "1",
+        "even(" * 300 + "q" + ")" * 300,
+        " + ".join(["q"] * 2000),
+        "(q)" + "^1" * 2000,
+    ],
+    ids=["parentheses", "unary-minus", "unary-atoms", "sum-chain", "power-chain"],
+)
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nests deeper than"):
+        parse(text)
+
+
+def test_nesting_up_to_the_bound_parses():
+    depth = MAX_DEPTH - 1
+    assert evaluate("(" * depth + "q" + ")" * depth, 3) == evaluate("q", 3)
+    assert evaluate("-" * depth + "1", 2).coeffs == ((-1) ** depth, 0, 0)
 
 
 def test_eval_core_quotient():

@@ -1,8 +1,14 @@
 """Brute-force partition facts pinned against the series and lattice layers.
 
 The enumeration side is deliberately naive.  Its whole value is that it
-cannot share a bug with the generating-function code it checks.
+cannot share a bug with the generating-function code it checks.  The
+same goes for the lattice walk below: it visits every lattice point,
+and it is the slow oracle for the coordinate DP in ``partitions``.
 """
+
+from functools import lru_cache
+from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +16,8 @@ from hypothesis import strategies as st
 
 from sevencores.partitions import (
     PARTITION_BOUND,
-    LatticeSpec,
+    _coordinate_ranges,
+    _slot_bytes,
     bg_rank,
     conjugate,
     core_rank_census,
@@ -20,11 +27,121 @@ from sevencores.partitions import (
     is_t_core,
     lattice_rank_sum,
     lattice_sum,
-    lattice_theta,
     rank_histogram,
-    rank_residue_classes,
 )
+from sevencores.series import TruncSeries
 from sevencores.theta import eta_quotient
+
+_ODD_BASE = (1, 0, 1, 0, 1, 0, 1)
+_RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
+
+
+def rank_residue_classes(j: int) -> frozenset:
+    """Parity patterns of 7-dimensional vectors whose cores have rank j.
+
+    Patterns at Hamming distance 0, 2, 4, 6 from (1,0,1,0,1,0,1) carry
+    ranks 2, 1, 0, -1; the four families exhaust all 64 patterns with an
+    even number of odd coordinates.
+    """
+    flips = _RANK_FLIPS[j]
+    out = set()
+    for idxs in combinations(range(7), flips):
+        v = list(_ODD_BASE)
+        for i in idxs:
+            v[i] ^= 1
+        out.add(tuple(v))
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _walk(t: int, order: int) -> dict:
+    """Lattice point counts bucketed by coordinate parity pattern.
+
+    Visits every zero-sum vector v in Z^t of size at most order.  Works
+    in doubled exponents e2 = t*|v|^2 + 2*b.v with b = (0..t-1), which
+    is always even for vectors summing to zero.  Returns a mapping from
+    parity bitmask (bit i = v_i mod 2) to a coefficient list.
+    """
+    n2 = 2 * order
+    min2 = [min(0, t - 2 * i) for i in range(t)]
+    total_min = sum(min2)
+
+    def box_excludes(radius: int) -> bool:
+        # No vector with some |v_i| = radius fits under n2 even when all
+        # other coordinates sit at their unconstrained minima.
+        return all(
+            t * radius * radius - 2 * i * radius + (total_min - min2[i]) > n2
+            for i in range(t)
+        )
+
+    m_bound = 0
+    while not box_excludes(m_bound + 1):
+        m_bound += 1
+
+    suffmin = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        suffmin[i] = suffmin[i + 1] + min2[i]
+
+    buckets: dict = {}
+
+    def close(s: int, e2: int, mask: int) -> None:
+        # Last free coordinate x at index t-2; index t-1 takes -(s + x).
+        # Doubled total is 2t*x^2 + 2(ts-1)*x + e2 + t*s^2 - 2(t-1)*s.
+        bq = t * s - 1
+        c0 = e2 + t * s * s - 2 * (t - 1) * s - n2
+
+        def q(x: int) -> int:
+            return 2 * t * x * x + 2 * bq * x + c0
+
+        disc = bq * bq - 2 * t * c0
+        if disc < 0:
+            return
+        root = isqrt(disc)
+        lo = (-bq - root) // (2 * t)
+        hi = (-bq + root) // (2 * t)
+        while q(lo - 1) <= 0:
+            lo -= 1
+        while lo <= hi and q(lo) > 0:
+            lo += 1
+        while q(hi + 1) <= 0:
+            hi += 1
+        while hi >= lo and q(hi) > 0:
+            hi -= 1
+        for x in range(lo, hi + 1):
+            y = -(s + x)
+            e2_total = q(x) + n2
+            assert e2_total % 2 == 0 and 0 <= e2_total <= n2
+            full = mask | ((x & 1) << (t - 2)) | ((y & 1) << (t - 1))
+            row = buckets.setdefault(full, [0] * (order + 1))
+            row[e2_total // 2] += 1
+
+    def visit(i: int, s: int, e2: int, mask: int) -> None:
+        if i == t - 2:
+            close(s, e2, mask)
+            return
+        floor_rest = suffmin[i + 1]
+        for x in range(-m_bound, m_bound + 1):
+            contrib = t * x * x + 2 * i * x
+            if e2 + contrib + floor_rest > n2:
+                continue
+            visit(i + 1, s + x, e2 + contrib, mask | ((x & 1) << i))
+
+    visit(0, 0, 0, 0)
+    return buckets
+
+
+def walk_sum(t: int, order: int, patterns=None) -> TruncSeries:
+    """Walked vectors whose parity pattern is in patterns (None: all)."""
+    cs = [0] * (order + 1)
+    for mask, row in _walk(t, order).items():
+        pattern = tuple((mask >> i) & 1 for i in range(t))
+        if patterns is None or pattern in patterns:
+            cs = [a + b for a, b in zip(cs, row)]
+    return TruncSeries(order, cs)
+
+
+def walk_rank_sum(j: int, order: int) -> TruncSeries:
+    return walk_sum(7, order, rank_residue_classes(j))
 
 
 def test_partitions_of_three():
@@ -116,18 +233,15 @@ def test_rank_residue_class_sizes():
     assert len(union) == 64
 
 
-def test_lattice_spec_validation():
-    spec = LatticeSpec(7)
-    assert spec.offset == (0, 1, 2, 3, 4, 5, 6)
-    LatticeSpec(7, offset=(0, 1, 2, 3, 4, 5, 6))
+def test_lattice_rejects_bad_arguments():
+    for t in (1, 0, -3):
+        with pytest.raises(ValueError):
+            lattice_sum(t, 5)
+    for j in (-2, 3, 7):
+        with pytest.raises(ValueError):
+            lattice_rank_sum(j, 5)
     with pytest.raises(ValueError):
-        LatticeSpec(7, offset=(1, 2, 3, 4, 5, 6, 7))
-    with pytest.raises(ValueError):
-        LatticeSpec(1)
-    with pytest.raises(ValueError):
-        LatticeSpec(3, residues=((0, 1),))  # wrong pattern length
-    with pytest.raises(ValueError):
-        LatticeSpec(3, residues=((0, 2, 0),))  # not a bit
+        lattice_sum(7, -1)
 
 
 def test_lattice_matches_eta_quotient():
@@ -156,9 +270,37 @@ def test_rank_sums_partition_the_total():
     assert add == total
 
 
-def test_lattice_theta_rejects_bad_mask_source():
-    with pytest.raises(ValueError):
-        lattice_theta(LatticeSpec(0), 5)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(min_value=0, max_value=60))
+def test_lattice_sum_matches_walk(t, order):
+    assert lattice_sum(t, order) == walk_sum(t, order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from((-1, 0, 1, 2)), st.integers(min_value=0, max_value=60))
+def test_lattice_rank_sum_matches_walk(j, order):
+    assert lattice_rank_sum(j, order) == walk_rank_sum(j, order)
+
+
+def test_lattice_matches_walk_at_order_120():
+    for t in (2, 3, 5, 7):
+        assert lattice_sum(t, 120) == walk_sum(t, 120)
+    for j in (-1, 0, 1, 2):
+        assert lattice_rank_sum(j, 120) == walk_rank_sum(j, 120)
+
+
+def test_slot_width_grows_with_order():
+    for t in (2, 3, 5, 7):
+        widths = [
+            _slot_bytes(_coordinate_ranges(t, order))
+            for order in (0, 10, 100, 1000, 10000, 100000)
+        ]
+        assert widths == sorted(widths)
+        assert widths[0] < widths[-1]
+        for order in (10, 1000, 100000):
+            ranges = _coordinate_ranges(t, order)
+            m = max(abs(x) for xs in ranges for x, _ in xs)
+            assert 256 ** _slot_bytes(ranges) > (2 * m + 1) ** (t - 1)
 
 
 @settings(max_examples=20, deadline=None)
