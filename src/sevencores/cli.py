@@ -3,7 +3,8 @@
 Subcommands: coeffs, verify, scan, table, oracle.  Exit codes: 0 pass,
 1 theorem or identity failure, 2 usage error, 3 conjecture counterexample.
 The SEVENCORES_ORDER environment variable supplies a default expansion
-order; an explicit --order flag always wins.
+order; an explicit --order flag always wins.  Orders and table sizes
+run from 0 to MAX_ORDER.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import sys
 
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate
-from .identities import REGISTRY, get_record, verify, verify_all
+from .identities import get_record, verify, verify_all
 from .inequalities import (
     DEFAULT_DEPTH,
     claim_ids,
@@ -26,13 +27,24 @@ from .partitions import PARTITION_BOUND, rank_histogram
 
 ENV_ORDER = "SEVENCORES_ORDER"
 
+#: Largest accepted --order, SEVENCORES_ORDER or table --max.  It leaves
+#: room above the deepest scan the benchmark runs (6000) and stops a
+#: mistyped value from asking for gigabytes.
+MAX_ORDER = 20000
+
+
+def _check_bound(parser, name, value):
+    if value < 0:
+        parser.error(f"{name} must be nonnegative, got {value}")
+    if value > MAX_ORDER:
+        parser.error(f"{name} must be at most {MAX_ORDER}, got {value}")
+    return value
+
 
 def _resolve_order(parser, flag_value, fallback):
     """Explicit flag wins; then the environment; then the fallback."""
     if flag_value is not None:
-        if flag_value < 0:
-            parser.error(f"--order must be nonnegative, got {flag_value}")
-        return flag_value
+        return _check_bound(parser, "--order", flag_value)
     raw = os.environ.get(ENV_ORDER)
     if raw is None:
         return fallback
@@ -40,9 +52,7 @@ def _resolve_order(parser, flag_value, fallback):
         value = int(raw)
     except ValueError:
         parser.error(f"{ENV_ORDER} must be an integer, got {raw!r}")
-    if value < 0:
-        parser.error(f"{ENV_ORDER} must be nonnegative, got {value}")
-    return value
+    return _check_bound(parser, ENV_ORDER, value)
 
 
 def _cmd_coeffs(args, parser):
@@ -156,8 +166,7 @@ def _cmd_scan(args, parser):
 
 
 def _cmd_table(args, parser):
-    if args.max < 0:
-        parser.error(f"--max must be nonnegative, got {args.max}")
+    _check_bound(parser, "--max", args.max)
     cs = core_split(args.max)
     if args.which == "a7":
         headers = ("n", "a7")

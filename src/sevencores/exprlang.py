@@ -31,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .identities import hecke_T2
 from .partitions import lattice_rank_sum, lattice_sum
-from .series import TruncSeries
+from .series import TruncSeries, hecke_T2
 from .theta import (
     ThetaArgs,
     chi_neg,
@@ -558,8 +557,3 @@ def evaluate(expr, order: int) -> TruncSeries:
     """Parse (if given text) and evaluate to a TruncSeries."""
     node = parse(expr) if isinstance(expr, str) else expr
     return eval_ast(node, order)
-
-
-# Module-level alias for callers that expect the operation under this
-# name; the builtin stays reachable as builtins.eval.
-eval = evaluate

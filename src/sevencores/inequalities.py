@@ -1,20 +1,29 @@
 """Coefficient inequalities, progressions, and conjecture scans.
 
-Claims come in two shapes: coefficient comparisons between series (with
-relation >= or =) and positivity of a whole series.  Every claim scans
-its full stated range; nothing is sampled.  A ``ScanReport`` records the
-range, the outcome, the first violation if one exists, and the first few
-instances so that spot values are visible in the output.
+Every claim is one row of a table: a linear relation
+
+    sum of coef * S[a*n + b] over the lhs terms   REL   the same over the rhs
+
+for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is a
+named series: a field of ``core_split`` or a builder in ``SERIES``.
+Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
+from the order: it ends at the largest n whose every index a*n + b is at
+most the order.  Every claim scans its full range; nothing is sampled.
+A ``ScanReport`` records the range, the outcome, the first violation if
+one exists, and the first few instances so that spot values are visible
+in the output.  A claim whose range holds no instance at this order
+reports ``empty``: nothing was checked, so it does not hold either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional
+from itertools import repeat
+from typing import Callable, Optional
 
+from .forms import G, G2, CoreSplit, W, core_split, fff7, rank_2, rank_m1
 from .series import TruncSeries
-from .theta import ThetaArgs, eta_quotient, phi, psi, sigma_at, omega_at, theta_f
+from .theta import omega_at, phi, psi, sigma_at
 
 #: How many leading instances each report keeps for display.
 SAMPLE_COUNT = 3
@@ -36,33 +45,6 @@ class ScanReport:
     samples: tuple
 
 
-class CoreSplit(NamedTuple):
-    """The 7-core series and its rank layers, all from closed forms."""
-
-    a7: TruncSeries
-    a7_m1: TruncSeries
-    a7_0: TruncSeries
-    a7_1: TruncSeries
-    a7_2: TruncSeries
-    b: TruncSeries
-
-
-@lru_cache(maxsize=None)
-def core_split(order: int) -> CoreSplit:
-    """Closed-form expansions used by every scanner at this order."""
-    a7 = eta_quotient({7: 7, 1: -1}, order)
-    m1 = eta_quotient({28: 3, 14: 2, 4: 3, 2: -2}, order).shift(3)
-    r2 = eta_quotient({28: 7, 4: -1}, order).shift(6)
-    return CoreSplit(
-        a7=a7,
-        a7_m1=m1,
-        a7_0=a7.even_part().sub(r2),
-        a7_1=a7.odd_part().sub(m1),
-        a7_2=r2,
-        b=eta_quotient({1: 3, 7: 3}, order),
-    )
-
-
 def _scan(claim, kind, description, n_range, items, relation) -> ScanReport:
     samples = []
     violation = None
@@ -78,7 +60,7 @@ def _scan(claim, kind, description, n_range, items, relation) -> ScanReport:
         kind=kind,
         description=description,
         n_range=n_range,
-        status="holds" if violation is None else "violated",
+        status="violated" if violation else "holds" if samples else "empty",
         violation=violation,
         samples=tuple(samples),
     )
@@ -97,258 +79,146 @@ def positivity(
     return _scan(claim, kind, description, (0, order), items, "ge")
 
 
-# -- claim runners -------------------------------------------------------
-
-def _run_ineq_1_11(order):
-    cs = core_split(order)
-    hi = (order - 2) // 2
-    items = ((n, cs.a7[2 * n + 2], 2 * cs.a7[n]) for n in range(hi + 1))
-    return _scan(
-        "ineq-1.11", "theorem",
-        "a7(2n+2) >= 2*a7(n)", (0, hi), items, "ge",
-    )
-
-
-def _run_ineq_1_12(order):
-    cs = core_split(order)
-    hi = (order - 6) // 4
-    items = ((n, cs.a7[4 * n + 6], 10 * cs.a7[n]) for n in range(hi + 1))
-    return _scan(
-        "ineq-1.12", "theorem",
-        "a7(4n+6) >= 10*a7(n)", (0, hi), items, "ge",
-    )
-
-
-def _run_ineq_1_13(order):
-    cs = core_split(order)
-    items = ((n, cs.a7_0[n], 9 * cs.a7_2[n]) for n in range(order + 1))
-    return _scan(
-        "ineq-1.13", "theorem",
-        "a7_0(n) >= 9*a7_2(n)", (0, order), items, "ge",
-    )
+#: Series that claims name besides the fields of ``core_split``.  Each
+#: is built at the scan order on every call.
+SERIES: dict = {
+    "sigma4*fff7": lambda n: sigma_at(4, n).mul(fff7(n)),
+    "2*rank_m1": lambda n: rank_m1(n).scale(2),
+    "6*rank_2": lambda n: rank_2(n).scale(6),
+    "2q^2*G2": lambda n: G2(n).shift(2).scale(2),
+    "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)":
+        lambda n: W(n).mul(omega_at(2, n)),
+    "a7-2q^2*G2": lambda n: G(n).sub(G2(n).shift(2).scale(2)),
+    "odd(a7)-3*rank_m1": lambda n: G(n).odd_part().sub(rank_m1(n).scale(3)),
+    "psi(q)*(psi(q)^2 - psi(q^7)^2)":
+        lambda n: psi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
+    "psi(q)*(phi(q)^2 - phi(q^7)^2)":
+        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(phi(7, n).pow(2))),
+    "phi(q)*(psi(q)^2 - psi(q^7)^2)":
+        lambda n: phi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
+    "psi(q)*(phi(q)^2 - psi(q^7)^2)":
+        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(psi(7, n).pow(2))),
+}
 
 
-def _run_ineq_1_14(order):
-    cs = core_split(order)
-    items = ((n, cs.a7_1[n], 2 * cs.a7_m1[n]) for n in range(order + 1))
-    return _scan(
-        "ineq-1.14", "theorem",
-        "a7_1(n) >= 2*a7_m1(n)", (0, order), items, "ge",
-    )
+@dataclass(frozen=True)
+class LinearClaim:
+    """One table row.  A term (coef, name, a, b) stands for coef*S[a*n + b].
 
+    ``mod7``, when not empty, keeps only the n whose residue mod 7 is in it.
+    """
 
-def _make_prog_1_15(r):
-    def run(order):
-        cs = core_split(order)
-        hi = (order - 4 * r) // 28
-        items = (
-            (n, cs.a7[28 * n + 4 * r], 5 * cs.a7[14 * n + 2 * r - 1])
-            for n in range(hi + 1)
+    id: str
+    kind: str
+    description: str
+    lhs: tuple
+    rhs: tuple = ()
+    relation: str = "ge"
+    n0: int = 0
+    mod7: tuple = ()
+
+    def __call__(self, order: int) -> ScanReport:
+        terms = self.lhs + self.rhs
+        hi = min((order - b) // a for _, _, a, b in terms)
+        names = {name for _, name, _, _ in terms}
+        split = (
+            core_split(order)._asdict()
+            if not names.isdisjoint(CoreSplit._fields) else {}
         )
+        coeffs = {
+            name: (split[name] if name in split else SERIES[name](order)).coeffs
+            for name in names
+        }
+        ns = [
+            n for n in range(self.n0, hi + 1)
+            if not self.mod7 or n % 7 in self.mod7
+        ]
+
+        def side(terms):
+            columns = [
+                [c * coeffs[name][a * n + b] for n in ns]
+                for c, name, a, b in terms
+            ]
+            return map(sum, zip(*columns)) if columns else repeat(0)
+
+        items = zip(ns, side(self.lhs), side(self.rhs))
         return _scan(
+            self.id, self.kind, self.description, (self.n0, hi), items,
+            self.relation,
+        )
+
+
+def _positive(claim, kind, series, description=None):
+    description = description or f"{series} has nonnegative coefficients"
+    return LinearClaim(claim, kind, description, ((1, series, 1, 0),))
+
+
+_TABLE = (
+    LinearClaim("ineq-1.11", "theorem", "a7(2n+2) >= 2*a7(n)",
+                ((1, "a7", 2, 2),), ((2, "a7", 1, 0),)),
+    LinearClaim("ineq-1.12", "theorem", "a7(4n+6) >= 10*a7(n)",
+                ((1, "a7", 4, 6),), ((10, "a7", 1, 0),)),
+    LinearClaim("ineq-1.13", "theorem", "a7_0(n) >= 9*a7_2(n)",
+                ((1, "a7_0", 1, 0),), ((9, "a7_2", 1, 0),)),
+    LinearClaim("ineq-1.14", "theorem", "a7_1(n) >= 2*a7_m1(n)",
+                ((1, "a7_1", 1, 0),), ((2, "a7_m1", 1, 0),)),
+    *(
+        LinearClaim(
             f"prog-1.15-r{r}", "theorem",
             f"a7(28n+{4 * r}) = 5*a7(14n+{2 * r - 1})",
-            (0, hi), items, "eq",
+            ((1, "a7", 28, 4 * r),), ((5, "a7", 14, 2 * r - 1),), "eq",
         )
-
-    return run
-
-
-def _make_prog_1_16(r):
-    def run(order):
-        cs = core_split(order)
-        hi = (order - 4 * r - 2) // 28
-        items = (
-            (
-                n,
-                cs.a7[28 * n + 4 * r + 2] + 4 * cs.a7[7 * n + r - 1],
-                5 * cs.a7[14 * n + 2 * r],
-            )
-            for n in range(hi + 1)
-        )
-        return _scan(
+        for r in (1, 2, 6)
+    ),
+    *(
+        LinearClaim(
             f"prog-1.16-r{r}", "theorem",
             f"a7(28n+{4 * r + 2}) + 4*a7(7n+{r - 1}) = 5*a7(14n+{2 * r})",
-            (0, hi), items, "eq",
+            ((1, "a7", 28, 4 * r + 2), (4, "a7", 7, r - 1)),
+            ((5, "a7", 14, 2 * r),), "eq",
         )
-
-    return run
-
-
-def _run_cor_4_1(order):
-    cs = core_split(order)
-    items = ((n, 3 * cs.a7[n - 1] + cs.b[n], 0) for n in range(1, order + 1))
-    return _scan(
-        "cor-4.1", "theorem",
-        "3*a7(n-1) + b(n) >= 0 for n >= 1", (1, order), items, "ge",
-    )
-
-
-def _run_vanish_b(order):
-    cs = core_split(order)
-    items = (
-        (n, cs.b[n], 0)
-        for n in range(order + 1)
-        if n % 7 in (2, 4, 5)
-    )
-    return _scan(
-        "vanish-b", "theorem",
-        "b(n) = 0 when n mod 7 is 2, 4, or 5", (0, order), items, "eq",
-    )
-
-
-def _f(r, s, n):
-    return theta_f(ThetaArgs(1, r, 1, s), n)
-
-
-def _fff_phi7(n):
-    return _f(1, 13, n).mul(_f(3, 11, n)).mul(_f(5, 9, n)).mul(phi(7, n))
-
-
-def _run_pos_4_6(order):
-    return positivity(
-        lambda n: eta_quotient({14: 4, 4: -1, 28: -1}, n).mul(omega_at(2, n)),
-        order,
-        claim="pos-4.6",
-        description="E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)"
-        " has nonnegative coefficients",
-    )
-
-
-def _run_pos_4_7(order):
-    return positivity(
-        lambda n: eta_quotient({7: 7, 1: -1}, n).sub(
-            eta_quotient({14: 7, 2: -1}, n).shift(2).scale(2)
-        ),
-        order,
-        claim="pos-4.7",
-        description="a7(n) >= 2*a7((n-2)/2) summed as a series",
-    )
-
-
-def _run_pos_4_12(order):
-    return positivity(
-        lambda n: eta_quotient({7: 7, 1: -1}, n)
-        .odd_part()
-        .sub(
-            eta_quotient({28: 3, 14: 2, 4: 3, 2: -2}, n).shift(3).scale(3)
-        ),
-        order,
-        claim="pos-4.12",
-        description="odd part minus three rank -1 layers stays nonnegative",
-    )
-
-
-_POS_1_23_BUILDERS = (
-    lambda n: sigma_at(4, n).mul(_fff_phi7(n)),
-    lambda n: eta_quotient({28: 3, 14: 2, 4: 3, 2: -2}, n).shift(3).scale(2),
-    lambda n: eta_quotient({28: 7, 4: -1}, n).shift(6).scale(6),
-    lambda n: eta_quotient({14: 7, 2: -1}, n).shift(2).scale(2),
-)
-
-
-def _make_pos_1_23(i):
-    def run(order):
-        return positivity(
-            _POS_1_23_BUILDERS[i - 1],
-            order,
-            claim=f"pos-1.23-{i}",
-            description=f"summand {i} of the four-term split"
-            " has nonnegative coefficients",
+        for r in (2, 4, 5)
+    ),
+    LinearClaim("cor-4.1", "theorem", "3*a7(n-1) + b(n) >= 0 for n >= 1",
+                ((3, "a7", 1, -1), (1, "b", 1, 0)), n0=1),
+    LinearClaim("vanish-b", "theorem", "b(n) = 0 when n mod 7 is 2, 4, or 5",
+                ((1, "b", 1, 0),), relation="eq", mod7=(2, 4, 5)),
+    *(
+        _positive(
+            f"pos-1.23-{i}", "theorem", series,
+            f"summand {i} of the four-term split has nonnegative coefficients",
         )
-
-    return run
-
-
-def _run_conj_6_1(order):
-    return positivity(
-        lambda n: psi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
-        order,
-        claim="conj-6.1",
-        description="psi(q)*(psi(q)^2 - psi(q^7)^2)"
-        " has nonnegative coefficients",
-        kind="conjecture",
-    )
-
-
-def _run_conj_6_2(order):
-    return positivity(
-        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(phi(7, n).pow(2))),
-        order,
-        claim="conj-6.2",
-        description="psi(q)*(phi(q)^2 - phi(q^7)^2)"
-        " has nonnegative coefficients",
-        kind="conjecture",
-    )
-
-
-def _run_conj_6_3(order):
-    return positivity(
-        lambda n: phi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
-        order,
-        claim="conj-6.3",
-        description="phi(q)*(psi(q)^2 - psi(q^7)^2)"
-        " has nonnegative coefficients",
-        kind="conjecture",
-    )
-
-
-def _run_conj_6_4(order):
-    return positivity(
-        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(psi(7, n).pow(2))),
-        order,
-        claim="conj-6.4",
-        description="psi(q)*(phi(q)^2 - psi(q^7)^2)"
-        " has nonnegative coefficients",
-        kind="conjecture",
-    )
-
-
-def _run_sharp_double(order):
-    cs = core_split(order)
-    hi = (order - 2) // 2
-    items = ((n, cs.a7[2 * n + 2], 3 * cs.a7[n]) for n in range(1, hi + 1))
-    return _scan(
-        "conj-sharp-double", "conjecture",
-        "a7(2n+2) >= 3*a7(n) for n >= 1", (1, hi), items, "ge",
-    )
-
-
-def _run_sharp_quad15(order):
-    cs = core_split(order)
-    hi = (order - 6) // 4
-    items = ((n, cs.a7[4 * n + 6], 15 * cs.a7[n]) for n in range(1, hi + 1))
-    return _scan(
-        "conj-sharp-quad15", "conjecture",
-        "a7(4n+6) >= 15*a7(n) for n >= 1", (1, hi), items, "ge",
-    )
-
-
-def _run_sharp_quad11(order):
-    cs = core_split(order)
-    hi = (order - 6) // 4
-    items = ((n, cs.a7[4 * n + 6], 11 * cs.a7[n]) for n in range(hi + 1))
-    return _scan(
-        "conj-sharp-quad11", "conjecture",
-        "a7(4n+6) >= 11*a7(n) for n >= 0", (0, hi), items, "ge",
-    )
-
-
-def _make_prog_ext(r):
-    def run(order):
-        cs = core_split(order)
-        hi = (order - 4 * r) // 196
-        items = (
-            (n, cs.a7[196 * n + 4 * r], 5 * cs.a7[98 * n + 2 * r - 1])
-            for n in range(hi + 1)
+        for i, series in enumerate(
+            ("sigma4*fff7", "2*rank_m1", "6*rank_2", "2q^2*G2"), 1
         )
-        return _scan(
+    ),
+    _positive("pos-4.6", "theorem", "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)"),
+    _positive("pos-4.7", "theorem", "a7-2q^2*G2",
+              "a7(n) >= 2*a7((n-2)/2) summed as a series"),
+    _positive("pos-4.12", "theorem", "odd(a7)-3*rank_m1",
+              "odd part minus three rank -1 layers stays nonnegative"),
+    _positive("conj-6.1", "conjecture", "psi(q)*(psi(q)^2 - psi(q^7)^2)"),
+    _positive("conj-6.2", "conjecture", "psi(q)*(phi(q)^2 - phi(q^7)^2)"),
+    _positive("conj-6.3", "conjecture", "phi(q)*(psi(q)^2 - psi(q^7)^2)"),
+    _positive("conj-6.4", "conjecture", "psi(q)*(phi(q)^2 - psi(q^7)^2)"),
+    LinearClaim("conj-sharp-double", "conjecture",
+                "a7(2n+2) >= 3*a7(n) for n >= 1",
+                ((1, "a7", 2, 2),), ((3, "a7", 1, 0),), n0=1),
+    LinearClaim("conj-sharp-quad15", "conjecture",
+                "a7(4n+6) >= 15*a7(n) for n >= 1",
+                ((1, "a7", 4, 6),), ((15, "a7", 1, 0),), n0=1),
+    LinearClaim("conj-sharp-quad11", "conjecture",
+                "a7(4n+6) >= 11*a7(n) for n >= 0",
+                ((1, "a7", 4, 6),), ((11, "a7", 1, 0),)),
+    *(
+        LinearClaim(
             f"prog-ext-r{r}", "conjecture",
             f"a7(196n+{4 * r}) = 5*a7(98n+{2 * r - 1})",
-            (0, hi), items, "eq",
+            ((1, "a7", 196, 4 * r),), ((5, "a7", 98, 2 * r - 1),), "eq",
         )
-
-    return run
+        for r in (10, 17, 45)
+    ),
+)
 
 
 @dataclass(frozen=True)
@@ -358,37 +228,8 @@ class ClaimRecord:
     runner: Callable[[int], ScanReport]
 
 
-CLAIMS: tuple = (
-    ClaimRecord("ineq-1.11", "theorem", _run_ineq_1_11),
-    ClaimRecord("ineq-1.12", "theorem", _run_ineq_1_12),
-    ClaimRecord("ineq-1.13", "theorem", _run_ineq_1_13),
-    ClaimRecord("ineq-1.14", "theorem", _run_ineq_1_14),
-    ClaimRecord("prog-1.15-r1", "theorem", _make_prog_1_15(1)),
-    ClaimRecord("prog-1.15-r2", "theorem", _make_prog_1_15(2)),
-    ClaimRecord("prog-1.15-r6", "theorem", _make_prog_1_15(6)),
-    ClaimRecord("prog-1.16-r2", "theorem", _make_prog_1_16(2)),
-    ClaimRecord("prog-1.16-r4", "theorem", _make_prog_1_16(4)),
-    ClaimRecord("prog-1.16-r5", "theorem", _make_prog_1_16(5)),
-    ClaimRecord("cor-4.1", "theorem", _run_cor_4_1),
-    ClaimRecord("vanish-b", "theorem", _run_vanish_b),
-    ClaimRecord("pos-1.23-1", "theorem", _make_pos_1_23(1)),
-    ClaimRecord("pos-1.23-2", "theorem", _make_pos_1_23(2)),
-    ClaimRecord("pos-1.23-3", "theorem", _make_pos_1_23(3)),
-    ClaimRecord("pos-1.23-4", "theorem", _make_pos_1_23(4)),
-    ClaimRecord("pos-4.6", "theorem", _run_pos_4_6),
-    ClaimRecord("pos-4.7", "theorem", _run_pos_4_7),
-    ClaimRecord("pos-4.12", "theorem", _run_pos_4_12),
-    ClaimRecord("conj-6.1", "conjecture", _run_conj_6_1),
-    ClaimRecord("conj-6.2", "conjecture", _run_conj_6_2),
-    ClaimRecord("conj-6.3", "conjecture", _run_conj_6_3),
-    ClaimRecord("conj-6.4", "conjecture", _run_conj_6_4),
-    ClaimRecord("conj-sharp-double", "conjecture", _run_sharp_double),
-    ClaimRecord("conj-sharp-quad15", "conjecture", _run_sharp_quad15),
-    ClaimRecord("conj-sharp-quad11", "conjecture", _run_sharp_quad11),
-    ClaimRecord("prog-ext-r10", "conjecture", _make_prog_ext(10)),
-    ClaimRecord("prog-ext-r17", "conjecture", _make_prog_ext(17)),
-    ClaimRecord("prog-ext-r45", "conjecture", _make_prog_ext(45)),
-)
+#: The runner of each record is its table row, which is callable.
+CLAIMS: tuple = tuple(ClaimRecord(c.id, c.kind, c) for c in _TABLE)
 
 _CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
 assert len(_CLAIMS_BY_ID) == len(CLAIMS), "claim ids must be unique"
@@ -425,15 +266,3 @@ _THEOREM_1_1_IDS = (
 def check_theorem_1_1(order: int) -> list:
     """The ten headline claims: four growth bounds, six index progressions."""
     return [run_claim(i, order) for i in _THEOREM_1_1_IDS]
-
-
-def check_corollary_4_1(order: int) -> ScanReport:
-    return run_claim("cor-4.1", order)
-
-
-def check_b_vanishing(order: int) -> ScanReport:
-    return run_claim("vanish-b", order)
-
-
-def check_referee_progressions(order: int) -> list:
-    return [run_claim(f"prog-ext-r{r}", order) for r in (10, 17, 45)]

@@ -37,7 +37,7 @@ class TruncSeries:
                 f"(at most {order + 1} allowed)"
             )
         for c in cs:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise TypeError(f"coefficients must be ints, got {c!r}")
         cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
@@ -129,7 +129,7 @@ class TruncSeries:
         return TruncSeries(self.order, [-c for c in self.coeffs])
 
     def scale(self, factor: int) -> "TruncSeries":
-        if not isinstance(factor, int):
+        if type(factor) is not int:
             raise TypeError(f"scale factor must be an int, got {factor!r}")
         return TruncSeries(self.order, [factor * c for c in self.coeffs])
 
@@ -302,3 +302,19 @@ class TruncSeries:
 
     def __pow__(self, exponent):
         return self.pow(exponent)
+
+
+def hecke_T2(a: TruncSeries) -> TruncSeries:
+    """Weight-2 style coefficient action: out[m] = a[2m] + 4*a[m/2].
+
+    The second term contributes only at even m.  The result keeps half
+    the input order, since a[2m] is needed up to the output order.
+    """
+    n = a.order // 2
+    out = []
+    for m in range(n + 1):
+        c = a.coeffs[2 * m]
+        if m % 2 == 0:
+            c += 4 * a.coeffs[m // 2]
+        out.append(c)
+    return TruncSeries(n, out)

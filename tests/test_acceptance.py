@@ -30,11 +30,10 @@ from sevencores.exprlang import (
 )
 from sevencores.identities import REGISTRY, THETA_ARGS_USED, verify, verify_all
 from sevencores.inequalities import (
-    check_b_vanishing,
-    check_corollary_4_1,
     check_theorem_1_1,
     core_split,
     run_all,
+    run_claim,
 )
 from sevencores.partitions import (
     core_rank_census,
@@ -128,13 +127,13 @@ def test_criterion_4_theta_toolkit_checks():
 
 
 def test_criterion_5_alternating_companion_constraints():
-    vanish = check_b_vanishing(2000)
+    vanish = run_claim("vanish-b", 2000)
     assert vanish.status == "holds"
     cs = core_split(2000)
     for n in range(2001):
         if n % 7 in (2, 4, 5):
             assert cs.b[n] == 0
-    bound = check_corollary_4_1(2000)
+    bound = run_claim("cor-4.1", 2000)
     assert bound.status == "holds"
     assert bound.n_range == (1, 2000)
     assert bound.samples[0] == (1, 0, 0)  # 3*a7(0) + b(1) = 0 exactly

@@ -101,6 +101,18 @@ def test_scan_theorems(capsys):
     assert "19/19 claims hold to order 250" in out
 
 
+def test_empty_scans_do_not_count_as_holding(capsys):
+    code, out = run(capsys, "scan", "--theorems", "--order", "3")
+    assert code == 0
+    assert "12/19 claims hold to order 3" in out
+    row = next(line for line in out.splitlines() if line.startswith("prog-1.15-r1"))
+    assert row.split()[2:4] == ["n=0..-1", "empty"]
+    assert "first instance" not in row
+    code, out = run(capsys, "scan", "--conjectures", "--order", "5")
+    assert code == 0
+    assert "5/10 claims hold to order 5" in out
+
+
 def test_scan_conjecture_counterexample_exit_code(capsys, monkeypatch):
     fake = ScanReport(
         claim="conj-zz",
@@ -251,18 +263,47 @@ def test_no_subcommand_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["coeffs", "E(q)", "--order", "-3"],
-        ["verify", "eq-5.2", "--order", "-1"],
-        ["scan", "--theorems", "--order", "-7"],
+        (["coeffs", "E(q)", "--order", "-3"], "--order must be nonnegative"),
+        (["verify", "eq-5.2", "--order", "-1"], "--order must be nonnegative"),
+        (["scan", "--theorems", "--order", "-7"], "--order must be nonnegative"),
+        (["coeffs", "E(q)", "--order", str(cli.MAX_ORDER + 1)],
+         f"--order must be at most {cli.MAX_ORDER}"),
+        (["verify", "eq-5.2", "--order", "10" * 9],
+         f"--order must be at most {cli.MAX_ORDER}"),
+        (["scan", "--theorems", "--order", str(cli.MAX_ORDER + 1)],
+         f"--order must be at most {cli.MAX_ORDER}"),
+        (["table", "a7", "--max", str(cli.MAX_ORDER + 1)],
+         f"--max must be at most {cli.MAX_ORDER}"),
     ],
-    ids=["coeffs", "verify", "scan"],
+    ids=[
+        "coeffs", "verify", "scan",
+        "coeffs-above-cap", "verify-above-cap", "scan-above-cap",
+        "table-above-cap",
+    ],
 )
-def test_negative_order_is_usage_error(capsys, argv):
+def test_negative_order_is_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--order must be nonnegative" in captured.err
+    assert message in captured.err
+
+
+def test_env_order_above_cap_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SEVENCORES_ORDER", str(cli.MAX_ORDER + 1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--theorems"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"SEVENCORES_ORDER must be at most {cli.MAX_ORDER}" in captured.err
+
+
+def test_max_order_is_accepted(capsys):
+    top = str(cli.MAX_ORDER)
+    code, out = run(capsys, "coeffs", "q^2", "--order", top, "--from", top)
+    assert code == 0
+    assert out == f"{top} 0\n"

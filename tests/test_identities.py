@@ -9,12 +9,11 @@ from sevencores.identities import (
     THETA_ARGS_USED,
     IdentityRecord,
     get_record,
-    hecke_T2,
     registry_ids,
     verify,
     verify_all,
 )
-from sevencores.series import TruncSeries
+from sevencores.series import TruncSeries, hecke_T2
 from sevencores.theta import euler_E, jacobi_cube
 
 

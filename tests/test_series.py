@@ -39,6 +39,16 @@ def test_constructor_pads_and_validates():
         TruncSeries(2, (1.5, 0))
 
 
+def test_bool_is_not_a_coefficient():
+    with pytest.raises(TypeError):
+        TruncSeries(3, [True])
+    with pytest.raises(TypeError):
+        TruncSeries(3, (1, False))
+    with pytest.raises(TypeError):
+        TruncSeries.one(3).scale(True)
+    assert TruncSeries(3, [1]).scale(2).coeffs == (2, 0, 0, 0)
+
+
 def test_immutable():
     s = TruncSeries(3, (1,))
     with pytest.raises(AttributeError):
