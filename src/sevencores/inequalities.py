@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional
 
-from .forms import G, G2, CoreSplit, W, core_split, fff7, rank_2, rank_m1
+from .forms import G2, CoreSplit, W, core_split, fff7
 from .series import TruncSeries
 from .theta import omega_at, phi, psi, sigma_at
 
@@ -80,16 +80,18 @@ def positivity(
 
 
 #: Series that claims name besides the fields of ``core_split``.  Each
-#: is built at the scan order on every call.
+#: is built at the scan order on every call, from the cached
+#: ``core_split`` where it has the pieces.
 SERIES: dict = {
     "sigma4*fff7": lambda n: sigma_at(4, n).mul(fff7(n)),
-    "2*rank_m1": lambda n: rank_m1(n).scale(2),
-    "6*rank_2": lambda n: rank_2(n).scale(6),
+    "2*rank_m1": lambda n: core_split(n).a7_m1.scale(2),
+    "6*rank_2": lambda n: core_split(n).a7_2.scale(6),
     "2q^2*G2": lambda n: G2(n).shift(2).scale(2),
     "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)":
         lambda n: W(n).mul(omega_at(2, n)),
-    "a7-2q^2*G2": lambda n: G(n).sub(G2(n).shift(2).scale(2)),
-    "odd(a7)-3*rank_m1": lambda n: G(n).odd_part().sub(rank_m1(n).scale(3)),
+    "a7-2q^2*G2": lambda n: core_split(n).a7.sub(G2(n).shift(2).scale(2)),
+    "odd(a7)-3*rank_m1":
+        lambda n: core_split(n).a7.odd_part().sub(core_split(n).a7_m1.scale(3)),
     "psi(q)*(psi(q)^2 - psi(q^7)^2)":
         lambda n: psi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
     "psi(q)*(phi(q)^2 - phi(q^7)^2)":

@@ -4,11 +4,102 @@ A ``TruncSeries`` of order N stores the coefficients of q^0 .. q^N as
 Python ints, so every operation is exact.  Binary operations truncate to
 the smaller order of the two operands.  Instances are immutable; every
 operation returns a fresh series.
+
+Multiplication has one entry point, ``TruncSeries.mul``.  A dense
+product is one big-int multiply by Kronecker substitution: each operand
+is packed into a single int with one byte-aligned slot per coefficient,
+wide enough for a proven bound on the product's coefficients.  A product
+with few pairs of nonzero terms, such as that of two theta series, sums
+those pairs directly.  Division and inversion run one
+recurrence over the divisor's nonzero terms, so dividing by a sparse
+Euler product is cheap.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from bisect import bisect_right
+from itertools import compress
 from typing import Iterable, NamedTuple, Optional
+
+#: A product whose nonzero pairs number at most this many per output
+#: coefficient is summed pair by pair; any denser one goes through the
+#: big-int multiply.
+PAIRS_PER_SLOT = 8
+
+#: Signed array typecode for each slot width (in bytes) it covers.
+_TYPECODES = {array(code).itemsize: code for code in "qlihb"}
+
+
+def _pair_product(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of a*b, summed over the pairs of nonzero terms."""
+    ia = list(compress(range(n + 1), a))
+    ib = list(compress(range(n + 1), b))
+    if len(ia) > len(ib):
+        # The outer loop pays a bisect per term: run it over the sparser.
+        a, b, ia, ib = b, a, ib, ia
+    out = [0] * (n + 1)
+    for i in ia:
+        ai = a[i]
+        for j in ib[: bisect_right(ib, n - i)]:
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _kronecker(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of a*b by one big-int multiply.
+
+    Each series is packed into one int, coefficient k in the k-th slot
+    of ``width`` bytes, so the integer product holds the coefficients of
+    the series product slot by slot.  The width comes from the bound
+    |c_k| <= min(sum|a| * max|b|, sum|b| * max|a|) plus a sign bit, so
+    every c_k and every input coefficient lies in [-h, h) with
+    h = 2^(8*width - 1).  Adding h to every slot makes each one a
+    nonnegative digit below 2^(8*width), so no slot borrows from the
+    next; XOR with h moves between that biased digit and the slot's
+    two's complement, which is the form ``array`` and ``to_bytes`` read
+    and write.
+    """
+    sum_a, sum_b = sum(map(abs, a)), sum(map(abs, b))
+    if not sum_a or not sum_b:
+        return [0] * (n + 1)
+    bound = min(sum_a * max(map(abs, b)), sum_b * max(map(abs, a)))
+    width = (bound.bit_length() + 8) // 8
+    size = width * (n + 1)
+    bias = int.from_bytes(
+        (1 << (8 * width - 1)).to_bytes(width, "little") * (n + 1), "little"
+    )
+    code = _TYPECODES.get(width)
+
+    def pack(cs):
+        if code:
+            slots = array(code, cs)
+            if sys.byteorder == "big":
+                slots.byteswap()
+            raw = slots.tobytes()
+        else:
+            raw = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
+        return (int.from_bytes(raw, "little") ^ bias) - bias
+
+    # Bits past slot n hold the truncated terms; the mask drops them.
+    digits = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
+    raw = (digits ^ bias).to_bytes(size, "little")
+    if code:
+        slots = array(code, raw)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
+    return [
+        int.from_bytes(raw[k : k + width], "little", signed=True)
+        for k in range(0, size, width)
+    ]
+
+
+def _check_int(what: str, value) -> None:
+    # bool is an int subclass, but True as an order or exponent is a bug.
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int, got {value!r}")
 
 
 class Mismatch(NamedTuple):
@@ -28,6 +119,7 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()) -> None:
+        _check_int("order", order)
         if order < 0:
             raise ValueError(f"order must be nonnegative, got {order}")
         cs = list(coeffs)
@@ -63,6 +155,7 @@ class TruncSeries:
     @staticmethod
     def monomial(coeff: int, exponent: int, order: int) -> "TruncSeries":
         """coeff * q^exponent, truncated to the given order."""
+        _check_int("exponent", exponent)
         if exponent < 0:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
         if exponent > order:
@@ -129,34 +222,22 @@ class TruncSeries:
         return TruncSeries(self.order, [-c for c in self.coeffs])
 
     def scale(self, factor: int) -> "TruncSeries":
-        if type(factor) is not int:
-            raise TypeError(f"scale factor must be an int, got {factor!r}")
+        _check_int("scale factor", factor)
         return TruncSeries(self.order, [factor * c for c in self.coeffs])
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
-        """Schoolbook product, truncated to the smaller order.
+        """Product, truncated to the smaller order.
 
-        The loop runs over the nonzero terms of the sparser factor so that
-        products against theta-style series stay cheap; the result is
-        bit-identical to the dense double loop.
+        Dense products go through one big-int multiply (Kronecker
+        substitution, see ``_kronecker``); products with few nonzero
+        pairs loop over those pairs.  Both give the exact coefficients.
         """
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # Iterate over the factor with fewer nonzero terms up front.
-        a_nnz = sum(1 for c in a[: n + 1] if c)
-        b_nnz = sum(1 for c in b[: n + 1] if c)
-        if b_nnz < a_nnz:
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return TruncSeries(n, out)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        pairs = (n + 1 - a.count(0)) * (n + 1 - b.count(0))
+        if pairs <= PAIRS_PER_SLOT * (n + 1):
+            return TruncSeries(n, _pair_product(a, b, n))
+        return TruncSeries(n, _kronecker(a, b, n))
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1.
@@ -164,24 +245,13 @@ class TruncSeries:
         Keeping the unit constraint means every inverse stays in integer
         coefficients, so no rational arithmetic ever appears.
         """
-        a = self.coeffs
-        a0 = a[0]
+        a0 = self.coeffs[0]
         if a0 not in (1, -1):
             raise ValueError(
                 f"cannot invert series with constant term {a0}; "
                 "only +1 or -1 is supported"
             )
-        n = self.order
-        out = [0] * (n + 1)
-        out[0] = a0
-        for m in range(1, n + 1):
-            acc = 0
-            for k in range(1, m + 1):
-                ak = a[k]
-                if ak:
-                    acc += ak * out[m - k]
-            out[m] = -a0 * acc
-        return TruncSeries(n, out)
+        return TruncSeries.one(self.order).div(self)
 
     def div(self, other: "TruncSeries") -> "TruncSeries":
         """Quotient self / other; the divisor needs constant term +1 or -1.
@@ -212,10 +282,9 @@ class TruncSeries:
 
     def pow(self, exponent: int) -> "TruncSeries":
         """Nonnegative integer power by binary exponentiation."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(
-                f"exponent must be a nonnegative int, got {exponent!r}"
-            )
+        _check_int("exponent", exponent)
+        if exponent < 0:
+            raise ValueError(f"exponent must be nonnegative, got {exponent}")
         result = TruncSeries.one(self.order)
         base = self
         e = exponent
@@ -230,8 +299,9 @@ class TruncSeries:
 
     def compose_power(self, k: int) -> "TruncSeries":
         """Substitute q -> q^k, keeping the caller's order."""
+        _check_int("power", k)
         if k < 1:
-            raise ValueError(f"power must be a positive int, got {k}")
+            raise ValueError(f"power must be positive, got {k}")
         n = self.order
         out = [0] * (n + 1)
         for i in range(n // k + 1):
@@ -261,6 +331,7 @@ class TruncSeries:
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by q^k; the top k coefficients fall off the end."""
+        _check_int("shift", k)
         if k < 0:
             raise ValueError(f"shift must be nonnegative, got {k}")
         n = self.order

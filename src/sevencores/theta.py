@@ -196,21 +196,20 @@ def chi_neg(step: int, order: int) -> TruncSeries:
 def eta_quotient(factors, order: int) -> TruncSeries:
     """Product of euler_E(step)^exp over a {step: exp} mapping.
 
-    Positive exponents go to the numerator, negative to the denominator,
-    and the division happens once at the end.
+    Positive exponents are multiplied in first.  Then the product is
+    divided by euler_E(step) once per unit of each negative exponent:
+    division costs the divisor's nonzero terms times the order, and a
+    single E(q^step) has about sqrt(order) of them, far fewer than a
+    power or a product of several.
     """
-    num = TruncSeries.one(order)
-    den = TruncSeries.one(order)
+    out = TruncSeries.one(order)
     for step in sorted(factors):
-        exp = factors[step]
-        if exp == 0:
-            continue
-        base = euler_E(step, order)
-        if exp > 0:
-            num = num.mul(base.pow(exp))
-        else:
-            den = den.mul(base.pow(-exp))
-    return num.div(den)
+        if factors[step] > 0:
+            out = out.mul(euler_E(step, order).pow(factors[step]))
+    for step in sorted(factors):
+        for _ in range(-factors[step]):
+            out = out.div(euler_E(step, order))
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,21 @@
-"""Core truncated-series arithmetic, checked against hand-counted values."""
+"""Core truncated-series arithmetic, checked against hand-counted values.
+
+The schoolbook double loop below is the oracle for both product kernels
+in ``series``: the pair loop and the Kronecker big-int multiply.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencores.series import Mismatch, TruncSeries
+from sevencores.forms import W, fff7
+from sevencores.series import (
+    Mismatch,
+    TruncSeries,
+    _kronecker,
+    _pair_product,
+)
+from sevencores.theta import omega_at, sigma_at
 
 # partition numbers p(0)..p(10), counted by listing partitions
 PARTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -39,6 +50,24 @@ def test_constructor_pads_and_validates():
         TruncSeries(2, (1.5, 0))
 
 
+def schoolbook_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
+    """Product by the double loop over the sparser factor's nonzero terms."""
+    n = min(x.order, y.order)
+    a, b = x.coeffs, y.coeffs
+    if sum(1 for c in b[: n + 1] if c) < sum(1 for c in a[: n + 1] if c):
+        a, b = b, a
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return TruncSeries(n, out)
+
+
 def test_bool_is_not_a_coefficient():
     with pytest.raises(TypeError):
         TruncSeries(3, [True])
@@ -47,6 +76,37 @@ def test_bool_is_not_a_coefficient():
     with pytest.raises(TypeError):
         TruncSeries.one(3).scale(True)
     assert TruncSeries(3, [1]).scale(2).coeffs == (2, 0, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "2", None])
+def test_int_arguments_refuse_bool_and_non_int(bad):
+    s = TruncSeries(3, [1, 1])
+    with pytest.raises(TypeError):
+        s.pow(bad)
+    with pytest.raises(TypeError):
+        s.shift(bad)
+    with pytest.raises(TypeError):
+        s.compose_power(bad)
+    with pytest.raises(TypeError):
+        TruncSeries(bad, [1])
+    with pytest.raises(TypeError):
+        TruncSeries.monomial(1, bad, 4)
+
+
+def test_int_arguments_out_of_range():
+    s = TruncSeries(3, [1, 1])
+    with pytest.raises(ValueError):
+        s.pow(-1)
+    with pytest.raises(ValueError):
+        s.shift(-1)
+    with pytest.raises(ValueError):
+        s.compose_power(0)
+    with pytest.raises(ValueError):
+        TruncSeries(-1)
+    with pytest.raises(ValueError):
+        TruncSeries.monomial(1, -1, 4)
+    assert s.pow(0) == TruncSeries.one(3)
+    assert TruncSeries(0).coeffs == (0,)
 
 
 def test_immutable():
@@ -228,3 +288,78 @@ def test_shift_adds(a, i, j):
 def test_hash_consistent_with_eq(a):
     b = TruncSeries(a.order, a.coeffs)
     assert a == b and hash(a) == hash(b)
+
+
+# -- product kernels against the schoolbook oracle ------------------------
+
+big_coeffs_st = st.lists(
+    st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-(2**200), max_value=2**200),
+    ),
+    max_size=40,
+)
+
+
+@st.composite
+def signed_series(draw, max_order=39):
+    """Signed series with coefficients up to 2^200 and trailing zeros."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    head = draw(big_coeffs_st)[: order + 1]
+    zeros = draw(st.integers(min_value=0, max_value=order + 1))
+    return TruncSeries(order, head[: order + 1 - zeros])
+
+
+def kernels_agree(x, y):
+    """Assert that mul and both kernels give the schoolbook product."""
+    want = schoolbook_mul(x, y)
+    n = want.order
+    a, b = x.coeffs[: n + 1], y.coeffs[: n + 1]
+    assert x * y == want
+    for kernel in (_kronecker, _pair_product):
+        assert TruncSeries(n, kernel(a, b, n)) == want, kernel.__name__
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_series(), signed_series())
+def test_kernels_match_schoolbook(x, y):
+    kernels_agree(x, y)
+
+
+@pytest.mark.parametrize("order", [0, 1, 7])
+def test_kernels_on_zero_operands(order):
+    zero = TruncSeries.zero(order)
+    s = TruncSeries(order, [-3, 2**100][: order + 1])
+    for x, y in ((zero, s), (s, zero), (zero, zero)):
+        assert kernels_agree(x, y) == zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=30),
+)
+def test_kernels_at_the_slot_boundary(width, over, sign, lead, tail):
+    """The bound sits exactly at 2^(8w-1) - 1 (fits w bytes) or at
+    2^(8w-1) (needs w + 1): a = sign*(t//2, t - t//2) and b = (1, 1)
+    give |c| = t = bound at one exponent, behind lead zeros."""
+    t = 2 ** (8 * width - 1) - (0 if over else 1)
+    order = lead + 2 + tail
+    x = TruncSeries(order, [0] * lead + [sign * (t // 2), sign * (t - t // 2)])
+    y = TruncSeries(order, [1, 1])
+    assert abs(kernels_agree(x, y)[lead + 1]) == t
+    kernels_agree(y, x)
+
+
+def test_kernels_at_order_6000():
+    """Two scan products: sigma(q^4)*fff7, and W*omega(q^2), where W has
+    126-bit coefficients and the product's fit in 12 bits."""
+    kernels_agree(sigma_at(4, 6000), fff7(6000))
+    w = W(6000)
+    assert max(map(abs, w.coeffs)).bit_length() == 126
+    product = kernels_agree(w, omega_at(2, 6000))
+    assert max(map(abs, product.coeffs)).bit_length() <= 12

@@ -1,9 +1,14 @@
 """Theta building blocks: products against sums, eta forms, frozen heads."""
 
+import ast
+import inspect
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencores import forms, identities
 from sevencores.series import TruncSeries
 from sevencores.theta import (
     ThetaArgs,
@@ -109,6 +114,54 @@ def test_eta_quotient_zero_power_ignored():
 
 def test_eta_quotient_empty_is_one():
     assert eta_quotient({}, 5) == TruncSeries.one(5)
+
+
+def eta_quotient_one_division(factors, order):
+    """The oracle: multiply the numerator and the denominator factors out,
+    then divide once by the dense denominator."""
+    num = TruncSeries.one(order)
+    den = TruncSeries.one(order)
+    for step in sorted(factors):
+        exp = factors[step]
+        if exp > 0:
+            num = num.mul(euler_E(step, order).pow(exp))
+        elif exp < 0:
+            den = den.mul(euler_E(step, order).pow(-exp))
+    return num.div(den)
+
+
+# Every factor dict that forms and identities pass to eta_quotient, once.
+CATALOG_FACTORS = tuple({
+    str(factors): factors
+    for module in (forms, identities)
+    for factors in map(
+        ast.literal_eval,
+        re.findall(r"eta_quotient\((\{[^}]*\})", inspect.getsource(module)),
+    )
+}.values())
+
+
+def test_catalog_factors_found():
+    assert len(CATALOG_FACTORS) >= 12
+    assert {7: 7, 1: -1} in CATALOG_FACTORS
+    assert {28: 3, 14: 2, 4: 3, 2: -2} in CATALOG_FACTORS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CATALOG_FACTORS), st.integers(min_value=0, max_value=120)
+)
+def test_eta_quotient_matches_one_division(factors, order):
+    assert eta_quotient(factors, order) == eta_quotient_one_division(
+        factors, order
+    )
+
+
+@pytest.mark.parametrize("factors", CATALOG_FACTORS, ids=str)
+def test_eta_quotient_matches_one_division_at_2000(factors):
+    assert eta_quotient(factors, 2000) == eta_quotient_one_division(
+        factors, 2000
+    )
 
 
 args_st = st.builds(
