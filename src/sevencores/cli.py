@@ -24,13 +24,9 @@ from .inequalities import (
     run_claim,
 )
 from .partitions import PARTITION_BOUND, rank_histogram
+from .series import MAX_ORDER
 
 ENV_ORDER = "SEVENCORES_ORDER"
-
-#: Largest accepted --order, SEVENCORES_ORDER or table --max.  It leaves
-#: room above the deepest scan the benchmark runs (6000) and stops a
-#: mistyped value from asking for gigabytes.
-MAX_ORDER = 20000
 
 
 def _check_bound(parser, name, value):

@@ -5,7 +5,7 @@ Grammar, with whitespace insignificant and offsets reported one-based:
     expr    := term (('+' | '-') term)*
     term    := factor (('*' | '/') factor)*
     factor  := '-' factor | power
-    power   := primary ('^' INT)*
+    power   := primary ('^' INT)*      with INT <= MAX_EXPONENT
     primary := INT | '(' expr ')' | 'q' ['^' INT] | atom
     atom    := E|phi|psi|sigma|omega '(' qarg ')'
              | chi '(' '-' qarg ')'
@@ -23,7 +23,11 @@ on q folds into the q^k atom itself.
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
 chains in the finished tree.  Deeper input is a syntax error rather than
-a stack overflow in the parser, the printer or the evaluator.
+a stack overflow in the parser, the printer or the evaluator.  So is an
+integer literal too long for ``int`` (Python refuses more than 4300
+digits) and a ``^`` exponent above MAX_EXPONENT.  Each T2 doubles the
+order its argument is evaluated at; past 2 * MAX_ORDER that is an
+evaluation error.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .partitions import lattice_rank_sum, lattice_sum
-from .series import TruncSeries, hecke_T2
+from .series import MAX_ORDER, TruncSeries, hecke_T2
 from .theta import (
     ThetaArgs,
     chi_neg,
@@ -207,6 +211,11 @@ _KNOWN_NAMES = (
 
 MAX_DEPTH = 100
 
+#: Largest exponent after ``^``.  The catalog's largest is 7.  The cost of
+#: a power grows with its exponent: on a 2-core Xeon, E(q)^100 at order
+#: MAX_ORDER takes ~5 s, and E(q)^1000000 at order 2000 ran over a minute.
+MAX_EXPONENT = 100
+
 
 def _too_deep(offset: int) -> ExprSyntaxError:
     return ExprSyntaxError(
@@ -253,6 +262,17 @@ class _Parser:
         tok = self.toks[self.i]
         self.i += 1
         return tok
+
+    def integer(self, shown: str):
+        """The next token as an INT, with its value."""
+        tok = self.expect("INT", shown)
+        try:
+            return tok, int(tok.text)
+        except ValueError:  # over 4300 digits, or digits int() does not read
+            raise ExprSyntaxError(
+                tok.pos + 1,
+                f"cannot read the integer literal ({len(tok.text)} characters)",
+            ) from None
 
     def expect(self, kind: str, shown=None) -> Token:
         tok = self.toks[self.i]
@@ -303,17 +323,22 @@ class _Parser:
         node = self.parse_primary()
         while self.peek().kind == "^":
             self.advance()
-            tok = self.expect("INT", "an integer exponent")
+            tok, exponent = self.integer("an integer exponent")
+            if exponent > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    tok.pos + 1,
+                    f"exponent {exponent} is above the limit {MAX_EXPONENT}",
+                )
             node = Power(
-                node, int(tok.text), span=(node.span[0], tok.pos + len(tok.text))
+                node, exponent, span=(node.span[0], tok.pos + len(tok.text))
             )
         return node
 
     def parse_primary(self) -> Node:
         tok = self.peek()
         if tok.kind == "INT":
-            self.advance()
-            return Const(int(tok.text), span=(tok.pos, tok.pos + len(tok.text)))
+            tok, value = self.integer("an integer")
+            return Const(value, span=(tok.pos, tok.pos + len(tok.text)))
         if tok.kind == "(":
             self.advance()
             node = self.nested(tok, self.parse_expr)
@@ -332,8 +357,8 @@ class _Parser:
             # q^k is one atom; the first caret after bare q belongs to it.
             if self.peek().kind == "^":
                 self.advance()
-                e = self.expect("INT", "an integer exponent")
-                return QPow(int(e.text), span=(start, e.pos + len(e.text)))
+                e, k = self.integer("an integer exponent")
+                return QPow(k, span=(start, e.pos + len(e.text)))
             return QPow(1, span=(start, start + 1))
         if name in _KARG_ATOMS:
             self.expect("(")
@@ -360,8 +385,7 @@ class _Parser:
             return Unary(name, child, span=(start, end))
         if name == "lattice":
             self.expect("(")
-            it = self.expect("INT", "a lattice dimension")
-            t = int(it.text)
+            it, t = self.integer("a lattice dimension")
             if t not in (2, 3, 5, 7):
                 raise ExprSyntaxError(
                     it.pos + 1, f"lattice dimension must be 2, 3, 5, or 7, got {t}"
@@ -374,8 +398,8 @@ class _Parser:
             if self.peek().kind == "-":
                 self.advance()
                 sign = -1
-            it = self.expect("INT", "a rank class")
-            j = sign * int(it.text)
+            it, j = self.integer("a rank class")
+            j *= sign
             if j not in (-1, 0, 1, 2):
                 raise ExprSyntaxError(
                     it.pos + 1, f"rank class must be -1, 0, 1, or 2, got {j}"
@@ -396,8 +420,7 @@ class _Parser:
             )
         if self.peek().kind == "^":
             self.advance()
-            e = self.expect("INT", "an integer exponent")
-            k = int(e.text)
+            e, k = self.integer("an integer exponent")
             if k < 1:
                 raise ExprSyntaxError(
                     e.pos + 1, "atom exponents are one-based; q^0 is not allowed"
@@ -520,6 +543,11 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     if isinstance(node, Unary):
         if node.op == "T2":
             # The halving action reads coefficients up to twice the order.
+            if order > MAX_ORDER:
+                raise ExprEvalError(
+                    to_text(node),
+                    f"T2 would evaluate its argument past order {2 * MAX_ORDER}",
+                )
             return hecke_T2(eval_ast(node.child, 2 * order))
         child = eval_ast(node.child, order)
         if node.op == "neg":

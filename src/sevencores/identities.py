@@ -227,8 +227,7 @@ REGISTRY: tuple = (
         fff7,
         lambda n: psi(1, n)
         .mul(psi(7, n))
-        .mul(euler_E(14, n).pow(4))
-        .div(euler_E(4, n).mul(euler_E(28, n))),
+        .mul(W(n)),
         _FFF7_TXT,
         "psi(q)*psi(q^7)*E(q^14)^4/(E(q^4)*E(q^28))",
     ),
@@ -439,8 +438,7 @@ REGISTRY: tuple = (
         lambda n: G(n).sub(rank_2(n).scale(8)),
         lambda n: psi(1, n)
         .mul(psi(7, n))
-        .mul(euler_E(14, n).pow(4))
-        .div(euler_E(4, n).mul(euler_E(28, n)))
+        .mul(W(n))
         .mul(sigma_at(2, n)),
         f"{_G_TXT} - 8*{_R2_TXT}",
         "(psi(q)*psi(q^7)*E(q^14)^4/(E(q^4)*E(q^28)))*sigma(q^2)",
@@ -475,8 +473,7 @@ REGISTRY: tuple = (
         lambda n: omega_at(2, n)
         .pow(2)
         .shift(1)
-        .mul(euler_E(14, n).pow(4))
-        .div(euler_E(4, n).mul(euler_E(28, n))),
+        .mul(W(n)),
         f"odd({_G_TXT}) - 3*lattice7(-1)",
         "q*omega(q^2)^2*E(q^14)^4/(E(q^4)*E(q^28))",
     ),

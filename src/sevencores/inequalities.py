@@ -5,7 +5,7 @@ Every claim is one row of a table: a linear relation
     sum of coef * S[a*n + b] over the lhs terms   REL   the same over the rhs
 
 for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is a
-named series: a field of ``core_split`` or a builder in ``SERIES``.
+series named in ``SERIES``: a field of ``core_split`` or another builder.
 Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
 from the order: it ends at the largest n whose every index a*n + b is at
 most the order.  Every claim scans its full range; nothing is sampled.
@@ -79,10 +79,14 @@ def positivity(
     return _scan(claim, kind, description, (0, order), items, "ge")
 
 
-#: Series that claims name besides the fields of ``core_split``.  Each
-#: is built at the scan order on every call, from the cached
-#: ``core_split`` where it has the pieces.
+#: Every series a claim names.  The fields of ``core_split`` come first and
+#: call it through this module's global; the other builders run on every
+#: call, over closed forms and atoms that ``prefix_cached`` memoizes.
 SERIES: dict = {
+    **{
+        field: (lambda n, field=field: getattr(core_split(n), field))
+        for field in CoreSplit._fields
+    },
     "sigma4*fff7": lambda n: sigma_at(4, n).mul(fff7(n)),
     "2*rank_m1": lambda n: core_split(n).a7_m1.scale(2),
     "6*rank_2": lambda n: core_split(n).a7_2.scale(6),
@@ -123,14 +127,7 @@ class LinearClaim:
         terms = self.lhs + self.rhs
         hi = min((order - b) // a for _, _, a, b in terms)
         names = {name for _, name, _, _ in terms}
-        split = (
-            core_split(order)._asdict()
-            if not names.isdisjoint(CoreSplit._fields) else {}
-        )
-        coeffs = {
-            name: (split[name] if name in split else SERIES[name](order)).coeffs
-            for name in names
-        }
+        coeffs = {name: SERIES[name](order).coeffs for name in names}
         ns = [
             n for n in range(self.n0, hi + 1)
             if not self.mod7 or n % 7 in self.mod7

@@ -16,10 +16,9 @@ Two independent views of the same counts live here.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator
 
-from .series import TruncSeries
+from .series import TruncSeries, prefix_cached
 
 # Hard cap for the exponential enumeration; p(45) = 89134 partitions.
 PARTITION_BOUND = 45
@@ -158,11 +157,11 @@ def _slot_bytes(ranges: list) -> int:
     return (bound.bit_length() + 7) // 8
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def _flip_layers(t: int, order: int) -> tuple:
     """Counts of zero-sum vectors in Z^t by size, split by parity flips.
 
-    Entry f is the coefficient tuple, to q^order, of the vectors with f
+    Entry f is the series, to q^order, of the vectors with f
     coordinates whose parity differs from (1, 0, 1, 0, ...).  The vectors
     are built one coordinate at a time; a state is keyed by the partial
     sum and the flips so far, and holds its q-polynomial Kronecker-packed
@@ -204,22 +203,20 @@ def _flip_layers(t: int, order: int) -> tuple:
     layers = []
     for f in range(t + 1):
         raw = states.get((0, f), 0).to_bytes(size, "little")
-        layers.append(
-            tuple(
-                int.from_bytes(raw[k : k + width], "little")
-                for k in range(0, size, width)
-            )
+        counts = (
+            int.from_bytes(raw[k : k + width], "little")
+            for k in range(0, size, width)
         )
+        layers.append(TruncSeries(order, counts))
     return tuple(layers)
 
 
-@lru_cache(maxsize=None)
 def lattice_sum(t: int, order: int) -> TruncSeries:
     """Full t-core generating function from the lattice view."""
-    return TruncSeries(order, map(sum, zip(*_flip_layers(t, order))))
+    layers = (layer.coeffs for layer in _flip_layers(t, order))
+    return TruncSeries(order, map(sum, zip(*layers)))
 
 
-@lru_cache(maxsize=None)
 def lattice_rank_sum(j: int, order: int) -> TruncSeries:
     """Generating function of 7-cores with rank j, from the lattice view.
 
@@ -228,4 +225,4 @@ def lattice_rank_sum(j: int, order: int) -> TruncSeries:
     """
     if j not in _RANK_FLIPS:
         raise ValueError(f"rank class must be in -1..2, got {j}")
-    return TruncSeries(order, _flip_layers(7, order)[_RANK_FLIPS[j]])
+    return _flip_layers(7, order)[_RANK_FLIPS[j]]

@@ -12,7 +12,8 @@ wide enough for a proven bound on the product's coefficients.  A product
 with few pairs of nonzero terms, such as that of two theta series, sums
 those pairs directly.  Division and inversion run one
 recurrence over the divisor's nonzero terms, so dividing by a sparse
-Euler product is cheap.
+Euler product is cheap.  ``prefix_cached`` is the one memoization rule
+of the package, for every builder whose prefix does not depend on the order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,16 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_right
+from functools import wraps
 from itertools import compress
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional
+
+#: Largest accepted --order, SEVENCORES_ORDER or table --max, and half
+#: the largest order a T2 in an expression may evaluate its argument at.
+#: It leaves room above the deepest scan the benchmark runs (6000) and
+#: stops a mistyped value from asking for gigabytes.
+MAX_ORDER = 20000
 
 #: A product whose nonzero pairs number at most this many per output
 #: coefficient is summed pair by pair; any denser one goes through the
@@ -195,6 +204,14 @@ class TruncSeries:
             if c < 0:
                 return k
         return None
+
+    def truncate(self, order: int) -> "TruncSeries":
+        """The same series cut at a lower order (itself at its own)."""
+        _check_int("order", order)
+        if not 0 <= order <= self.order:
+            raise ValueError(f"cannot truncate order {self.order} to {order}")
+        cut = self.coeffs[: order + 1]
+        return self if order == self.order else TruncSeries(order, cut)
 
     def compare(self, other: "TruncSeries") -> Optional[Mismatch]:
         """First disagreement over the common order, or None if equal."""
@@ -373,6 +390,31 @@ class TruncSeries:
 
     def __pow__(self, exponent):
         return self.pow(exponent)
+
+
+def prefix_cached(build):
+    """Memoize build(*key, order), a prefix-stable series builder: each key
+    keeps the value built at the highest order asked for so far, and serves
+    a lower order by truncating it (field by field for a tuple of series)."""
+    top = {}
+    info = SimpleNamespace(hits=0, misses=0)
+
+    @wraps(build)
+    def cached(*args):
+        key, order = args[:-1], args[-1]
+        if key in top and top[key][0] >= order:
+            info.hits += 1
+            value = top[key][1]
+            if isinstance(value, TruncSeries):
+                return value.truncate(order)
+            cut = [v.truncate(order) for v in value]
+            return getattr(type(value), "_make", tuple)(cut)
+        info.misses += 1
+        top[key] = (order, build(*args))
+        return top[key][1]
+
+    cached.cache_info = lambda: SimpleNamespace(currsize=len(top), **vars(info))
+    return cached
 
 
 def hecke_T2(a: TruncSeries) -> TruncSeries:

@@ -11,19 +11,17 @@ ring of integer q-series:
 * ``sigma_at`` / ``omega_at``       two fixed bilinear combinations that
   recur throughout the identity catalog
 
-Every function returns a fresh ``TruncSeries``; results are memoized
-because the series type is immutable.
+Each atom keeps the highest order built so far and serves lower orders
+by truncation (``prefix_cached``): every series here is prefix-stable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-from .series import TruncSeries
+from .series import TruncSeries, prefix_cached
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def euler_E(step: int, order: int) -> TruncSeries:
     """Euler product E(q^step) = prod_{j>=1} (1 - q^(step*j)).
 
@@ -96,7 +94,7 @@ def _tri(n: int) -> int:
     return n * (n + 1) // 2
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def theta_f(args: ThetaArgs, order: int) -> TruncSeries:
     """Bilateral sum sum_n a^(n(n+1)/2) * b^(n(n-1)/2) with a, b as in args.
 
@@ -160,7 +158,7 @@ def triple_product(args: ThetaArgs, order: int) -> TruncSeries:
     return out.mul(pochhammer(1, 2 * m, 2 * m, order))
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def phi(step: int, order: int) -> TruncSeries:
     """phi(q^step) = 1 + 2 * sum_{n>=1} q^(step*n^2)."""
     if step < 1:
@@ -174,7 +172,7 @@ def phi(step: int, order: int) -> TruncSeries:
     return TruncSeries(order, cs)
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def psi(step: int, order: int) -> TruncSeries:
     """psi(q^step) = sum_{n>=0} q^(step*n(n+1)/2)."""
     if step < 1:
@@ -187,7 +185,7 @@ def psi(step: int, order: int) -> TruncSeries:
     return TruncSeries(order, cs)
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def chi_neg(step: int, order: int) -> TruncSeries:
     """chi(-q^step) = E(q^step) / E(q^(2*step))."""
     return euler_E(step, order).div(euler_E(2 * step, order))
@@ -212,7 +210,7 @@ def eta_quotient(factors, order: int) -> TruncSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def sigma_at(step: int, order: int) -> TruncSeries:
     """sigma(q^step) where sigma(q) = phi(q)phi(q^7) + 4q^2 psi(q^2)psi(q^14)."""
     if step < 1:
@@ -222,7 +220,7 @@ def sigma_at(step: int, order: int) -> TruncSeries:
     return head.add(tail.shift(2 * step).scale(4))
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def omega_at(step: int, order: int) -> TruncSeries:
     """omega(q^step) where omega(q) = psi(q^4)phi(q^14) + q^3 psi(q^28)phi(q^2)."""
     if step < 1:
@@ -240,7 +238,7 @@ def omega(order: int) -> TruncSeries:
     return omega_at(1, order)
 
 
-@lru_cache(maxsize=None)
+@prefix_cached
 def jacobi_cube(order: int) -> TruncSeries:
     """E(q)^3 expanded as sum_{k>=1} (-1)^(k-1) (2k-1) q^(k(k-1)/2)."""
     cs = [0] * (order + 1)

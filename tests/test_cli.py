@@ -230,6 +230,28 @@ def test_coeffs_deep_nesting_is_usage_error(capsys):
     assert "nests deeper than" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("1" + "0" * 5000, "cannot read the integer literal"),
+        ("E(q^" + "7" * 5000 + ")", "cannot read the integer literal"),
+        ("q^" + "7" * 5000, "cannot read the integer literal"),
+        ("E(q)^1" + "0" * 30, "above the limit"),
+        ("T2(" * 40 + "E(q)" + ")" * 40, "T2 would evaluate"),
+    ],
+    ids=["long-const", "long-atom-exponent", "long-qpow", "huge-power",
+         "nested-T2"],
+)
+def test_coeffs_hostile_input_is_usage_error(capsys, expr, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", expr, "--order", "200"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_coeffs_eval_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "1/(1 - 1)", "--order", "4"])

@@ -15,6 +15,7 @@ from sevencores.exprlang import (
     EulerAtom,
     ExprEvalError,
     MAX_DEPTH,
+    MAX_EXPONENT,
     ExprSyntaxError,
     Lattice7Atom,
     LatticeAtom,
@@ -31,6 +32,7 @@ from sevencores.exprlang import (
     to_text,
 )
 from sevencores.partitions import lattice_rank_sum, lattice_sum
+from sevencores.series import MAX_ORDER, TruncSeries
 from sevencores.theta import euler_E, sigma
 
 
@@ -122,6 +124,50 @@ def test_nesting_up_to_the_bound_parses():
     depth = MAX_DEPTH - 1
     assert evaluate("(" * depth + "q" + ")" * depth, 3) == evaluate("q", 3)
     assert evaluate("-" * depth + "1", 2).coeffs == ((-1) ** depth, 0, 0)
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        (LONG, 1),
+        ("2*" + LONG, 3),
+        ("q^" + LONG, 3),
+        ("E(q^" + LONG + ")", 5),
+        ("E(q)^" + LONG, 6),
+        ("lattice(" + LONG + ")", 9),
+        ("lattice7(-" + LONG + ")", 11),
+        ("q^\u00b2", 3),
+    ],
+    ids=["const", "product", "qpow", "atom", "power", "lattice", "lattice7",
+         "superscript"],
+)
+def test_unreadable_integer_is_a_syntax_error(text, offset):
+    with pytest.raises(ExprSyntaxError, match="cannot read the integer") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+def test_exponent_bound():
+    assert parse(f"E(q)^{MAX_EXPONENT}") == Power(EulerAtom(1), MAX_EXPONENT)
+    for text in (f"E(q)^{MAX_EXPONENT + 1}", "(q)^2^" + "1" + "0" * 30):
+        with pytest.raises(ExprSyntaxError, match="above the limit"):
+            parse(text)
+
+
+def test_nested_t2_stops_before_building_past_twice_max_order():
+    assert evaluate("T2(q)", MAX_ORDER) == TruncSeries(MAX_ORDER, (0, 0, 4))
+    assert evaluate("T2(T2(q^4))", MAX_ORDER // 2).coeffs[:2] == (0, 1)
+    for text, order in (("T2(q)", MAX_ORDER + 1),
+                        ("T2(T2(q))", MAX_ORDER // 2 + 1)):
+        with pytest.raises(ExprEvalError, match="T2 would evaluate"):
+            evaluate(text, order)
+    # Nested 40 deep at order 200, the eighth T2 would pass 2 * MAX_ORDER;
+    # the check runs before any argument is evaluated.
+    with pytest.raises(ExprEvalError, match="T2 would evaluate"):
+        evaluate("T2(" * 40 + "E(q)" + ")" * 40, 200)
 
 
 def test_eval_core_quotient():

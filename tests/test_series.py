@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencores.forms import W, fff7
+from sevencores.forms import CoreSplit, W, core_split, fff7
+from sevencores.partitions import _flip_layers
 from sevencores.series import (
     Mismatch,
     TruncSeries,
     _kronecker,
     _pair_product,
+    prefix_cached,
 )
-from sevencores.theta import omega_at, sigma_at
+from sevencores.theta import euler_E, omega_at, sigma_at
 
 # partition numbers p(0)..p(10), counted by listing partitions
 PARTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -91,6 +93,8 @@ def test_int_arguments_refuse_bool_and_non_int(bad):
         TruncSeries(bad, [1])
     with pytest.raises(TypeError):
         TruncSeries.monomial(1, bad, 4)
+    with pytest.raises(TypeError):
+        s.truncate(bad)
 
 
 def test_int_arguments_out_of_range():
@@ -105,6 +109,10 @@ def test_int_arguments_out_of_range():
         TruncSeries(-1)
     with pytest.raises(ValueError):
         TruncSeries.monomial(1, -1, 4)
+    with pytest.raises(ValueError):
+        s.truncate(-1)
+    with pytest.raises(ValueError):
+        s.truncate(4)
     assert s.pow(0) == TruncSeries.one(3)
     assert TruncSeries(0).coeffs == (0,)
 
@@ -363,3 +371,91 @@ def test_kernels_at_order_6000():
     assert max(map(abs, w.coeffs)).bit_length() == 126
     product = kernels_agree(w, omega_at(2, 6000))
     assert max(map(abs, product.coeffs)).bit_length() <= 12
+
+
+# -- the prefix cache ---------------------------------------------------
+
+
+def test_truncate_keeps_the_prefix():
+    s = TruncSeries(4, (1, -2, 3, 0, 5))
+    assert s.truncate(2) == TruncSeries(2, (1, -2, 3))
+    assert s.truncate(0) == TruncSeries(0, (1,))
+    assert s.truncate(4) is s
+
+
+def inverse_euler(step, order):
+    """1/E(q^step), built from scratch every time."""
+    return TruncSeries.one(order).div(euler(order).compose_power(step))
+
+
+def counting_builder():
+    """A fresh prefix_cached inverse_euler and the log of what it built."""
+    builds = []
+
+    @prefix_cached
+    def build(step, order):
+        builds.append((step, order))
+        return inverse_euler(step, order)
+
+    return build, builds
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.integers(0, 200)),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_prefix_cache_matches_fresh_builds(calls):
+    build, builds = counting_builder()
+    top, expected = {}, []
+    for step, order in calls:
+        assert build(step, order) == inverse_euler(step, order)
+        if order > top.get(step, -1):
+            top[step] = order
+            expected.append((step, order))
+    # Only an order above the highest one built so far builds again.
+    assert builds == expected
+    info = build.cache_info()
+    assert (info.hits, info.misses) == (len(calls) - len(expected), len(expected))
+    assert info.currsize == len(top)
+
+
+def test_prefix_cache_rebuilds_above_and_truncates_below():
+    build, builds = counting_builder()
+    low = build(2, 10)
+    assert build(2, 10) is low
+    high = build(2, 30)
+    assert builds == [(2, 10), (2, 30)]
+    assert build(2, 30) is high
+    assert build(2, 10) == low and build(2, 10) is not low
+    assert build(2, 0) == TruncSeries.one(0)
+    assert builds == [(2, 10), (2, 30)]
+    info = build.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (5, 2, 1)
+
+
+def test_prefix_cache_truncates_every_field():
+    assert core_split(90).a7.order == 90
+    split = core_split(37)
+    assert type(split) is CoreSplit
+    assert split == core_split.__wrapped__(37)
+    assert {field.order for field in split} == {37}
+    assert _flip_layers(5, 60)[0].order == 60
+    layers = _flip_layers(5, 23)
+    assert type(layers) is tuple and len(layers) == 6
+    assert layers == _flip_layers.__wrapped__(5, 23)
+    assert {layer.order for layer in layers} == {23}
+
+
+def test_prefix_cache_stores_nothing_when_the_build_raises():
+    before = euler_E.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            euler_E(0, 40)
+    after = euler_E.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+    assert euler_E(1, 12).coeffs == PENT
