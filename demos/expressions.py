@@ -1,8 +1,8 @@
 """The expression mini-language: parse, print, evaluate.
 
-Catalog entries store both a builder closure and a text form.  The text
-form is not documentation: it reparses and re-evaluates to the identical
-coefficient stream, so the printed catalog is executable.
+Each catalog entry is two expression texts, one per side, and nothing
+else: the printed catalog is the executable catalog.  Verifying an entry
+parses both texts and evaluates them to the same coefficient stream.
 """
 
 from sevencores.exprlang import ExprSyntaxError, evaluate, parse, to_text

@@ -25,21 +25,24 @@ unary minus signs and function arguments while parsing, and operator
 chains in the finished tree.  Deeper input is a syntax error rather than
 a stack overflow in the parser, the printer or the evaluator.  So is an
 integer literal too long for ``int`` (Python refuses more than 4300
-digits) and a ``^`` exponent above MAX_EXPONENT.  Each T2 doubles the
-order its argument is evaluated at; past 2 * MAX_ORDER that is an
-evaluation error.
+digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
+refuses, before it builds anything, a tree whose exponents multiply past
+MAX_EXPONENT along one root-to-leaf path, such as E(q)^100^100.  Each T2
+doubles the order its argument is evaluated at; past 2 * MAX_ORDER that
+is an evaluation error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .partitions import lattice_rank_sum, lattice_sum
-from .series import MAX_ORDER, TruncSeries, hecke_T2
+from .series import MAX_ORDER, TruncSeries, hecke_T2, prefix_cached
 from .theta import (
     ThetaArgs,
     chi_neg,
+    eta_quotient,
     euler_E,
     omega_at,
     phi,
@@ -211,8 +214,9 @@ _KNOWN_NAMES = (
 
 MAX_DEPTH = 100
 
-#: Largest exponent after ``^``.  The catalog's largest is 7.  The cost of
-#: a power grows with its exponent: on a 2-core Xeon, E(q)^100 at order
+#: Largest exponent after ``^``, and largest product of the exponents on
+#: one root-to-leaf path.  The catalog's largest is 7.  The cost of a
+#: power grows with its exponent: on a 2-core Xeon, E(q)^100 at order
 #: MAX_ORDER takes ~5 s, and E(q)^1000000 at order 2000 ran over a minute.
 MAX_EXPONENT = 100
 
@@ -516,8 +520,95 @@ def to_text(node: Node) -> str:
 
 # -- evaluator ----------------------------------------------------------
 
+class EtaFold(NamedTuple):
+    """const * q^shift * the eta quotient of factors ({step: exponent})."""
+
+    factors: dict
+    shift: int
+    const: int
+
+
+def _is_product(node: Node) -> bool:
+    return isinstance(node, Power) or (
+        isinstance(node, Binary) and node.op in ("*", "/")
+    )
+
+
+def _fold(node: Node) -> Optional[EtaFold]:
+    """node as one EtaFold, or None.  It folds when its leaves are only
+    E(q^k), chi(-q^k) = E(q^k)/E(q^2k), q^s and integer constants, joined
+    by *, / and ^, and when every divisor is a unit: a divisor with a
+    factor q^s or a constant other than +1 or -1 is left to eval_ast,
+    which reports it."""
+    if isinstance(node, EulerAtom):
+        return EtaFold({node.k: 1}, 0, 1)
+    if isinstance(node, ChiAtom):
+        return EtaFold({node.k: 1, 2 * node.k: -1}, 0, 1)
+    if isinstance(node, QPow):
+        return EtaFold({}, node.k, 1)
+    if isinstance(node, Const):
+        return EtaFold({}, 0, node.value)
+    if isinstance(node, Power):
+        base = _fold(node.base)
+        if base is None:
+            return None
+        e = node.exponent
+        factors = {k: v * e for k, v in base.factors.items()} if e else {}
+        return EtaFold(factors, base.shift * e, base.const**e)
+    if not _is_product(node):
+        return None
+    left, right = _fold(node.left), _fold(node.right)
+    if left is None or right is None:
+        return None
+    sign = 1
+    if node.op == "/":
+        if right.shift or right.const not in (1, -1):
+            return None
+        sign = -1
+    factors = dict(left.factors)
+    for k, v in right.factors.items():
+        factors[k] = factors.get(k, 0) + sign * v
+    return EtaFold(
+        {k: v for k, v in factors.items() if v},
+        left.shift + right.shift,
+        left.const * right.const,
+    )
+
+
+@prefix_cached
+def _eval_product(node: Node, order: int) -> TruncSeries:
+    """A product, quotient or power that does not fold, from its operands."""
+    if isinstance(node, Power):
+        return eval_ast(node.base, order).pow(node.exponent)
+    left = eval_ast(node.left, order)
+    right = eval_ast(node.right, order)
+    if node.op == "*":
+        return left.mul(right)
+    if right.coeffs[0] not in (1, -1):
+        raise ExprEvalError(
+            to_text(node.right),
+            f"division needs constant term +1 or -1, got {right.coeffs[0]}",
+        )
+    return left.div(right)
+
+
 def eval_ast(node: Node, order: int) -> TruncSeries:
-    """Evaluate an AST to a TruncSeries of the given order."""
+    """Evaluate an AST to a TruncSeries of the given order.
+
+    A product, quotient or power that folds (see ``_fold``) is one
+    ``eta_quotient`` call, which caches it.  Any other product, quotient
+    or power is cached under its node, so equal subtrees share one
+    entry.  Leaves are cached atoms; sums, differences and the unary
+    operations cost one pass over the coefficients and are not cached.
+    """
+    if _is_product(node):
+        folded = _fold(node)
+        if folded is None:
+            return _eval_product(node, order)
+        out = eta_quotient(folded.factors, order)
+        if folded.shift:
+            out = out.shift(folded.shift)
+        return out if folded.const == 1 else out.scale(folded.const)
     if isinstance(node, Const):
         return TruncSeries.constant(node.value, order)
     if isinstance(node, QPow):
@@ -566,22 +657,36 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
             return left.add(right)
         if node.op == "-":
             return left.sub(right)
-        if node.op == "*":
-            return left.mul(right)
-        if node.op == "/":
-            if right.coeffs[0] not in (1, -1):
-                raise ExprEvalError(
-                    to_text(node.right),
-                    f"division needs constant term +1 or -1, got {right.coeffs[0]}",
-                )
-            return left.div(right)
         raise ExprEvalError(to_text(node), f"unknown operation {node.op!r}")
-    if isinstance(node, Power):
-        return eval_ast(node.base, order).pow(node.exponent)
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _check_exponents(root: Node) -> None:
+    """Refuse a tree whose ^ exponents multiply past MAX_EXPONENT on some
+    root-to-leaf path.  An exponent 0 counts as 1 here, because the
+    base under it is still evaluated.  Walked without recursion."""
+    stack = [(root, 1, None)]
+    while stack:
+        node, product, outer = stack.pop()
+        if isinstance(node, Power):
+            product *= max(node.exponent, 1)
+            outer = node if outer is None else outer
+            if product > MAX_EXPONENT:
+                raise ExprEvalError(
+                    to_text(outer),
+                    f"its exponents multiply to {product} on one path,"
+                    f" above the limit {MAX_EXPONENT}",
+                )
+            stack.append((node.base, product, outer))
+        elif isinstance(node, Unary):
+            stack.append((node.child, product, outer))
+        elif isinstance(node, Binary):
+            stack += ((node.left, product, outer), (node.right, product, outer))
+
+
 def evaluate(expr, order: int) -> TruncSeries:
-    """Parse (if given text) and evaluate to a TruncSeries."""
+    """Parse (if given text), check the exponent bound, and evaluate to a
+    TruncSeries."""
     node = parse(expr) if isinstance(expr, str) else expr
+    _check_exponents(node)
     return eval_ast(node, order)

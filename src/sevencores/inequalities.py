@@ -5,7 +5,7 @@ Every claim is one row of a table: a linear relation
     sum of coef * S[a*n + b] over the lhs terms   REL   the same over the rhs
 
 for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is a
-series named in ``SERIES``: a field of ``core_split`` or another builder.
+series named in ``SERIES``, which maps each name to an expression text.
 Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
 from the order: it ends at the largest n whose every index a*n + b is at
 most the order.  Every claim scans its full range; nothing is sampled.
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional
 
-from .forms import G2, CoreSplit, W, core_split, fff7
-from .series import TruncSeries
-from .theta import omega_at, phi, psi, sigma_at
+from .exprlang import evaluate
+from .forms import FFF7, G, G2, RANK_2, RANK_M1, SPLIT, W
+from .forms import core_split  # noqa: F401  (cli and perfbench read it here)
 
 #: How many leading instances each report keeps for display.
 SAMPLE_COUNT = 3
@@ -66,44 +66,26 @@ def _scan(claim, kind, description, n_range, items, relation) -> ScanReport:
     )
 
 
-def positivity(
-    builder: Callable[[int], TruncSeries],
-    order: int,
-    claim: str = "positivity",
-    description: str = "all coefficients nonnegative",
-    kind: str = "theorem",
-) -> ScanReport:
-    """Scan every coefficient of builder(order) for negativity."""
-    series = builder(order)
-    items = ((k, series.coeffs[k], 0) for k in range(order + 1))
-    return _scan(claim, kind, description, (0, order), items, "ge")
-
-
-#: Every series a claim names.  The fields of ``core_split`` come first and
-#: call it through this module's global; the other builders run on every
-#: call, over closed forms and atoms that ``prefix_cached`` memoizes.
+#: Every series a claim names, as expression text: the fields of
+#: ``core_split``, then the other series.
 SERIES: dict = {
+    **SPLIT,
+    "sigma4*fff7": f"sigma(q^4)*({FFF7})",
+    "2*rank_m1": f"2*{RANK_M1}",
+    "6*rank_2": f"6*{RANK_2}",
+    "2q^2*G2": f"2*q^2*{G2}",
+    "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)": f"({W})*omega(q^2)",
+    "a7-2q^2*G2": f"{G} - 2*q^2*{G2}",
+    "odd(a7)-3*rank_m1": f"odd({G}) - 3*{RANK_M1}",
     **{
-        field: (lambda n, field=field: getattr(core_split(n), field))
-        for field in CoreSplit._fields
+        text: text
+        for text in (
+            "psi(q)*(psi(q)^2 - psi(q^7)^2)",
+            "psi(q)*(phi(q)^2 - phi(q^7)^2)",
+            "phi(q)*(psi(q)^2 - psi(q^7)^2)",
+            "psi(q)*(phi(q)^2 - psi(q^7)^2)",
+        )
     },
-    "sigma4*fff7": lambda n: sigma_at(4, n).mul(fff7(n)),
-    "2*rank_m1": lambda n: core_split(n).a7_m1.scale(2),
-    "6*rank_2": lambda n: core_split(n).a7_2.scale(6),
-    "2q^2*G2": lambda n: G2(n).shift(2).scale(2),
-    "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)":
-        lambda n: W(n).mul(omega_at(2, n)),
-    "a7-2q^2*G2": lambda n: core_split(n).a7.sub(G2(n).shift(2).scale(2)),
-    "odd(a7)-3*rank_m1":
-        lambda n: core_split(n).a7.odd_part().sub(core_split(n).a7_m1.scale(3)),
-    "psi(q)*(psi(q)^2 - psi(q^7)^2)":
-        lambda n: psi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
-    "psi(q)*(phi(q)^2 - phi(q^7)^2)":
-        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(phi(7, n).pow(2))),
-    "phi(q)*(psi(q)^2 - psi(q^7)^2)":
-        lambda n: phi(1, n).mul(psi(1, n).pow(2).sub(psi(7, n).pow(2))),
-    "psi(q)*(phi(q)^2 - psi(q^7)^2)":
-        lambda n: psi(1, n).mul(phi(1, n).pow(2).sub(psi(7, n).pow(2))),
 }
 
 
@@ -127,7 +109,7 @@ class LinearClaim:
         terms = self.lhs + self.rhs
         hi = min((order - b) // a for _, _, a, b in terms)
         names = {name for _, name, _, _ in terms}
-        coeffs = {name: SERIES[name](order).coeffs for name in names}
+        coeffs = {name: evaluate(SERIES[name], order).coeffs for name in names}
         ns = [
             n for n in range(self.n0, hi + 1)
             if not self.mod7 or n % 7 in self.mod7

@@ -21,6 +21,13 @@ from dataclasses import dataclass
 from .series import TruncSeries, prefix_cached
 
 
+def _check_order(order: int) -> None:
+    # A builder that writes cs[0] before making its TruncSeries would
+    # otherwise fail with an IndexError on a negative order.
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
 @prefix_cached
 def euler_E(step: int, order: int) -> TruncSeries:
     """Euler product E(q^step) = prod_{j>=1} (1 - q^(step*j)).
@@ -59,6 +66,7 @@ def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
         raise ValueError(f"start must be at least 1, got {start}")
     if step < 1:
         raise ValueError(f"step must be a positive int, got {step}")
+    _check_order(order)
     cs = [0] * (order + 1)
     cs[0] = 1
     e = start
@@ -163,6 +171,7 @@ def phi(step: int, order: int) -> TruncSeries:
     """phi(q^step) = 1 + 2 * sum_{n>=1} q^(step*n^2)."""
     if step < 1:
         raise ValueError(f"step must be a positive int, got {step}")
+    _check_order(order)
     cs = [0] * (order + 1)
     cs[0] = 1
     n = 1
@@ -194,18 +203,26 @@ def chi_neg(step: int, order: int) -> TruncSeries:
 def eta_quotient(factors, order: int) -> TruncSeries:
     """Product of euler_E(step)^exp over a {step: exp} mapping.
 
-    Positive exponents are multiplied in first.  Then the product is
+    Cached by ``prefix_cached`` under the sorted (step, exp) pairs with
+    a nonzero exp, so equal mappings share one entry.
+    """
+    pairs = tuple(sorted((step, exp) for step, exp in factors.items() if exp))
+    return _eta_quotient(pairs, order)
+
+
+@prefix_cached
+def _eta_quotient(pairs: tuple, order: int) -> TruncSeries:
+    """Positive exponents are multiplied in first.  Then the product is
     divided by euler_E(step) once per unit of each negative exponent:
     division costs the divisor's nonzero terms times the order, and a
     single E(q^step) has about sqrt(order) of them, far fewer than a
-    power or a product of several.
-    """
+    power or a product of several."""
     out = TruncSeries.one(order)
-    for step in sorted(factors):
-        if factors[step] > 0:
-            out = out.mul(euler_E(step, order).pow(factors[step]))
-    for step in sorted(factors):
-        for _ in range(-factors[step]):
+    for step, exp in pairs:
+        if exp > 0:
+            out = out.mul(euler_E(step, order).pow(exp))
+    for step, exp in pairs:
+        for _ in range(-exp):
             out = out.div(euler_E(step, order))
     return out
 

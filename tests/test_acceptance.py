@@ -8,6 +8,8 @@ entry points only.
 import random
 import time
 
+from catalog_oracle import ORACLE, theta_args_used
+
 import sevencores.cli as cli
 from sevencores.exprlang import (
     Binary,
@@ -28,7 +30,7 @@ from sevencores.exprlang import (
     parse,
     to_text,
 )
-from sevencores.identities import REGISTRY, THETA_ARGS_USED, verify, verify_all
+from sevencores.identities import REGISTRY, verify, verify_all
 from sevencores.inequalities import (
     check_theorem_1_1,
     core_split,
@@ -105,7 +107,8 @@ def test_criterion_3_multiplicative_recursions_to_depth():
 
 
 def test_criterion_4_theta_toolkit_checks():
-    for args in THETA_ARGS_USED:
+    theta_args = theta_args_used()
+    for args in theta_args:
         assert triple_product(args, 200) == theta_f(args, 200)
     assert psi(1, 200) ** 2 == psi(2, 200) * phi(1, 200)
     assert phi(1, 200) == phi(4, 200) + 2 * psi(8, 200).shift(1)
@@ -121,7 +124,7 @@ def test_criterion_4_theta_toolkit_checks():
         seen |= set(row)
     assert seen == set(RANKS)
     print(
-        f"criterion 4: pass (product form agrees for {len(THETA_ARGS_USED)} "
+        f"criterion 4: pass (product form agrees for {len(theta_args)} "
         f"theta arguments at order 200, parity supports and rank window exact)"
     )
 
@@ -181,8 +184,13 @@ def _random_tree(rng, depth):
 
 
 def test_criterion_7_expression_fidelity():
+    # The catalog's texts against independent builder closures that live
+    # with the tests (catalog_oracle.py), one pair per record.
+    assert len(ORACLE) == 46
+    assert list(ORACLE) == [rec.id for rec in REGISTRY]
     for rec in REGISTRY:
-        for text, builder in ((rec.lhs_text, rec.lhs), (rec.rhs_text, rec.rhs)):
+        lhs, rhs = ORACLE[rec.id]
+        for text, builder in ((rec.lhs_text, lhs), (rec.rhs_text, rhs)):
             direct = builder(200)
             reread = evaluate(text, 200)
             assert reread.coeffs == direct.coeffs, rec.id

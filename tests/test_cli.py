@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, environment default."""
 
 import json
+import time
 
 import pytest
 
@@ -44,14 +45,10 @@ def test_verify_jsonlike_fields(capsys):
 
 def test_verify_failure_exit_and_fields(capsys, monkeypatch):
     from sevencores.identities import IdentityRecord, verify
-    from sevencores.theta import euler_E
-    from sevencores.series import TruncSeries
 
     broken = IdentityRecord(
         id="zz-broken",
         note="synthetic mismatch",
-        lhs=lambda order: euler_E(1, order),
-        rhs=lambda order: euler_E(1, order) + TruncSeries.monomial(1, 2, order),
         lhs_text="E(q)",
         rhs_text="E(q) + q^2",
     )
@@ -250,6 +247,20 @@ def test_coeffs_hostile_input_is_usage_error(capsys, expr, message):
     assert captured.out == ""
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_compounded_exponents_are_usage_error(capsys):
+    # Each ^ is within the limit, but together they ask for E(q)^10000;
+    # evaluate refuses before it builds anything.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "E(q)^100^100", "--order", "2000"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert "multiply to 10000" in capsys.readouterr().err
+    code, out = run(capsys, "coeffs", "(E(q)^10)^10", "--order", "3")
+    assert code == 0
+    assert out.split("\n")[:4] == ["0 1", "1 -100", "2 4850", "3 -151800"]
 
 
 def test_coeffs_eval_error_is_usage_error(capsys):

@@ -12,6 +12,7 @@ from sevencores.exprlang import (
     Binary,
     ChiAtom,
     Const,
+    EtaFold,
     EulerAtom,
     ExprEvalError,
     MAX_DEPTH,
@@ -27,13 +28,16 @@ from sevencores.exprlang import (
     SigmaAtom,
     ThetaAtom,
     Unary,
+    _eval_product,
+    _fold,
+    eval_ast,
     evaluate,
     parse,
     to_text,
 )
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries
-from sevencores.theta import euler_E, sigma
+from sevencores.theta import chi_neg, euler_E, psi, sigma
 
 
 def test_parse_quotient_power():
@@ -157,6 +161,18 @@ def test_exponent_bound():
             parse(text)
 
 
+def test_exponents_multiply_along_a_path():
+    assert evaluate("(E(q)^10)^10", 2) == euler_E(1, 2).pow(100)
+    assert evaluate("E(q)^100 * E(q)^100", 1).coeffs == (1, -200)
+    # An exponent 0 counts as 1: the base under it is still evaluated.
+    for text, product in (("E(q)^100^100", 10000), ("(psi(q)^11)^10", 110),
+                          ("((E(q)^0)^2)^51", 102), ("-(q + E(q)^3^34)", 102)):
+        with pytest.raises(ExprEvalError, match=f"multiply to {product}"):
+            evaluate(text, 2)
+    # parse alone keeps accepting them, so printed trees still reparse
+    assert to_text(parse("E(q)^100^100")) == "E(q)^100^100"
+
+
 def test_nested_t2_stops_before_building_past_twice_max_order():
     assert evaluate("T2(q)", MAX_ORDER) == TruncSeries(MAX_ORDER, (0, 0, 4))
     assert evaluate("T2(T2(q^4))", MAX_ORDER // 2).coeffs[:2] == (0, 1)
@@ -217,6 +233,111 @@ def test_eval_division_by_nonunit():
         evaluate("1/(1 - 1)", 10)
     assert exc.value.expression == "1 - 1"
     assert "division needs constant term" in str(exc.value)
+
+
+def test_fold_collects_one_eta_quotient():
+    assert _fold(parse("q^3*E(q^28)^3/E(q^2)^2")) == EtaFold({28: 3, 2: -2}, 3, 1)
+    assert _fold(parse("2*chi(-q)^2")) == EtaFold({1: 2, 2: -2}, 0, 2)
+    assert _fold(parse("E(q)/(1*E(q))^3")) == EtaFold({1: -2}, 0, 1)
+    assert _fold(parse("(q*E(q))^0")) == EtaFold({}, 0, 1)
+    # not a unit divisor, or a leaf that is not an eta factor
+    for text in ("E(q)/q", "E(q)/(2*E(q^2))", "E(q)*psi(q)", "E(q)*(1 + q)"):
+        assert _fold(parse(text)) is None
+
+
+def unfolded(node, order):
+    """Every operand evaluated on its own, as before folding: the oracle
+    for products, quotients and powers of E, chi, q^s and constants."""
+    if isinstance(node, Const):
+        return TruncSeries.constant(node.value, order)
+    if isinstance(node, QPow):
+        return TruncSeries.monomial(1, node.k, order)
+    if isinstance(node, EulerAtom):
+        return euler_E(node.k, order)
+    if isinstance(node, ChiAtom):
+        return chi_neg(node.k, order)
+    if isinstance(node, Power):
+        return unfolded(node.base, order).pow(node.exponent)
+    left, right = unfolded(node.left, order), unfolded(node.right, order)
+    if node.op == "*":
+        return left.mul(right)
+    if right.coeffs[0] not in (1, -1):
+        raise ExprEvalError(
+            to_text(node.right),
+            f"division needs constant term +1 or -1, got {right.coeffs[0]}",
+        )
+    return left.div(right)
+
+
+eta_trees = st.recursive(
+    st.one_of(
+        st.builds(EulerAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(ChiAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(QPow, st.integers(min_value=0, max_value=3)),
+        st.builds(Const, st.integers(min_value=0, max_value=3)),
+    ),
+    lambda children: st.one_of(
+        st.builds(Power, children, st.integers(min_value=0, max_value=3)),
+        st.builds(Binary, st.sampled_from(("*", "/")), children, children),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eta_trees, st.integers(min_value=0, max_value=150))
+def test_folding_matches_the_unfolded_walk(node, order):
+    # A tree of these leaves folds whole unless some divisor is not a
+    # unit, and then it raises, so it never adds to the node cache.
+    cached = _eval_product.cache_info().currsize
+    try:
+        want = unfolded(node, order)
+    except ExprEvalError as exc:
+        with pytest.raises(ExprEvalError) as got:
+            eval_ast(node, order)
+        assert got.value.expression == exc.expression
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_ast(node, order) == want
+    assert _eval_product.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize(
+    "text, divisor, constant",
+    [
+        ("E(q)/q", "q", 0),
+        ("E(q^7)^7/(q^2*E(q))", "q^2*E(q)", 0),
+        ("E(q)/2", "2", 2),
+        ("chi(-q)/(3*E(q^2))^2", "(3*E(q^2))^2", 9),
+        ("E(q)*(E(q)/(0*E(q)))", "0*E(q)", 0),
+    ],
+)
+def test_non_unit_divisor_still_raises(text, divisor, constant):
+    with pytest.raises(ExprEvalError) as exc:
+        evaluate(text, 30)
+    assert exc.value.expression == divisor
+    assert f"constant term +1 or -1, got {constant}" in str(exc.value)
+
+
+def test_failed_evaluation_caches_nothing():
+    before = _eval_product.cache_info()
+    for _ in range(2):
+        with pytest.raises(ExprEvalError):
+            evaluate("psi(q)*(psi(q^3)/q)", 20)
+    after = _eval_product.cache_info()
+    assert after.currsize == before.currsize
+    assert (after.hits, after.misses) == (before.hits, before.misses + 4)
+
+
+def test_equal_subtrees_share_one_cache_entry():
+    before = _eval_product.cache_info()
+    got = evaluate("psi(q^5)^3 - (psi(q^5))^3 + psi(q^5)^3", 40)
+    assert got == psi(5, 40).pow(3)
+    after = _eval_product.cache_info()
+    # three lookups of one node: at most one build, the others are hits
+    assert after.hits + after.misses == before.hits + before.misses + 3
+    assert after.misses <= before.misses + 1
+    assert after.currsize <= before.currsize + 1
 
 
 def test_eval_accepts_parsed_node():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from catalog_oracle import theta_args_used
+
 from sevencores.identities import (
     REGISTRY,
-    THETA_ARGS_USED,
     IdentityRecord,
     get_record,
     registry_ids,
@@ -14,7 +15,7 @@ from sevencores.identities import (
     verify_all,
 )
 from sevencores.series import TruncSeries, hecke_T2
-from sevencores.theta import euler_E, jacobi_cube
+from sevencores.theta import ThetaArgs
 
 
 def test_t2_on_constants_and_monomials():
@@ -58,8 +59,18 @@ def test_registry_well_formed():
 
 
 def test_theta_args_in_use_support_product_form():
-    assert len(THETA_ARGS_USED) == len(set(THETA_ARGS_USED))
-    for args in THETA_ARGS_USED:
+    used = theta_args_used()
+    assert used == {
+        ThetaArgs(1, 1, 1, 13), ThetaArgs(1, 3, 1, 11), ThetaArgs(1, 5, 1, 9),
+        ThetaArgs(1, 2, 1, 12), ThetaArgs(1, 4, 1, 10), ThetaArgs(1, 6, 1, 8),
+        ThetaArgs(1, 1, 1, 6), ThetaArgs(1, 2, 1, 5), ThetaArgs(1, 3, 1, 4),
+        ThetaArgs(1, 4, 1, 24), ThetaArgs(1, 12, 1, 16),
+        ThetaArgs(1, 10, 1, 18), ThetaArgs(1, 2, 1, 26),
+        ThetaArgs(-1, 1, -1, 1), ThetaArgs(-1, 2, -1, 2),
+        ThetaArgs(-1, 7, -1, 7), ThetaArgs(-1, 14, -1, 14),
+        ThetaArgs(-1, 1, -1, 3), ThetaArgs(-1, 7, -1, 21),
+    }
+    for args in used:
         assert args.r >= 1 and args.s >= 1
 
 
@@ -85,8 +96,6 @@ def test_verify_reports_first_mismatch():
     broken = IdentityRecord(
         id="broken-slot",
         note="constant bumped on one side",
-        lhs=lambda order: euler_E(1, order),
-        rhs=lambda order: euler_E(1, order) + TruncSeries.one(order),
         lhs_text="E(q)",
         rhs_text="E(q) + 1",
     )
@@ -100,8 +109,6 @@ def test_verify_mismatch_past_the_head():
     broken = IdentityRecord(
         id="broken-tail",
         note="cube with a wrong high coefficient",
-        lhs=lambda order: jacobi_cube(order),
-        rhs=lambda order: jacobi_cube(order) + TruncSeries.monomial(1, 3, order),
         lhs_text="E(q)^3",
         rhs_text="E(q)^3 + q^3",
     )

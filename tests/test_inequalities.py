@@ -6,15 +6,14 @@ from sevencores.inequalities import (
     CLAIMS,
     DEFAULT_DEPTH,
     SAMPLE_COUNT,
+    SERIES,
     LinearClaim,
     check_theorem_1_1,
     claim_ids,
     core_split,
-    positivity,
     run_all,
     run_claim,
 )
-from sevencores.theta import euler_E
 
 
 def test_core_split_heads():
@@ -91,28 +90,28 @@ def test_referee_progressions_need_depth():
     assert all(r.status == "holds" for r in reports)
 
 
-def test_positivity_violation_reports_witness():
-    # Euler product itself goes negative at q^1
-    r = positivity(
-        lambda order: euler_E(1, order),
-        50,
-        claim="synthetic-negative",
-        description="euler product coefficients",
+def euler_positivity(monkeypatch):
+    """The row 1*E(q)[n] >= 0, over a series no claim names."""
+    monkeypatch.setitem(SERIES, "E(q)", "E(q)")
+    return LinearClaim(
+        "synthetic-negative", "theorem", "euler product coefficients",
+        ((1, "E(q)", 1, 0),),
     )
+
+
+def test_positivity_violation_reports_witness(monkeypatch):
+    # Euler product itself goes negative at q^1
+    r = euler_positivity(monkeypatch)(50)
     assert r.status == "violated"
     assert r.violation == (1, -1, 0)
     assert r.claim == "synthetic-negative"
 
 
-def test_violation_stops_sampling_early():
-    r = positivity(
-        lambda order: euler_E(1, order),
-        50,
-        claim="synthetic-negative",
-        description="euler product coefficients",
-    )
+def test_violation_stops_sampling_early(monkeypatch):
+    r = euler_positivity(monkeypatch)(50)
     # only exponent 0 passes before the failure at exponent 1
     assert len(r.samples) <= SAMPLE_COUNT
+    assert r.samples == ((0, 1, 0), (1, -1, 0))
 
 
 def test_run_all_kinds():

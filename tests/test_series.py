@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencores.forms import CoreSplit, W, core_split, fff7
+from sevencores.exprlang import evaluate
+from sevencores.forms import FFF7, W, CoreSplit, core_split
 from sevencores.partitions import _flip_layers
 from sevencores.series import (
     Mismatch,
@@ -366,8 +367,8 @@ def test_kernels_at_the_slot_boundary(width, over, sign, lead, tail):
 def test_kernels_at_order_6000():
     """Two scan products: sigma(q^4)*fff7, and W*omega(q^2), where W has
     126-bit coefficients and the product's fit in 12 bits."""
-    kernels_agree(sigma_at(4, 6000), fff7(6000))
-    w = W(6000)
+    kernels_agree(sigma_at(4, 6000), evaluate(FFF7, 6000))
+    w = evaluate(W, 6000)
     assert max(map(abs, w.coeffs)).bit_length() == 126
     product = kernels_agree(w, omega_at(2, 6000))
     assert max(map(abs, product.coeffs)).bit_length() <= 12
@@ -438,10 +439,11 @@ def test_prefix_cache_rebuilds_above_and_truncates_below():
 
 
 def test_prefix_cache_truncates_every_field():
-    assert core_split(90).a7.order == 90
-    split = core_split(37)
+    cached_split = prefix_cached(core_split)
+    assert cached_split(90).a7.order == 90
+    split = cached_split(37)
     assert type(split) is CoreSplit
-    assert split == core_split.__wrapped__(37)
+    assert split == core_split(37)
     assert {field.order for field in split} == {37}
     assert _flip_layers(5, 60)[0].order == 60
     layers = _flip_layers(5, 23)

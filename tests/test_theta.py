@@ -1,14 +1,13 @@
 """Theta building blocks: products against sums, eta forms, frozen heads."""
 
-import ast
-import inspect
-import re
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencores import forms, identities
+from catalog_oracle import catalog_texts, children, eta
+
+from sevencores.exprlang import _fold, _is_product, parse
+from sevencores.inequalities import SERIES
 from sevencores.series import TruncSeries
 from sevencores.theta import (
     ThetaArgs,
@@ -17,10 +16,12 @@ from sevencores.theta import (
     euler_E,
     jacobi_cube,
     omega,
+    omega_at,
     phi,
     pochhammer,
     psi,
     sigma,
+    sigma_at,
     theta_f,
     triple_product,
 )
@@ -116,28 +117,48 @@ def test_eta_quotient_empty_is_one():
     assert eta_quotient({}, 5) == TruncSeries.one(5)
 
 
-def eta_quotient_one_division(factors, order):
-    """The oracle: multiply the numerator and the denominator factors out,
-    then divide once by the dense denominator."""
-    num = TruncSeries.one(order)
-    den = TruncSeries.one(order)
-    for step in sorted(factors):
-        exp = factors[step]
-        if exp > 0:
-            num = num.mul(euler_E(step, order).pow(exp))
-        elif exp < 0:
-            den = den.mul(euler_E(step, order).pow(-exp))
-    return num.div(den)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: euler_E(1, n),
+        lambda n: pochhammer(1, 1, 1, n),
+        lambda n: theta_f(ThetaArgs(1, 1, 1, 1), n),
+        lambda n: triple_product(ThetaArgs(1, 1, 1, 1), n),
+        lambda n: phi(1, n),
+        lambda n: psi(1, n),
+        lambda n: chi_neg(1, n),
+        lambda n: eta_quotient({7: 7, 1: -1}, n),
+        lambda n: sigma_at(1, n),
+        lambda n: omega_at(1, n),
+        jacobi_cube,
+    ],
+    ids=["euler_E", "pochhammer", "theta_f", "triple_product", "phi", "psi",
+         "chi_neg", "eta_quotient", "sigma_at", "omega_at", "jacobi_cube"],
+)
+def test_negative_order_is_a_value_error(build):
+    with pytest.raises(ValueError):
+        build(-3)
 
 
-# Every factor dict that forms and identities pass to eta_quotient, once.
+def folded_factors(text):
+    """The factor dict of each product, quotient or power in text that
+    the evaluator folds into one eta_quotient call."""
+    found, stack = [], [parse(text)]
+    while stack:
+        node = stack.pop()
+        folded = _fold(node) if _is_product(node) else None
+        if folded is None:
+            stack.extend(children(node))
+        else:
+            found.append(folded.factors)
+    return found
+
+
+# Every factor dict that the catalog and SERIES texts fold into, once.
 CATALOG_FACTORS = tuple({
     str(factors): factors
-    for module in (forms, identities)
-    for factors in map(
-        ast.literal_eval,
-        re.findall(r"eta_quotient\((\{[^}]*\})", inspect.getsource(module)),
-    )
+    for text in catalog_texts() + list(SERIES.values())
+    for factors in folded_factors(text)
 }.values())
 
 
@@ -152,16 +173,12 @@ def test_catalog_factors_found():
     st.sampled_from(CATALOG_FACTORS), st.integers(min_value=0, max_value=120)
 )
 def test_eta_quotient_matches_one_division(factors, order):
-    assert eta_quotient(factors, order) == eta_quotient_one_division(
-        factors, order
-    )
+    assert eta_quotient(factors, order) == eta(factors, order)
 
 
 @pytest.mark.parametrize("factors", CATALOG_FACTORS, ids=str)
 def test_eta_quotient_matches_one_division_at_2000(factors):
-    assert eta_quotient(factors, 2000) == eta_quotient_one_division(
-        factors, 2000
-    )
+    assert eta_quotient(factors, 2000) == eta(factors, 2000)
 
 
 args_st = st.builds(
