@@ -35,6 +35,7 @@ is an evaluation error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .partitions import lattice_rank_sum, lattice_sum
@@ -684,9 +685,23 @@ def _check_exponents(root: Node) -> None:
             stack += ((node.left, product, outer), (node.right, product, outer))
 
 
+class Text(str):
+    """Expression text whose tree is parsed and checked on its first
+    evaluation and kept, so ``evaluate`` never parses it again.  For
+    texts evaluated many times, such as the catalog's."""
+
+    @cached_property
+    def node(self) -> Node:
+        node = parse(self)
+        _check_exponents(node)
+        return node
+
+
 def evaluate(expr, order: int) -> TruncSeries:
     """Parse (if given text), check the exponent bound, and evaluate to a
     TruncSeries."""
+    if isinstance(expr, Text):
+        return eval_ast(expr.node, order)
     node = parse(expr) if isinstance(expr, str) else expr
     _check_exponents(node)
     return eval_ast(node, order)

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .exprlang import evaluate
+from .exprlang import Text, evaluate
 from .forms import FFF1, FFF7, G, G2, Q, RANK_2, RANK_M1, RANK_M1_QUOTIENT, W
 from .series import TruncSeries
 
@@ -29,6 +29,11 @@ class IdentityRecord:
     note: str
     lhs_text: str
     rhs_text: str
+
+    def __post_init__(self):
+        # Each side is parsed once, on its first evaluation.
+        object.__setattr__(self, "lhs_text", Text(self.lhs_text))
+        object.__setattr__(self, "rhs_text", Text(self.rhs_text))
 
     def lhs(self, order: int) -> TruncSeries:
         return evaluate(self.lhs_text, order)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Optional
 
-from .exprlang import evaluate
+from .exprlang import Text, evaluate
 from .forms import FFF7, G, G2, RANK_2, RANK_M1, SPLIT, W
 from .forms import core_split  # noqa: F401  (cli and perfbench read it here)
 
@@ -67,8 +67,9 @@ def _scan(claim, kind, description, n_range, items, relation) -> ScanReport:
 
 
 #: Every series a claim names, as expression text: the fields of
-#: ``core_split``, then the other series.
-SERIES: dict = {
+#: ``core_split``, then the other series.  Each text is parsed once, on
+#: its first evaluation.
+SERIES: dict = {name: Text(text) for name, text in {
     **SPLIT,
     "sigma4*fff7": f"sigma(q^4)*({FFF7})",
     "2*rank_m1": f"2*{RANK_M1}",
@@ -86,7 +87,7 @@ SERIES: dict = {
             "psi(q)*(phi(q)^2 - psi(q^7)^2)",
         )
     },
-}
+}.items()}
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,15 @@ wide enough for a proven bound on the product's coefficients.  A product
 with few pairs of nonzero terms, such as that of two theta series, sums
 those pairs directly.  Division and inversion run one
 recurrence over the divisor's nonzero terms, so dividing by a sparse
-Euler product is cheap.  ``prefix_cached`` is the one memoization rule
-of the package, for every builder whose prefix does not depend on the order.
+Euler product is cheap.
+
+Both ``mul`` and ``div`` first find g, the gcd of their operands'
+strides (``stride``).  When g > 1 both operands are series in q^g, and
+so is the result: it is computed as a series in q at order n // g from
+every g-th coefficient, then spread back by ``compose_power(g)``.  The
+rewrite is exact and skips the zero slots between the terms.
+``prefix_cached`` is the one memoization rule of the package, for every
+builder whose prefix does not depend on the order.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from array import array
 from bisect import bisect_right
 from functools import wraps
 from itertools import compress
+from math import gcd
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional
 
@@ -103,6 +111,48 @@ def _kronecker(a: tuple, b: tuple, n: int) -> list:
         int.from_bytes(raw[k : k + width], "little", signed=True)
         for k in range(0, size, width)
     ]
+
+
+def _divide(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of a/b for b[0] in (1, -1), by the recurrence
+    out[m] = b[0] * (a[m] - sum of b[k]*out[m-k] over the nonzero b[k],
+    k >= 1), which costs b's nonzero terms times the order."""
+    b0 = b[0]
+    support = list(compress(range(1, n + 1), b[1 : n + 1]))
+    out = [0] * (n + 1)
+    for m in range(n + 1):
+        acc = a[m]
+        for k in support:
+            if k > m:
+                break
+            acc -= b[k] * out[m - k]
+        out[m] = b0 * acc
+    return out
+
+
+def _product(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of a*b: pair by pair when the nonzero pairs
+    number at most PAIRS_PER_SLOT per output coefficient, else by one
+    big-int multiply."""
+    pairs = (n + 1 - a.count(0)) * (n + 1 - b.count(0))
+    kernel = _pair_product if pairs <= PAIRS_PER_SLOT * (n + 1) else _kronecker
+    return kernel(a, b, n)
+
+
+def stride(coeffs) -> int:
+    """gcd of the exponents >= 1 with a nonzero coefficient; 0 for a
+    constant.  A series of stride g > 1 is a series in q^g."""
+    return gcd(*compress(range(len(coeffs)), coeffs))
+
+
+def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
+    """kernel(a, b, n) for coefficient tuples a, b of length n + 1.  When
+    both are series in q^g with g > 1, the kernel runs on every g-th
+    coefficient at order n // g and the result is spread back."""
+    g = gcd(stride(a), stride(b))
+    if g < 2:
+        return TruncSeries(n, kernel(a, b, n))
+    return TruncSeries(n, kernel(a[::g], b[::g], n // g)).compose_power(g)
 
 
 def _check_int(what: str, value) -> None:
@@ -247,14 +297,13 @@ class TruncSeries:
 
         Dense products go through one big-int multiply (Kronecker
         substitution, see ``_kronecker``); products with few nonzero
-        pairs loop over those pairs.  Both give the exact coefficients.
+        pairs loop over those pairs (``_product``).  Both give the exact
+        coefficients.  Operands in q^g with g > 1 are multiplied at
+        order n // g (``_in_stride``).
         """
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
-        pairs = (n + 1 - a.count(0)) * (n + 1 - b.count(0))
-        if pairs <= PAIRS_PER_SLOT * (n + 1):
-            return TruncSeries(n, _pair_product(a, b, n))
-        return TruncSeries(n, _kronecker(a, b, n))
+        return _in_stride(_product, a, b, n)
 
     def invert(self) -> "TruncSeries":
         """Multiplicative inverse; requires constant term +1 or -1.
@@ -275,27 +324,18 @@ class TruncSeries:
 
         Computed by direct recurrence on the quotient coefficients, which
         is bit-identical to mul(self, other.invert()) but skips the zero
-        terms of a sparse divisor.
+        terms of a sparse divisor.  Operands in q^g with g > 1 are
+        divided at order n // g (``_in_stride``).
         """
-        b = other.coeffs
-        b0 = b[0]
+        b0 = other.coeffs[0]
         if b0 not in (1, -1):
             raise ValueError(
                 f"cannot divide by series with constant term {b0}; "
                 "only +1 or -1 is supported"
             )
         n = min(self.order, other.order)
-        a = self.coeffs
-        support = [k for k in range(1, n + 1) if b[k]]
-        out = [0] * (n + 1)
-        for m in range(n + 1):
-            acc = a[m]
-            for k in support:
-                if k > m:
-                    break
-                acc -= b[k] * out[m - k]
-            out[m] = b0 * acc
-        return TruncSeries(n, out)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        return _in_stride(_divide, a, b, n)
 
     def pow(self, exponent: int) -> "TruncSeries":
         """Nonnegative integer power by binary exponentiation."""
@@ -321,8 +361,7 @@ class TruncSeries:
             raise ValueError(f"power must be positive, got {k}")
         n = self.order
         out = [0] * (n + 1)
-        for i in range(n // k + 1):
-            out[i * k] = self.coeffs[i]
+        out[::k] = self.coeffs[: n // k + 1]
         return TruncSeries(n, out)
 
     def alternate(self) -> "TruncSeries":

@@ -18,6 +18,8 @@ by truncation (``prefix_cached``): every series here is prefix-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+
 from .series import TruncSeries, prefix_cached
 
 
@@ -203,11 +205,19 @@ def chi_neg(step: int, order: int) -> TruncSeries:
 def eta_quotient(factors, order: int) -> TruncSeries:
     """Product of euler_E(step)^exp over a {step: exp} mapping.
 
-    Cached by ``prefix_cached`` under the sorted (step, exp) pairs with
-    a nonzero exp, so equal mappings share one entry.
+    A quotient whose steps share a gcd g > 1 is a series in q^g: it is
+    built with every step divided by g, at order // g, and spread back
+    by q -> q^g.  So E(q^14)^7/E(q^2) is E(q^7)^7/E(q) at half the
+    order.  Cached by ``prefix_cached`` under the sorted reduced
+    (step, exp) pairs with a nonzero exp, so equal mappings, and
+    mappings equal up to such a dilation, share one entry.
     """
-    pairs = tuple(sorted((step, exp) for step, exp in factors.items() if exp))
-    return _eta_quotient(pairs, order)
+    _check_order(order)
+    pairs = sorted((step, exp) for step, exp in factors.items() if exp)
+    g = gcd(*(step for step, _ in pairs)) or 1
+    reduced = tuple((step // g, exp) for step, exp in pairs)
+    out = _eta_quotient(reduced, order // g)
+    return out if g == 1 else TruncSeries(order, out.coeffs).compose_power(g)
 
 
 @prefix_cached
@@ -216,12 +226,14 @@ def _eta_quotient(pairs: tuple, order: int) -> TruncSeries:
     divided by euler_E(step) once per unit of each negative exponent:
     division costs the divisor's nonzero terms times the order, and a
     single E(q^step) has about sqrt(order) of them, far fewer than a
-    power or a product of several."""
+    power or a product of several.  Both loops take the largest step
+    first, so the partial result stays a series in q^g for a large g
+    (which ``mul`` and ``div`` work on at order // g) for longest."""
     out = TruncSeries.one(order)
-    for step, exp in pairs:
+    for step, exp in reversed(pairs):
         if exp > 0:
             out = out.mul(euler_E(step, order).pow(exp))
-    for step, exp in pairs:
+    for step, exp in reversed(pairs):
         for _ in range(-exp):
             out = out.div(euler_E(step, order))
     return out

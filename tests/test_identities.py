@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from catalog_oracle import theta_args_used
 
+from sevencores import exprlang
 from sevencores.identities import (
     REGISTRY,
     IdentityRecord,
@@ -48,6 +49,16 @@ def test_t2_is_linear(xs, ys, c):
     b = TruncSeries(30, tuple(ys)[:31])
     assert hecke_T2(a + b) == hecke_T2(a) + hecke_T2(b)
     assert hecke_T2(a.scale(c)) == hecke_T2(a).scale(c)
+
+
+def test_a_record_parses_each_side_once(monkeypatch):
+    parsed = []
+    parse = exprlang.parse
+    monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
+    rec = IdentityRecord("twice", "evaluated twice", "E(q^2)^2/E(q)", "lattice(2)")
+    for order in (30, 60):
+        assert rec.lhs(order) == rec.rhs(order)
+    assert sorted(parsed) == ["E(q^2)^2/E(q)", "lattice(2)"]
 
 
 def test_registry_well_formed():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sevencores import exprlang
 from sevencores.inequalities import (
     CLAIMS,
     DEFAULT_DEPTH,
@@ -112,6 +113,15 @@ def test_violation_stops_sampling_early(monkeypatch):
     # only exponent 0 passes before the failure at exponent 1
     assert len(r.samples) <= SAMPLE_COUNT
     assert r.samples == ((0, 1, 0), (1, -1, 0))
+
+
+def test_a_second_scan_parses_nothing(monkeypatch):
+    run_all(100)
+    parsed = []
+    parse = exprlang.parse
+    monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
+    run_all(100)
+    assert parsed == []
 
 
 def test_run_all_kinds():

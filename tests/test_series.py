@@ -17,6 +17,7 @@ from sevencores.series import (
     _kronecker,
     _pair_product,
     prefix_cached,
+    stride,
 )
 from sevencores.theta import euler_E, omega_at, sigma_at
 
@@ -301,13 +302,11 @@ def test_hash_consistent_with_eq(a):
 
 # -- product kernels against the schoolbook oracle ------------------------
 
-big_coeffs_st = st.lists(
-    st.one_of(
-        st.integers(min_value=-9, max_value=9),
-        st.integers(min_value=-(2**200), max_value=2**200),
-    ),
-    max_size=40,
+big_coeff_st = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**200), max_value=2**200),
 )
+big_coeffs_st = st.lists(big_coeff_st, max_size=40)
 
 
 @st.composite
@@ -372,6 +371,83 @@ def test_kernels_at_order_6000():
     assert max(map(abs, w.coeffs)).bit_length() == 126
     product = kernels_agree(w, omega_at(2, 6000))
     assert max(map(abs, product.coeffs)).bit_length() <= 12
+
+
+# -- series in q^g ------------------------------------------------------
+
+
+def test_stride_of_small_series():
+    assert stride(()) == stride((0, 0)) == stride((5, 0, 0)) == 0
+    assert stride((1, 1)) == 1
+    assert stride((0, 0, 0, 0, 0, 0, 3, 0, 0, 0, -1)) == 2
+    assert stride((1, 0, 0, 0, 0, 0, 0, 0, 0, 7)) == 9
+
+
+@st.composite
+def strided_series(draw, g, unit=False):
+    """A signed series in q^g, its order 0..150 a multiple of g or not;
+    a unit constant term (+1 or -1) when asked for one.  Orders below g
+    give constants, and an empty draw gives zero."""
+    order = draw(st.integers(min_value=0, max_value=150))
+    head = draw(st.lists(big_coeff_st, max_size=order // g + 1))
+    cs = [0] * (order + 1)
+    cs[::g] = head + [0] * (order // g + 1 - len(head))
+    if unit:
+        cs[0] = draw(st.sampled_from((1, -1)))
+    return TruncSeries(order, cs)
+
+
+STRIDE_PAIRS = [(g, g) for g in range(2, 8)] + [(4, 6), (6, 4), (2, 3), (3, 9), (7, 5)]
+
+
+@st.composite
+def strided_pair(draw, unit=False):
+    g, h = draw(st.sampled_from(STRIDE_PAIRS))
+    return draw(strided_series(g)), draw(strided_series(h, unit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strided_pair())
+def test_strided_mul_matches_schoolbook(xy):
+    x, y = xy
+    assert x * y == schoolbook_mul(x, y)
+    assert y * x == schoolbook_mul(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strided_pair(unit=True))
+def test_strided_div_times_divisor_is_the_dividend(xy):
+    x, y = xy
+    n = min(x.order, y.order)
+    assert schoolbook_mul(x / y, y) == x.truncate(n)
+
+
+@pytest.mark.parametrize("order", [0, 5, 6, 7, 150])
+def test_strided_zero_and_constant_operands(order):
+    zero = TruncSeries.zero(order)
+    minus_one = TruncSeries.constant(-1, order)
+    s = TruncSeries.constant(2**70, order) - TruncSeries.monomial(1, 6, order)
+    for x, y in ((zero, s), (s, zero), (minus_one, s), (s, minus_one),
+                 (zero, minus_one), (minus_one, minus_one)):
+        assert x * y == schoolbook_mul(x, y)
+    for x in (zero, minus_one, s):
+        assert schoolbook_mul(x / minus_one, minus_one) == x
+        assert x / minus_one == -x
+    u = TruncSeries.one(order) - TruncSeries.monomial(1, 6, order)
+    assert schoolbook_mul(s / u, u) == s
+    assert schoolbook_mul(minus_one / u, u) == minus_one
+
+
+def test_strided_div_refuses_a_non_unit_divisor():
+    x = TruncSeries(12, [1, 0, 0, 0, 5])
+    for b0 in (0, 2, -2):
+        y = TruncSeries(12, [b0, 0, 0, 0, 1])
+        with pytest.raises(
+            ValueError,
+            match=rf"^cannot divide by series with constant term {b0}; "
+            r"only \+1 or -1 is supported$",
+        ):
+            x / y
 
 
 # -- the prefix cache ---------------------------------------------------

@@ -11,6 +11,7 @@ from sevencores.inequalities import SERIES
 from sevencores.series import TruncSeries
 from sevencores.theta import (
     ThetaArgs,
+    _eta_quotient,
     chi_neg,
     eta_quotient,
     euler_E,
@@ -168,17 +169,29 @@ def test_catalog_factors_found():
     assert {28: 3, 14: 2, 4: 3, 2: -2} in CATALOG_FACTORS
 
 
+#: The catalog's factor dicts, and one whose step is past every order.
+FACTORS = CATALOG_FACTORS + ({99999999: 1},)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(CATALOG_FACTORS), st.integers(min_value=0, max_value=120)
-)
+@given(st.sampled_from(FACTORS), st.integers(min_value=0, max_value=200))
 def test_eta_quotient_matches_one_division(factors, order):
     assert eta_quotient(factors, order) == eta(factors, order)
 
 
-@pytest.mark.parametrize("factors", CATALOG_FACTORS, ids=str)
+@pytest.mark.parametrize("factors", FACTORS, ids=str)
 def test_eta_quotient_matches_one_division_at_2000(factors):
     assert eta_quotient(factors, 2000) == eta(factors, 2000)
+
+
+def test_dilated_eta_quotient_reads_the_undilated_entry():
+    """E(q^14)^7/E(q^2) at order 3000 is E(q^7)^7/E(q) at order 1500
+    with q -> q^2: a truncation of the entry built at 6000."""
+    eta_quotient({7: 7, 1: -1}, 6000)
+    misses = _eta_quotient.cache_info().misses
+    dilated = eta_quotient({14: 7, 2: -1}, 3000)
+    assert _eta_quotient.cache_info().misses == misses
+    assert dilated == eta({14: 7, 2: -1}, 3000)
 
 
 args_st = st.builds(
