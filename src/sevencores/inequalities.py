@@ -9,6 +9,13 @@ series named in ``SERIES``, which maps each name to an expression text.
 Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
 from the order: it ends at the largest n whose every index a*n + b is at
 most the order.  Every claim scans its full range; nothing is sampled.
+Each column, the values of one term over the range, is one slice of its
+series, filtered by ``mod7`` and scaled by its coefficient at C speed.
+A row is checked when it is built: it needs at least one term, every
+term needs a >= 1 and a first index a*n0 + b >= 0 (so no slice wraps
+around to the top of a series), the relation must be "ge" or "eq",
+the ``mod7`` residues must lie in 0..6 and every name must be in
+``SERIES``; otherwise it raises ``ValueError``.
 A ``ScanReport`` records the range, the outcome, the first violation if
 one exists, and the first few instances so that spot values are visible
 in the output.  A claim whose range holds no instance at this order
@@ -18,7 +25,9 @@ reports ``empty``: nothing was checked, so it does not hold either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial, reduce
+from itertools import compress, count, cycle, repeat
+from operator import add, lt, mul, ne
 from typing import Callable, Optional
 
 from .exprlang import Text, evaluate
@@ -43,27 +52,6 @@ class ScanReport:
     status: str
     violation: Optional[tuple]
     samples: tuple
-
-
-def _scan(claim, kind, description, n_range, items, relation) -> ScanReport:
-    samples = []
-    violation = None
-    for n, lhs, rhs in items:
-        if len(samples) < SAMPLE_COUNT:
-            samples.append((n, lhs, rhs))
-        ok = lhs >= rhs if relation == "ge" else lhs == rhs
-        if not ok:
-            violation = (n, lhs, rhs)
-            break
-    return ScanReport(
-        claim=claim,
-        kind=kind,
-        description=description,
-        n_range=n_range,
-        status="violated" if violation else "holds" if samples else "empty",
-        violation=violation,
-        samples=tuple(samples),
-    )
 
 
 #: Every series a claim names, as expression text: the fields of
@@ -106,27 +94,63 @@ class LinearClaim:
     n0: int = 0
     mod7: tuple = ()
 
+    def __post_init__(self):
+        if not self.lhs + self.rhs:
+            raise ValueError(f"{self.id}: a row needs at least one term")
+        if self.relation not in ("ge", "eq"):
+            raise ValueError(
+                f"{self.id}: relation must be 'ge' or 'eq', got {self.relation!r}"
+            )
+        if not set(self.mod7) <= set(range(7)):
+            raise ValueError(f"{self.id}: mod7 residues must lie in 0..6")
+        for _, name, a, b in self.lhs + self.rhs:
+            if name not in SERIES:
+                raise ValueError(f"{self.id}: no series named {name!r}")
+            if a < 1 or a * self.n0 + b < 0:
+                raise ValueError(
+                    f"{self.id}: term {name}[{a}*n + {b}] needs a >= 1 and "
+                    f"a*n0 + b >= 0 (n0 = {self.n0})"
+                )
+
     def __call__(self, order: int) -> ScanReport:
         terms = self.lhs + self.rhs
+        n0 = self.n0
         hi = min((order - b) // a for _, _, a, b in terms)
+        size = max(hi + 1 - n0, 0)
+        ns = range(n0, hi + 1)
+        if self.mod7:
+            # keep[i] says whether n0 + i is scanned; it repeats every 7 n.
+            keep = [(n0 + i) % 7 in self.mod7 for i in range(7)]
+            ns = list(compress(ns, cycle(keep)))
         names = {name for _, name, _, _ in terms}
         coeffs = {name: evaluate(SERIES[name], order).coeffs for name in names}
-        ns = [
-            n for n in range(self.n0, hi + 1)
-            if not self.mod7 or n % 7 in self.mod7
-        ]
+
+        def column(c, name, a, b):
+            # S[a*n + b] for n = n0 .. hi, as one slice of S.
+            start = a * n0 + b
+            col = coeffs[name][start : start + a * size : a]
+            if self.mod7:
+                col = compress(col, cycle(keep))
+            return col if c == 1 else map(mul, repeat(c), col)
 
         def side(terms):
-            columns = [
-                [c * coeffs[name][a * n + b] for n in ns]
-                for c, name, a, b in terms
-            ]
-            return map(sum, zip(*columns)) if columns else repeat(0)
+            if not terms:
+                return [0] * len(ns)
+            # Column-wise sum: map(add, ...) over the columns in turn.
+            return list(reduce(partial(map, add), [column(*t) for t in terms]))
 
-        items = zip(ns, side(self.lhs), side(self.rhs))
-        return _scan(
-            self.id, self.kind, self.description, (self.n0, hi), items,
-            self.relation,
+        lhs, rhs = side(self.lhs), side(self.rhs)
+        fails = map(lt if self.relation == "ge" else ne, lhs, rhs)
+        k = next(compress(count(), fails), None)
+        shown = SAMPLE_COUNT if k is None else min(SAMPLE_COUNT, k + 1)
+        return ScanReport(
+            claim=self.id,
+            kind=self.kind,
+            description=self.description,
+            n_range=(n0, hi),
+            status="empty" if not ns else "holds" if k is None else "violated",
+            violation=None if k is None else (ns[k], lhs[k], rhs[k]),
+            samples=tuple(zip(ns[:shown], lhs, rhs)),
         )
 
 

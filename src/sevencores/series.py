@@ -3,7 +3,14 @@
 A ``TruncSeries`` of order N stores the coefficients of q^0 .. q^N as
 Python ints, so every operation is exact.  Binary operations truncate to
 the smaller order of the two operands.  Instances are immutable; every
-operation returns a fresh series.
+operation returns a fresh series, built once through the constructor.
+
+The linear passes (``add``, ``sub``, ``neg``, ``scale``, ``shift``,
+``compose_power``, ``alternate``, ``even_part``, ``odd_part``,
+``hecke_T2``) and the queries (``compare``, ``is_zero``,
+``first_negative``) are slices of the coefficient tuple and ``map``
+over ``operator`` functions, so the one Python-level loop over single
+coefficients left is the constructor's type check.
 
 Multiplication has one entry point, ``TruncSeries.mul``.  A dense
 product is one big-int multiply by Kronecker substitution: each operand
@@ -17,8 +24,9 @@ Euler product is cheap.
 Both ``mul`` and ``div`` first find g, the gcd of their operands'
 strides (``stride``).  When g > 1 both operands are series in q^g, and
 so is the result: it is computed as a series in q at order n // g from
-every g-th coefficient, then spread back by ``compose_power(g)``.  The
-rewrite is exact and skips the zero slots between the terms.
+every g-th coefficient, then spread back by ``dilate``, the
+substitution q -> q^g.  The rewrite is exact and skips the zero slots
+between the terms.
 ``prefix_cached`` is the one memoization rule of the package, for every
 builder whose prefix does not depend on the order.
 """
@@ -29,8 +37,9 @@ import sys
 from array import array
 from bisect import bisect_right
 from functools import wraps
-from itertools import compress
+from itertools import compress, count, repeat
 from math import gcd
+from operator import add, lt, mul, ne, neg, sub
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional
 
@@ -145,6 +154,14 @@ def stride(coeffs) -> int:
     return gcd(*compress(range(len(coeffs)), coeffs))
 
 
+def dilate(coeffs, g: int, order: int) -> "TruncSeries":
+    """sum of coeffs[k] * q^(g*k) cut at the order: the substitution
+    q -> q^g, built in one construction."""
+    out = [0] * (order + 1)
+    out[::g] = coeffs[: order // g + 1]
+    return TruncSeries(order, out)
+
+
 def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
     """kernel(a, b, n) for coefficient tuples a, b of length n + 1.  When
     both are series in q^g with g > 1, the kernel runs on every g-th
@@ -152,7 +169,7 @@ def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
     g = gcd(stride(a), stride(b))
     if g < 2:
         return TruncSeries(n, kernel(a, b, n))
-    return TruncSeries(n, kernel(a[::g], b[::g], n // g)).compose_power(g)
+    return dilate(kernel(a[::g], b[::g], n // g), g, n)
 
 
 def _check_int(what: str, value) -> None:
@@ -246,14 +263,11 @@ class TruncSeries:
         return f"TruncSeries(order={self.order}, [{shown}{tail}])"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def first_negative(self) -> Optional[int]:
         """Smallest exponent carrying a negative coefficient, or None."""
-        for k, c in enumerate(self.coeffs):
-            if c < 0:
-                return k
-        return None
+        return next(compress(count(), map(lt, self.coeffs, repeat(0))), None)
 
     def truncate(self, order: int) -> "TruncSeries":
         """The same series cut at a lower order (itself at its own)."""
@@ -265,32 +279,30 @@ class TruncSeries:
 
     def compare(self, other: "TruncSeries") -> Optional[Mismatch]:
         """First disagreement over the common order, or None if equal."""
-        n = min(self.order, other.order)
-        for k in range(n + 1):
-            if self.coeffs[k] != other.coeffs[k]:
-                return Mismatch(k, self.coeffs[k], other.coeffs[k])
-        return None
+        k = next(compress(count(), map(ne, self.coeffs, other.coeffs)), None)
+        if k is None:
+            return None
+        return Mismatch(k, self.coeffs[k], other.coeffs[k])
 
     # -- ring operations -----------------------------------------------
 
+    # map over two tuples stops at the shorter, which truncates the
+    # result to the smaller order.
+
     def add(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        return TruncSeries(
-            n, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)]
-        )
+        return TruncSeries(n, map(add, self.coeffs, other.coeffs))
 
     def sub(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        return TruncSeries(
-            n, [self.coeffs[k] - other.coeffs[k] for k in range(n + 1)]
-        )
+        return TruncSeries(n, map(sub, self.coeffs, other.coeffs))
 
     def neg(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-c for c in self.coeffs])
+        return TruncSeries(self.order, map(neg, self.coeffs))
 
     def scale(self, factor: int) -> "TruncSeries":
         _check_int("scale factor", factor)
-        return TruncSeries(self.order, [factor * c for c in self.coeffs])
+        return TruncSeries(self.order, map(mul, repeat(factor), self.coeffs))
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         """Product, truncated to the smaller order.
@@ -359,31 +371,25 @@ class TruncSeries:
         _check_int("power", k)
         if k < 1:
             raise ValueError(f"power must be positive, got {k}")
-        n = self.order
-        out = [0] * (n + 1)
-        out[::k] = self.coeffs[: n // k + 1]
-        return TruncSeries(n, out)
+        return dilate(self.coeffs, k, self.order)
 
     def alternate(self) -> "TruncSeries":
         """Substitute q -> -q, negating odd-exponent coefficients."""
-        return TruncSeries(
-            self.order,
-            [-c if k & 1 else c for k, c in enumerate(self.coeffs)],
-        )
+        out = list(self.coeffs)
+        out[1::2] = map(neg, self.coeffs[1::2])
+        return TruncSeries(self.order, out)
 
     def even_part(self) -> "TruncSeries":
         """Keep even-exponent terms, zeroing the odd positions."""
-        return TruncSeries(
-            self.order,
-            [0 if k & 1 else c for k, c in enumerate(self.coeffs)],
-        )
+        out = [0] * (self.order + 1)
+        out[::2] = self.coeffs[::2]
+        return TruncSeries(self.order, out)
 
     def odd_part(self) -> "TruncSeries":
         """Keep odd-exponent terms, zeroing the even positions."""
-        return TruncSeries(
-            self.order,
-            [c if k & 1 else 0 for k, c in enumerate(self.coeffs)],
-        )
+        out = [0] * (self.order + 1)
+        out[1::2] = self.coeffs[1::2]
+        return TruncSeries(self.order, out)
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by q^k; the top k coefficients fall off the end."""
@@ -393,7 +399,7 @@ class TruncSeries:
         n = self.order
         if k > n:
             return TruncSeries(n)
-        return TruncSeries(n, [0] * k + list(self.coeffs[: n + 1 - k]))
+        return TruncSeries(n, (0,) * k + self.coeffs[: n + 1 - k])
 
     # -- operator sugar --------------------------------------------------
 
@@ -463,10 +469,6 @@ def hecke_T2(a: TruncSeries) -> TruncSeries:
     the input order, since a[2m] is needed up to the output order.
     """
     n = a.order // 2
-    out = []
-    for m in range(n + 1):
-        c = a.coeffs[2 * m]
-        if m % 2 == 0:
-            c += 4 * a.coeffs[m // 2]
-        out.append(c)
+    out = list(a.coeffs[::2])
+    out[::2] = map(add, out[::2], map(mul, repeat(4), a.coeffs[: n // 2 + 1]))
     return TruncSeries(n, out)

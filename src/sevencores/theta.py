@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .series import TruncSeries, prefix_cached
+from .series import TruncSeries, dilate, prefix_cached
 
 
 def _check_order(order: int) -> None:
@@ -217,7 +217,7 @@ def eta_quotient(factors, order: int) -> TruncSeries:
     g = gcd(*(step for step, _ in pairs)) or 1
     reduced = tuple((step // g, exp) for step, exp in pairs)
     out = _eta_quotient(reduced, order // g)
-    return out if g == 1 else TruncSeries(order, out.coeffs).compose_power(g)
+    return out if g == 1 else dilate(out.coeffs, g, order)
 
 
 @prefix_cached

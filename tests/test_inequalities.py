@@ -1,20 +1,73 @@
-"""Scan layer: claim registry shape, sample capture, violation reporting."""
+"""Scan layer: claim registry shape, sample capture, violation reporting.
+
+``oracle_scan`` is the per-n scan the table rows used to run: one
+comprehension per column and one loop step per instance.  The rows now
+take each column as a slice of the series, and a differential test
+checks them against it.
+"""
+
+from itertools import repeat
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sevencores import exprlang
+from sevencores import exprlang, inequalities
 from sevencores.inequalities import (
     CLAIMS,
     DEFAULT_DEPTH,
     SAMPLE_COUNT,
     SERIES,
     LinearClaim,
+    ScanReport,
     check_theorem_1_1,
     claim_ids,
     core_split,
     run_all,
     run_claim,
 )
+from sevencores.series import TruncSeries
+
+
+def oracle_scan(claim: LinearClaim, order: int) -> ScanReport:
+    """The report of ``claim`` at this order, one n at a time."""
+    terms = claim.lhs + claim.rhs
+    hi = min((order - b) // a for _, _, a, b in terms)
+    names = {name for _, name, _, _ in terms}
+    coeffs = {
+        name: inequalities.evaluate(SERIES[name], order).coeffs for name in names
+    }
+    ns = [
+        n for n in range(claim.n0, hi + 1)
+        if not claim.mod7 or n % 7 in claim.mod7
+    ]
+
+    def side(terms):
+        columns = [
+            [c * coeffs[name][a * n + b] for n in ns]
+            for c, name, a, b in terms
+        ]
+        return map(sum, zip(*columns)) if columns else repeat(0)
+
+    samples = []
+    violation = None
+    for n, lhs, rhs in zip(ns, side(claim.lhs), side(claim.rhs)):
+        if len(samples) < SAMPLE_COUNT:
+            samples.append((n, lhs, rhs))
+        ok = lhs >= rhs if claim.relation == "ge" else lhs == rhs
+        if not ok:
+            violation = (n, lhs, rhs)
+            break
+    return ScanReport(
+        claim=claim.id,
+        kind=claim.kind,
+        description=claim.description,
+        n_range=(claim.n0, hi),
+        status="violated" if violation else "holds" if samples else "empty",
+        violation=violation,
+        samples=tuple(samples),
+    )
 
 
 def test_core_split_heads():
@@ -234,3 +287,100 @@ def test_golden_reports():
             (order, claim, r.n_range, r.status, r.samples[0] if r.samples else None)
         )
     assert got == list(GOLDEN)
+
+
+def test_table_rows_match_the_oracle():
+    for order in (6000, *range(120)):
+        for record in CLAIMS:
+            assert record.runner(order) == oracle_scan(record.runner, order), (
+                record.id, order,
+            )
+
+
+NAMES = ("s0", "s1", "s2")
+
+
+@st.composite
+def scan_cases(draw):
+    """The fields of a valid random row over the series s0..s2, the
+    series themselves and an order; small orders and large offsets give
+    empty ranges."""
+    order = draw(st.integers(min_value=0, max_value=300))
+    low, high = draw(st.sampled_from(((-3, 3), (-1, 20), (0, 9))))
+    values = st.integers(min_value=low, max_value=high)
+    series = {}
+    for name in NAMES:
+        cs = draw(st.lists(values, min_size=order + 1, max_size=order + 1))
+        # Only every gap-th coefficient may be nonzero.
+        gap = draw(st.sampled_from((1, 1, 2, 5, 13)))
+        series[name] = TruncSeries(
+            order, [c if k % gap == 0 else 0 for k, c in enumerate(cs)]
+        )
+    n0 = draw(st.integers(min_value=0, max_value=5))
+
+    @st.composite
+    def term(draw):
+        coef = draw(st.integers(min_value=1, max_value=15))
+        coef *= draw(st.sampled_from((1, -1)))
+        top = draw(st.sampled_from((3, 30)))  # small steps give long ranges
+        a = draw(st.integers(min_value=1, max_value=top))
+        b = draw(st.integers(min_value=-a * n0, max_value=40))
+        return (coef, draw(st.sampled_from(NAMES)), a, b)
+
+    lhs = tuple(draw(st.lists(term(), min_size=1, max_size=3)))
+    # A mirrored rhs sums to the lhs, so the row holds unless one more
+    # term breaks it, often late in the range.
+    rhs = draw(st.sampled_from((
+        tuple(draw(st.lists(term(), min_size=0, max_size=3))),
+        lhs[::-1],
+        lhs[::-1] + (draw(term()),),
+    )))
+    fields = (
+        lhs, rhs, draw(st.sampled_from(("ge", "eq"))), n0,
+        tuple(sorted(draw(st.sets(st.integers(min_value=0, max_value=6))))),
+    )
+    return fields, series, order
+
+
+@settings(deadline=None)
+@given(scan_cases())
+def test_random_rows_match_the_oracle(case):
+    fields, series, order = case
+    with mock.patch.object(
+        inequalities, "evaluate", lambda name, n: series[name].truncate(n)
+    ), mock.patch.dict(SERIES, {name: name for name in NAMES}):
+        claim = LinearClaim("random", "conjecture", "a random row", *fields)
+        assert claim(order) == oracle_scan(claim, order)
+
+
+def row(*terms, **fields):
+    return LinearClaim("bad", "theorem", "a bad row", terms, **fields)
+
+
+def test_rows_are_validated_when_built():
+    # a7[-1] would read the top coefficient of a7.
+    with pytest.raises(ValueError, match="a\\*n0 \\+ b >= 0"):
+        row((1, "a7", 1, -1))
+    with pytest.raises(ValueError, match="a >= 1"):
+        row((1, "a7", 0, 3))
+    with pytest.raises(ValueError, match="a >= 1"):
+        row((1, "a7", -2, 3))
+    with pytest.raises(ValueError, match="n0 = 1"):
+        row((1, "a7", 2, 2), (1, "b", 3, -4), n0=1)
+    with pytest.raises(ValueError, match="relation"):
+        row((1, "a7", 1, 0), relation="le")
+    with pytest.raises(ValueError, match="mod7"):
+        row((1, "a7", 1, 0), mod7=(0, 7))
+    with pytest.raises(ValueError, match="mod7"):
+        row((1, "a7", 1, 0), mod7=(-1,))
+    with pytest.raises(ValueError, match="no series named 'a8'"):
+        row((1, "a8", 1, 0))
+    with pytest.raises(ValueError, match="at least one term"):
+        row()
+
+
+def test_valid_edge_rows_are_accepted():
+    # cor-4.1 reads a7(n - 1) from n0 = 1, so its first index is 0.
+    assert row((3, "a7", 1, -1), n0=1)(10).samples[0] == (1, 3, 0)
+    assert row((1, "b", 1, 0), relation="eq", mod7=tuple(range(7)))(0).status == "violated"
+    assert row(rhs=((1, "a7", 1, 0),))(5).violation == (0, 0, 1)

@@ -16,10 +16,11 @@ from sevencores.series import (
     TruncSeries,
     _kronecker,
     _pair_product,
+    hecke_T2,
     prefix_cached,
     stride,
 )
-from sevencores.theta import euler_E, omega_at, sigma_at
+from sevencores.theta import euler_E, eta_quotient, omega_at, sigma_at
 
 # partition numbers p(0)..p(10), counted by listing partitions
 PARTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -52,6 +53,8 @@ def test_constructor_pads_and_validates():
         TruncSeries(1, (1, 2, 3))
     with pytest.raises(TypeError):
         TruncSeries(2, (1.5, 0))
+    with pytest.raises(TypeError):
+        TruncSeries(3, [1, 2.0])
 
 
 def schoolbook_mul(x: TruncSeries, y: TruncSeries) -> TruncSeries:
@@ -77,6 +80,8 @@ def test_bool_is_not_a_coefficient():
         TruncSeries(3, [True])
     with pytest.raises(TypeError):
         TruncSeries(3, (1, False))
+    with pytest.raises(TypeError):
+        TruncSeries(2, [True])
     with pytest.raises(TypeError):
         TruncSeries.one(3).scale(True)
     assert TruncSeries(3, [1]).scale(2).coeffs == (2, 0, 0, 0)
@@ -537,3 +542,105 @@ def test_prefix_cache_stores_nothing_when_the_build_raises():
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses + 2)
     assert euler_E(1, 12).coeffs == PENT
+
+
+# Per-coefficient definitions of the passes ``TruncSeries`` runs as
+# slices and maps: each builds the coefficients one k at a time.
+UNARY = {
+    "neg": lambda cs: [-c for c in cs],
+    "alternate": lambda cs: [-c if k & 1 else c for k, c in enumerate(cs)],
+    "even_part": lambda cs: [0 if k & 1 else c for k, c in enumerate(cs)],
+    "odd_part": lambda cs: [c if k & 1 else 0 for k, c in enumerate(cs)],
+}
+
+
+def slow_shift(cs, k):
+    return [cs[m - k] if m >= k else 0 for m in range(len(cs))]
+
+
+def slow_compose_power(cs, k):
+    return [0 if m % k else cs[m // k] for m in range(len(cs))]
+
+
+def slow_hecke_T2(cs):
+    n = (len(cs) - 1) // 2
+    return [cs[2 * m] + (0 if m % 2 else 4 * cs[m // 2]) for m in range(n + 1)]
+
+
+def slow_first(cs, pred):
+    for k, c in enumerate(cs):
+        if pred(k, c):
+            return k
+    return None
+
+
+# Orders 0..60 with coefficients of every size, big ints included.
+wide_series = st.integers(min_value=0, max_value=60).flatmap(
+    lambda order: st.lists(
+        st.one_of(st.integers(min_value=-3, max_value=3), st.integers()),
+        max_size=order + 1,
+    ).map(lambda cs: TruncSeries(order, cs))
+)
+
+
+@given(wide_series)
+def test_unary_passes_match_their_definitions(a):
+    for name, slow in UNARY.items():
+        assert getattr(a, name)() == TruncSeries(a.order, slow(a.coeffs)), name
+    assert hecke_T2(a) == TruncSeries(a.order // 2, slow_hecke_T2(a.coeffs))
+    assert a.is_zero() == all(c == 0 for c in a.coeffs)
+    assert a.first_negative() == slow_first(a.coeffs, lambda k, c: c < 0)
+
+
+@given(wide_series, st.integers(), st.integers(min_value=0, max_value=70),
+       st.integers(min_value=1, max_value=70))
+def test_indexed_passes_match_their_definitions(a, factor, k, g):
+    assert a.scale(factor) == TruncSeries(a.order, [factor * c for c in a.coeffs])
+    assert a.shift(k) == TruncSeries(a.order, slow_shift(a.coeffs, k))
+    assert a.compose_power(g) == TruncSeries(
+        a.order, slow_compose_power(a.coeffs, g)
+    )
+
+
+@given(wide_series, wide_series)
+def test_binary_passes_match_their_definitions(a, b):
+    n = min(a.order, b.order)
+    x, y = a.coeffs[: n + 1], b.coeffs[: n + 1]
+    assert a.add(b) == TruncSeries(n, [x[k] + y[k] for k in range(n + 1)])
+    assert a.sub(b) == TruncSeries(n, [x[k] - y[k] for k in range(n + 1)])
+    k = slow_first(x, lambda k, c: c != y[k])
+    assert a.compare(b) == (None if k is None else Mismatch(k, x[k], y[k]))
+
+
+@pytest.mark.parametrize("cs", [(5,), (-2,), (5, 7), (0, -7)])
+def test_passes_at_orders_0_and_1(cs):
+    a = TruncSeries(len(cs) - 1, cs)
+    assert a.even_part().coeffs == (cs[0],) + (0,) * (len(cs) - 1)
+    assert a.odd_part().coeffs == (0,) + cs[1:]
+    assert a.alternate().coeffs == (cs[0],) + tuple(-c for c in cs[1:])
+    assert hecke_T2(a).coeffs == (5 * cs[0],)
+    assert a.compose_power(2).coeffs == (cs[0],) + (0,) * (len(cs) - 1)
+    assert a.shift(1).coeffs == (0,) + cs[:-1]
+
+
+def test_a_spread_is_one_construction(monkeypatch):
+    """A product of series in q^2 and a dilated eta quotient each build
+    one series at the full order, through ``TruncSeries.__init__``.  (A
+    cached reduced quotient may also be truncated, at half the order.)"""
+    a = TruncSeries(40, [1, 0, 3, 0, -2])
+    b = euler_E(2, 40)
+    factors = {14: 7, 2: -1}
+    product, quotient = schoolbook_mul(a, b), eta_quotient(factors, 40)
+    full = []
+    init = TruncSeries.__init__
+
+    def counting_init(self, order, coeffs=()):
+        if order == 40:
+            full.append(order)
+        init(self, order, coeffs)
+
+    monkeypatch.setattr(TruncSeries, "__init__", counting_init)
+    assert a.mul(b) == product
+    assert len(full) == 1
+    assert eta_quotient(factors, 40) == quotient
+    assert len(full) == 2
