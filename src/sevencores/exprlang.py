@@ -27,9 +27,10 @@ a stack overflow in the parser, the printer or the evaluator.  So is an
 integer literal too long for ``int`` (Python refuses more than 4300
 digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
 refuses, before it builds anything, a tree whose exponents multiply past
-MAX_EXPONENT along one root-to-leaf path, such as E(q)^100^100.  Each T2
-doubles the order its argument is evaluated at; past 2 * MAX_ORDER that
-is an evaluation error.
+MAX_EXPONENT along one root-to-leaf path, such as E(q)^100^100, and a
+tree whose degree passes MAX_DEGREE, such as a product of three E(q)^100
+factors.  Each T2 doubles the order its argument is evaluated at; past
+2 * MAX_ORDER that is an evaluation error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .series import MAX_ORDER, TruncSeries, hecke_T2, prefix_cached
 from .theta import (
     ThetaArgs,
     chi_neg,
+    divide_by_euler,
     eta_quotient,
     euler_E,
     omega_at,
@@ -220,6 +222,12 @@ MAX_DEPTH = 100
 #: power grows with its exponent: on a 2-core Xeon, E(q)^100 at order
 #: MAX_ORDER takes ~5 s, and E(q)^1000000 at order 2000 ran over a minute.
 MAX_EXPONENT = 100
+
+#: Largest degree of an evaluated tree (``_degree``): two factors at the
+#: exponent limit, such as E(q)^100 * E(q)^100.  The catalog's largest
+#: is 12.  Unbounded, thirty factors E(q)^100 at order 2000 ran ~9 s on
+#: a 2-core Xeon, and twenty factors psi(q)^100 ~30 s.
+MAX_DEGREE = 2 * MAX_EXPONENT
 
 
 def _too_deep(offset: int) -> ExprSyntaxError:
@@ -576,11 +584,52 @@ def _fold(node: Node) -> Optional[EtaFold]:
     )
 
 
+def _shift_scale(out: TruncSeries, fold: EtaFold) -> TruncSeries:
+    """out times the fold's q^shift and constant."""
+    if fold.shift:
+        out = out.shift(fold.shift)
+    return out if fold.const == 1 else out.scale(fold.const)
+
+
+def _divide_last(node: Binary) -> Optional[tuple]:
+    """(other, fold) for a product or quotient in which exactly one
+    operand folds: the node is other times the EtaFold, a divisor's fold
+    inverted.  None when both or neither fold, when the fold is the
+    dividend, or when a divisor's fold has a shift or a constant other
+    than +1 or -1 (eval_ast reports those)."""
+    left, right = _fold(node.left), _fold(node.right)
+    if (left is None) == (right is None):
+        return None
+    if right is None:
+        return (node.right, left) if node.op == "*" else None
+    if node.op == "*":
+        return node.left, right
+    if right.shift or right.const not in (1, -1):
+        return None
+    inverse = {k: -v for k, v in right.factors.items()}
+    return node.left, EtaFold(inverse, 0, right.const)
+
+
 @prefix_cached
 def _eval_product(node: Node, order: int) -> TruncSeries:
-    """A product, quotient or power that does not fold, from its operands."""
+    """A product, quotient or power that does not fold, from its operands.
+
+    When one operand folds (``_divide_last``), the other is multiplied by
+    the fold's positive part and then divided by one euler_E(step) per
+    unit of negative exponent (``divide_by_euler``), as ``eta_quotient``
+    divides.  The quotient of the fold alone can have far wider
+    coefficients than the whole product, and a product of Euler factors
+    is a dense divisor where each factor is a sparse one."""
     if isinstance(node, Power):
         return eval_ast(node.base, order).pow(node.exponent)
+    mixed = _divide_last(node)
+    if mixed is not None:
+        other, fold = mixed
+        out = eval_ast(other, order)
+        positive = {k: v for k, v in fold.factors.items() if v > 0}
+        if positive:
+            out = out.mul(eta_quotient(positive, order))
+        return _shift_scale(divide_by_euler(out, fold.factors.items()), fold)
     left = eval_ast(node.left, order)
     right = eval_ast(node.right, order)
     if node.op == "*":
@@ -599,17 +648,16 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     A product, quotient or power that folds (see ``_fold``) is one
     ``eta_quotient`` call, which caches it.  Any other product, quotient
     or power is cached under its node, so equal subtrees share one
-    entry.  Leaves are cached atoms; sums, differences and the unary
-    operations cost one pass over the coefficients and are not cached.
+    entry; one with an operand that folds divides last (see
+    ``_eval_product``).  Leaves are cached atoms; sums, differences and
+    the unary operations cost one pass over the coefficients and are not
+    cached.
     """
     if _is_product(node):
         folded = _fold(node)
         if folded is None:
             return _eval_product(node, order)
-        out = eta_quotient(folded.factors, order)
-        if folded.shift:
-            out = out.shift(folded.shift)
-        return out if folded.const == 1 else out.scale(folded.const)
+        return _shift_scale(eta_quotient(folded.factors, order), folded)
     if isinstance(node, Const):
         return TruncSeries.constant(node.value, order)
     if isinstance(node, QPow):
@@ -662,10 +710,26 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _check_exponents(root: Node) -> None:
+def _degree(node: Node) -> int:
+    """1 per leaf, added across * and /, times max(e, 1) across ^ e, and
+    the largest operand's across +, - and the unary operations: at most
+    this many atom factors are multiplied into any one term."""
+    if isinstance(node, Power):
+        return _degree(node.base) * max(node.exponent, 1)
+    if isinstance(node, Unary):
+        return _degree(node.child)
+    if isinstance(node, Binary):
+        left, right = _degree(node.left), _degree(node.right)
+        return left + right if node.op in ("*", "/") else max(left, right)
+    return 1
+
+
+def _check_bounds(root: Node) -> None:
     """Refuse a tree whose ^ exponents multiply past MAX_EXPONENT on some
-    root-to-leaf path.  An exponent 0 counts as 1 here, because the
-    base under it is still evaluated.  Walked without recursion."""
+    root-to-leaf path, or whose degree passes MAX_DEGREE.  An exponent 0
+    counts as 1 here, because the base under it is still evaluated.  The
+    exponents are walked without recursion; the degree recurses once per
+    level, and parsed trees are at most MAX_DEPTH levels tall."""
     stack = [(root, 1, None)]
     while stack:
         node, product, outer = stack.pop()
@@ -683,6 +747,11 @@ def _check_exponents(root: Node) -> None:
             stack.append((node.child, product, outer))
         elif isinstance(node, Binary):
             stack += ((node.left, product, outer), (node.right, product, outer))
+    degree = _degree(root)
+    if degree > MAX_DEGREE:
+        raise ExprEvalError(
+            to_text(root), f"its degree {degree} is above the limit {MAX_DEGREE}"
+        )
 
 
 class Text(str):
@@ -693,15 +762,15 @@ class Text(str):
     @cached_property
     def node(self) -> Node:
         node = parse(self)
-        _check_exponents(node)
+        _check_bounds(node)
         return node
 
 
 def evaluate(expr, order: int) -> TruncSeries:
-    """Parse (if given text), check the exponent bound, and evaluate to a
-    TruncSeries."""
+    """Parse (if given text), check the exponent and degree bounds, and
+    evaluate to a TruncSeries."""
     if isinstance(expr, Text):
         return eval_ast(expr.node, order)
     node = parse(expr) if isinstance(expr, str) else expr
-    _check_exponents(node)
+    _check_bounds(node)
     return eval_ast(node, order)

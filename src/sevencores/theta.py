@@ -222,20 +222,28 @@ def eta_quotient(factors, order: int) -> TruncSeries:
 
 @prefix_cached
 def _eta_quotient(pairs: tuple, order: int) -> TruncSeries:
-    """Positive exponents are multiplied in first.  Then the product is
-    divided by euler_E(step) once per unit of each negative exponent:
-    division costs the divisor's nonzero terms times the order, and a
-    single E(q^step) has about sqrt(order) of them, far fewer than a
-    power or a product of several.  Both loops take the largest step
-    first, so the partial result stays a series in q^g for a large g
-    (which ``mul`` and ``div`` work on at order // g) for longest."""
+    """Positive exponents are multiplied in first, largest step first, so
+    the partial product stays a series in q^g for a large g (which
+    ``mul`` works on at order // g) for longest; then ``divide_by_euler``
+    divides by the rest."""
     out = TruncSeries.one(order)
     for step, exp in reversed(pairs):
         if exp > 0:
             out = out.mul(euler_E(step, order).pow(exp))
-    for step, exp in reversed(pairs):
+    return divide_by_euler(out, pairs)
+
+
+def divide_by_euler(out: TruncSeries, pairs) -> TruncSeries:
+    """out divided by euler_E(step) once per unit of each negative exp
+    among the (step, exp) pairs.  Division costs the divisor's nonzero
+    terms times the order, and a single E(q^step) has about sqrt(order)
+    of them, far fewer than a power or a product of several.  The
+    largest step goes first, so the partial quotient stays a series in
+    q^g for a large g (which ``div`` works on at order // g) for
+    longest."""
+    for step, exp in sorted(pairs, reverse=True):
         for _ in range(-exp):
-            out = out.div(euler_E(step, order))
+            out = out.div(euler_E(step, out.order))
     return out
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, environment default."""
 
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -263,6 +265,21 @@ def test_compounded_exponents_are_usage_error(capsys):
     assert out.split("\n")[:4] == ["0 1", "1 -100", "2 4850", "3 -151800"]
 
 
+@pytest.mark.parametrize("factor, count", [("psi(q)^100", 20), ("E(q)^100", 30)])
+def test_products_of_many_powers_are_usage_error(capsys, factor, count):
+    # Each factor is within the exponent limit; unbounded, these ran for
+    # tens of seconds.  evaluate refuses their degree before building.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "*".join([factor] * count), "--order", "2000"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"its degree {100 * count} is above the limit" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_coeffs_eval_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "1/(1 - 1)", "--order", "4"])
@@ -340,3 +357,35 @@ def test_max_order_is_accepted(capsys):
     code, out = run(capsys, "coeffs", "q^2", "--order", top, "--from", top)
     assert code == 0
     assert out == f"{top} 0\n"
+
+
+# sha256 of stdout, recorded before division was blocked and mixed
+# products divided last.  A speed change must leave every one as it is;
+# verify's "millis" is wall time, so it is cut before hashing.
+GOLDEN = {
+    "scan-theorems-6000": (
+        ["scan", "--theorems", "--order", "6000"], 0,
+        "28c780408cf6edf107c615616b14b10fe1e6be194bce1b18566d052db0cab541",
+    ),
+    "scan-conjectures-6000": (
+        ["scan", "--conjectures", "--order", "6000"], 3,
+        "4b26b4aeb2878c62468f600886f3f39a1a60f745fa96acde154b6712770fde40",
+    ),
+    "verify-all-1600": (
+        ["verify", "--all", "--order", "1600", "--format", "jsonlike"], 0,
+        "ce7246bae4f10329c9d9acf39c20c87a5eeac05ff218ddd263b14454651cb87e",
+    ),
+    "table-a7j-3000": (
+        ["table", "a7j", "--max", "3000", "--csv"], 0,
+        "60d90a121fe99db2819f762d0467f332b8bf029ccc22a2f56c13558492d99320",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_stdout_matches_its_golden_digest(capsys, name):
+    argv, want_code, digest = GOLDEN[name]
+    code, out = run(capsys, *argv)
+    assert code == want_code
+    out = re.sub(r', "millis": [^,}]+', "", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -15,6 +15,7 @@ from sevencores.exprlang import (
     EtaFold,
     EulerAtom,
     ExprEvalError,
+    MAX_DEGREE,
     MAX_DEPTH,
     MAX_EXPONENT,
     ExprSyntaxError,
@@ -28,6 +29,7 @@ from sevencores.exprlang import (
     SigmaAtom,
     ThetaAtom,
     Unary,
+    _degree,
     _eval_product,
     _fold,
     eval_ast,
@@ -37,7 +39,7 @@ from sevencores.exprlang import (
 )
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries
-from sevencores.theta import chi_neg, euler_E, psi, sigma
+from sevencores.theta import chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
 
 
 def test_parse_quotient_power():
@@ -173,6 +175,18 @@ def test_exponents_multiply_along_a_path():
     assert to_text(parse("E(q)^100^100")) == "E(q)^100^100"
 
 
+def test_degree_adds_across_products_and_multiplies_across_powers():
+    assert _degree(parse("psi(q)*(phi(q)^2 - q^3) + T2(E(q)^0)")) == 3
+    assert _degree(parse("-(E(q)/psi(q))^3")) == 6
+    assert _degree(parse("E(q)^100 * E(q)^100")) == MAX_DEGREE
+    for text in ("E(q)^100 * E(q)^100 * q", "1 + psi(q)^50*phi(q)^51*(q + E(q)^100)"):
+        with pytest.raises(
+            ExprEvalError, match=f"degree 201 is above the limit {MAX_DEGREE}"
+        ) as exc:
+            evaluate(text, 2)
+        assert exc.value.expression == to_text(parse(text))
+
+
 def test_nested_t2_stops_before_building_past_twice_max_order():
     assert evaluate("T2(q)", MAX_ORDER) == TruncSeries(MAX_ORDER, (0, 0, 4))
     assert evaluate("T2(T2(q^4))", MAX_ORDER // 2).coeffs[:2] == (0, 1)
@@ -245,20 +259,15 @@ def test_fold_collects_one_eta_quotient():
         assert _fold(parse(text)) is None
 
 
-def unfolded(node, order):
-    """Every operand evaluated on its own, as before folding: the oracle
-    for products, quotients and powers of E, chi, q^s and constants."""
-    if isinstance(node, Const):
-        return TruncSeries.constant(node.value, order)
-    if isinstance(node, QPow):
-        return TruncSeries.monomial(1, node.k, order)
-    if isinstance(node, EulerAtom):
-        return euler_E(node.k, order)
-    if isinstance(node, ChiAtom):
-        return chi_neg(node.k, order)
+def plain_walk(node, order):
+    """Every product, quotient and power taken as it is written, by mul,
+    div and pow on its evaluated operands: the oracle for folding and for
+    divide-last evaluation."""
     if isinstance(node, Power):
-        return unfolded(node.base, order).pow(node.exponent)
-    left, right = unfolded(node.left, order), unfolded(node.right, order)
+        return plain_walk(node.base, order).pow(node.exponent)
+    if not isinstance(node, Binary):
+        return eval_ast(node, order)
+    left, right = plain_walk(node.left, order), plain_walk(node.right, order)
     if node.op == "*":
         return left.mul(right)
     if right.coeffs[0] not in (1, -1):
@@ -291,7 +300,7 @@ def test_folding_matches_the_unfolded_walk(node, order):
     # unit, and then it raises, so it never adds to the node cache.
     cached = _eval_product.cache_info().currsize
     try:
-        want = unfolded(node, order)
+        want = plain_walk(node, order)
     except ExprEvalError as exc:
         with pytest.raises(ExprEvalError) as got:
             eval_ast(node, order)
@@ -317,6 +326,80 @@ def test_non_unit_divisor_still_raises(text, divisor, constant):
         evaluate(text, 30)
     assert exc.value.expression == divisor
     assert f"constant term +1 or -1, got {constant}" in str(exc.value)
+
+
+# Eta factors, q^s and constants, which fold, mixed with theta leaves,
+# which do not.
+mixed_trees = st.recursive(
+    st.one_of(
+        st.builds(EulerAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(ChiAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(QPow, st.integers(min_value=0, max_value=3)),
+        st.builds(Const, st.integers(min_value=-2, max_value=3)),
+        st.builds(PsiAtom, st.integers(min_value=1, max_value=4)),
+        st.builds(PhiAtom, st.integers(min_value=1, max_value=4)),
+        st.builds(OmegaAtom, st.integers(min_value=1, max_value=2)),
+    ),
+    lambda children: st.one_of(
+        st.builds(Power, children, st.integers(min_value=0, max_value=3)),
+        st.builds(Binary, st.sampled_from(("*", "/")), children, children),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_trees, st.integers(min_value=0, max_value=150))
+def test_divide_last_matches_the_plain_walk(node, order):
+    try:
+        want = plain_walk(node, order)
+    except ExprEvalError as exc:
+        with pytest.raises(ExprEvalError) as got:
+            eval_ast(node, order)
+        assert got.value.expression == exc.expression
+        assert str(got.value) == str(exc)
+    else:
+        assert eval_ast(node, order) == want
+
+
+@pytest.mark.parametrize(
+    "text, divisor, constant",
+    [
+        ("psi(q)/(2*E(q))", "2*E(q)", 2),
+        ("omega(q)*E(q)/(q*chi(-q))", "q*chi(-q)", 0),
+        ("phi(q)/(3*E(q^2))^2", "(3*E(q^2))^2", 9),
+        ("E(q)^2*(psi(q)/q^2)", "q^2", 0),
+        ("psi(q)/(0*E(q)/E(q^2))", "0*E(q)/E(q^2)", 0),
+    ],
+)
+def test_mixed_non_unit_divisor_raises_as_before(text, divisor, constant):
+    with pytest.raises(ExprEvalError) as exc:
+        evaluate(text, 30)
+    assert exc.value.expression == divisor
+    assert str(exc.value) == (
+        f"cannot evaluate '{divisor}': division needs constant term"
+        f" +1 or -1, got {constant}"
+    )
+
+
+def test_a_divisor_that_folds_is_divided_factor_by_factor(monkeypatch):
+    """W * omega(q^3) never builds W, and psi(q^3)/(E(q^4)*E(q^28))
+    divides by each Euler factor, not by their dense product.  (Nodes no
+    other test evaluates, so the node cache holds neither.)"""
+    from sevencores import exprlang
+
+    built = []
+
+    def logged(factors, order):
+        built.append(dict(factors))
+        return eta_quotient(factors, order)
+
+    monkeypatch.setattr(exprlang, "eta_quotient", logged)
+    got = evaluate("(E(q^14)^4/(E(q^4)*E(q^28)))*omega(q^3)", 60)
+    assert got == eta_quotient({14: 4, 4: -1, 28: -1}, 60).mul(omega_at(3, 60))
+    got = evaluate("psi(q^3)/(E(q^4)*E(q^28))", 60)
+    assert got == psi(3, 60).div(euler_E(4, 60)).div(euler_E(28, 60))
+    assert built == [{14: 4}]
 
 
 def test_failed_evaluation_caches_nothing():

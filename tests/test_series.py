@@ -1,26 +1,33 @@
 """Core truncated-series arithmetic, checked against hand-counted values.
 
 The schoolbook double loop below is the oracle for both product kernels
-in ``series``: the pair loop and the Kronecker big-int multiply.
+in ``series``: the pair loop and the Kronecker big-int multiply.  The
+coefficient-by-coefficient recurrence is the oracle for the blocked
+division, and the gcd over every exponent for ``stride``.
 """
+
+from itertools import compress
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencores.exprlang import evaluate
-from sevencores.forms import FFF7, W, CoreSplit, core_split
+from sevencores.forms import FFF7, G, W, CoreSplit, core_split
 from sevencores.partitions import _flip_layers
 from sevencores.series import (
+    BLOCK,
     Mismatch,
     TruncSeries,
+    _divide,
     _kronecker,
     _pair_product,
     hecke_T2,
     prefix_cached,
     stride,
 )
-from sevencores.theta import euler_E, eta_quotient, omega_at, sigma_at
+from sevencores.theta import euler_E, eta_quotient, omega_at, phi, sigma_at
 
 # partition numbers p(0)..p(10), counted by listing partitions
 PARTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -453,6 +460,113 @@ def test_strided_div_refuses_a_non_unit_divisor():
             r"only \+1 or -1 is supported$",
         ):
             x / y
+
+
+# -- blocked division against the recurrence ---------------------------
+
+
+def recurrence_divide(a: tuple, b: tuple, n: int) -> list:
+    """Coefficients 0..n of a/b for b[0] in (1, -1), one coefficient at
+    a time: out[m] = b[0] * (a[m] - sum of b[k]*out[m-k] over k >= 1)."""
+    support = list(compress(range(1, n + 1), b[1 : n + 1]))
+    out = [0] * (n + 1)
+    for m in range(n + 1):
+        acc = a[m]
+        for k in support:
+            if k > m:
+                break
+            acc -= b[k] * out[m - k]
+        out[m] = b[0] * acc
+    return out
+
+
+def division_agrees(x, y):
+    """Assert that div and _divide give the recurrence's quotient."""
+    n = min(x.order, y.order)
+    a, b = x.coeffs[: n + 1], y.coeffs[: n + 1]
+    want = recurrence_divide(a, b, n)
+    assert _divide(a, b, n) == want
+    assert x.div(y) == TruncSeries(n, want)
+
+
+division_coeff = st.one_of(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from((2**100, -(2**100))),
+)
+# Exponents on either side of the first and the second block edge.
+EDGES = (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1)
+
+
+@st.composite
+def division_operands(draw):
+    """A dividend of order 0..300 and a unit divisor, both in q^g for a
+    g of 1..7.  The divisor's terms sit at the block edges or anywhere,
+    up to 40 exponents past the dividend's order."""
+    g = draw(st.integers(min_value=1, max_value=7))
+    order = draw(st.integers(min_value=0, max_value=300))
+    longer = order + draw(st.integers(min_value=0, max_value=40))
+    exponents = draw(st.lists(
+        st.one_of(st.sampled_from(EDGES), st.integers(1, longer // g + 1)),
+        max_size=12,
+    ))
+    b = [0] * (longer + 1)
+    b[0] = draw(st.sampled_from((1, -1)))
+    for k in exponents:
+        if g * k <= longer:
+            b[g * k] = draw(division_coeff)
+    a = [0] * (order + 1)
+    a[::g] = draw(st.lists(division_coeff, min_size=order // g + 1,
+                           max_size=order // g + 1))
+    return TruncSeries(order, a), TruncSeries(longer, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_operands())
+def test_division_matches_the_recurrence(xy):
+    division_agrees(*xy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=300), st.sampled_from((1, -1)),
+       st.sampled_from(EDGES), division_coeff)
+def test_division_by_one_term_at_a_block_edge(order, b0, k, v):
+    """b0 + v*q^k with k at a block edge, past the dividend's order or not."""
+    x = TruncSeries(order, [(-1) ** m * (m + 1) for m in range(order + 1)])
+    y = TruncSeries(max(order, k), [b0] + [0] * (k - 1) + [v])
+    division_agrees(x, y)
+
+
+def test_division_at_order_6000():
+    """The scans' largest division, E(q^7)^7 / E(q), whose divisor terms
+    are all +1 or -1."""
+    numerator = euler_E(7, 6000).pow(7)
+    divisor = euler_E(1, 6000)
+    division_agrees(numerator, divisor)
+    assert numerator.div(divisor) == evaluate(G, 6000)
+
+
+def test_division_by_a_dense_divisor():
+    """phi(q)^3 has a nonzero coefficient at every exponent but 4^a(8b+7),
+    and none past the constant term is +1 or -1."""
+    divisor = phi(1, 1600).pow(3)
+    assert len(set(divisor.coeffs)) > 50
+    division_agrees(TruncSeries.one(1600), divisor)
+    division_agrees(euler_E(1, 1600), divisor)
+
+
+def slow_stride(coeffs):
+    return gcd(*compress(range(len(coeffs)), coeffs))
+
+
+@given(st.integers(min_value=1, max_value=60), st.lists(big_coeff_st, max_size=80),
+       st.integers(min_value=0, max_value=200))
+def test_stride_matches_the_gcd(g, head, pad):
+    """A series in q^g padded with zeros.  A head of zeros gives zero, a
+    one-term head a constant, and the gcd may be a multiple of g."""
+    cs = [0] * (g * len(head) + pad)
+    cs[: g * len(head) : g] = head
+    assert stride(tuple(cs)) == slow_stride(cs)
 
 
 # -- the prefix cache ---------------------------------------------------
