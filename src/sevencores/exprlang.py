@@ -20,6 +20,11 @@ AST and reparsing reconstructs the identical tree, so parentheses are
 emitted exactly where reparsing would otherwise regroup.  A bare caret
 on q folds into the q^k atom itself.
 
+The six one-argument atoms (E, phi, psi, chi, sigma, omega) are one
+node type, ``KAtom``, and one table, ``_K_ATOMS``, which gives each its
+name and its builder in ``theta``; parsing, printing and evaluation all
+read that table.
+
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
 chains in the finished tree.  Deeper input is a syntax error rather than
@@ -39,20 +44,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
+from . import theta
 from .partitions import lattice_rank_sum, lattice_sum
 from .series import MAX_ORDER, TruncSeries, hecke_T2, prefix_cached
-from .theta import (
-    ThetaArgs,
-    chi_neg,
-    divide_by_euler,
-    eta_quotient,
-    euler_E,
-    omega_at,
-    phi,
-    psi,
-    sigma_at,
-    theta_f,
-)
+from .theta import ThetaArgs, divide_by_euler, eta_quotient, theta_f
 
 
 class ExprSyntaxError(ValueError):
@@ -90,34 +85,34 @@ class QPow(Node):
 
 
 @dataclass(frozen=True)
-class EulerAtom(Node):
+class KAtom(Node):
+    """A one-argument atom at q^k; its subclass names which (_K_ATOMS)."""
+
     k: int
 
 
-@dataclass(frozen=True)
-class PhiAtom(Node):
-    k: int
+class EulerAtom(KAtom):
+    pass
 
 
-@dataclass(frozen=True)
-class PsiAtom(Node):
-    k: int
+class PhiAtom(KAtom):
+    pass
 
 
-@dataclass(frozen=True)
-class ChiAtom(Node):
-    # chi(-q^k): the sign in the argument is part of the atom.
-    k: int
+class PsiAtom(KAtom):
+    pass
 
 
-@dataclass(frozen=True)
-class SigmaAtom(Node):
-    k: int
+class ChiAtom(KAtom):
+    """chi(-q^k): the sign in the argument is part of the atom."""
 
 
-@dataclass(frozen=True)
-class OmegaAtom(Node):
-    k: int
+class SigmaAtom(KAtom):
+    pass
+
+
+class OmegaAtom(KAtom):
+    pass
 
 
 @dataclass(frozen=True)
@@ -202,13 +197,17 @@ def _tokenize(text: str):
 # -- parser -------------------------------------------------------------
 
 _UNARY_NAMES = ("even", "odd", "T2", "altq")
-_KARG_ATOMS = {
-    "E": EulerAtom,
-    "phi": PhiAtom,
-    "psi": PsiAtom,
-    "sigma": SigmaAtom,
-    "omega": OmegaAtom,
+#: Name -> (node class, builder in ``theta``) of each one-argument atom.
+#: Builders are looked up by name at each call, so a rebound one is seen.
+_K_ATOMS = {
+    "E": (EulerAtom, "euler_E"),
+    "phi": (PhiAtom, "phi"),
+    "psi": (PsiAtom, "psi"),
+    "chi": (ChiAtom, "chi_neg"),
+    "sigma": (SigmaAtom, "sigma_at"),
+    "omega": (OmegaAtom, "omega_at"),
 }
+_K_ROWS = {cls: (name, builder) for name, (cls, builder) in _K_ATOMS.items()}
 _KNOWN_NAMES = (
     "q", "E", "phi", "psi", "chi", "f", "sigma", "omega",
     "even", "odd", "T2", "altq", "lattice", "lattice7",
@@ -373,17 +372,13 @@ class _Parser:
                 e, k = self.integer("an integer exponent")
                 return QPow(k, span=(start, e.pos + len(e.text)))
             return QPow(1, span=(start, start + 1))
-        if name in _KARG_ATOMS:
+        if name in _K_ATOMS:
             self.expect("(")
+            if name == "chi":
+                self.expect("-", 'the "-" of chi(-q^k)')
             k = self.parse_qarg()
             end = self.expect(")").pos + 1
-            return _KARG_ATOMS[name](k, span=(start, end))
-        if name == "chi":
-            self.expect("(")
-            self.expect("-", 'the "-" of chi(-q^k)')
-            k = self.parse_qarg()
-            end = self.expect(")").pos + 1
-            return ChiAtom(k, span=(start, end))
+            return _K_ATOMS[name][0](k, span=(start, end))
         if name == "f":
             self.expect("(")
             sa, r = self.parse_signed_qarg()
@@ -478,18 +473,9 @@ def to_text(node: Node) -> str:
         return str(node.value)
     if isinstance(node, QPow):
         return _qtxt(node.k)
-    if isinstance(node, EulerAtom):
-        return f"E({_qtxt(node.k)})"
-    if isinstance(node, PhiAtom):
-        return f"phi({_qtxt(node.k)})"
-    if isinstance(node, PsiAtom):
-        return f"psi({_qtxt(node.k)})"
-    if isinstance(node, ChiAtom):
-        return f"chi(-{_qtxt(node.k)})"
-    if isinstance(node, SigmaAtom):
-        return f"sigma({_qtxt(node.k)})"
-    if isinstance(node, OmegaAtom):
-        return f"omega({_qtxt(node.k)})"
+    if isinstance(node, KAtom):
+        sign = "-" if isinstance(node, ChiAtom) else ""
+        return f"{_K_ROWS[type(node)][0]}({sign}{_qtxt(node.k)})"
     if isinstance(node, ThetaAtom):
         a = ("-" if node.sign_a < 0 else "") + _qtxt(node.r)
         b = ("-" if node.sign_b < 0 else "") + _qtxt(node.s)
@@ -662,18 +648,8 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
         return TruncSeries.constant(node.value, order)
     if isinstance(node, QPow):
         return TruncSeries.monomial(1, node.k, order)
-    if isinstance(node, EulerAtom):
-        return euler_E(node.k, order)
-    if isinstance(node, PhiAtom):
-        return phi(node.k, order)
-    if isinstance(node, PsiAtom):
-        return psi(node.k, order)
-    if isinstance(node, ChiAtom):
-        return chi_neg(node.k, order)
-    if isinstance(node, SigmaAtom):
-        return sigma_at(node.k, order)
-    if isinstance(node, OmegaAtom):
-        return omega_at(node.k, order)
+    if isinstance(node, KAtom):
+        return getattr(theta, _K_ROWS[type(node)][1])(node.k, order)
     if isinstance(node, ThetaAtom):
         return theta_f(ThetaArgs(node.sign_a, node.r, node.sign_b, node.s), order)
     if isinstance(node, LatticeAtom):
@@ -710,43 +686,41 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _degree(node: Node) -> int:
+def _degree(node: Node, product: int = 1, outer: Optional[Power] = None) -> int:
     """1 per leaf, added across * and /, times max(e, 1) across ^ e, and
     the largest operand's across +, - and the unary operations: at most
-    this many atom factors are multiplied into any one term."""
+    this many atom factors are multiplied into any one term.
+
+    product is that of the exponents on the path down to node, and outer
+    the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
+    outer.  An exponent 0 counts as 1, because its base is still
+    evaluated.  Right operands go first: of two such paths, the
+    rightmost is reported."""
     if isinstance(node, Power):
-        return _degree(node.base) * max(node.exponent, 1)
+        e = max(node.exponent, 1)
+        product *= e
+        outer = node if outer is None else outer
+        if product > MAX_EXPONENT:
+            raise ExprEvalError(
+                to_text(outer),
+                f"its exponents multiply to {product} on one path,"
+                f" above the limit {MAX_EXPONENT}",
+            )
+        return _degree(node.base, product, outer) * e
     if isinstance(node, Unary):
-        return _degree(node.child)
+        return _degree(node.child, product, outer)
     if isinstance(node, Binary):
-        left, right = _degree(node.left), _degree(node.right)
+        right = _degree(node.right, product, outer)
+        left = _degree(node.left, product, outer)
         return left + right if node.op in ("*", "/") else max(left, right)
     return 1
 
 
 def _check_bounds(root: Node) -> None:
     """Refuse a tree whose ^ exponents multiply past MAX_EXPONENT on some
-    root-to-leaf path, or whose degree passes MAX_DEGREE.  An exponent 0
-    counts as 1 here, because the base under it is still evaluated.  The
-    exponents are walked without recursion; the degree recurses once per
-    level, and parsed trees are at most MAX_DEPTH levels tall."""
-    stack = [(root, 1, None)]
-    while stack:
-        node, product, outer = stack.pop()
-        if isinstance(node, Power):
-            product *= max(node.exponent, 1)
-            outer = node if outer is None else outer
-            if product > MAX_EXPONENT:
-                raise ExprEvalError(
-                    to_text(outer),
-                    f"its exponents multiply to {product} on one path,"
-                    f" above the limit {MAX_EXPONENT}",
-                )
-            stack.append((node.base, product, outer))
-        elif isinstance(node, Unary):
-            stack.append((node.child, product, outer))
-        elif isinstance(node, Binary):
-            stack += ((node.left, product, outer), (node.right, product, outer))
+    root-to-leaf path (``_degree`` raises that), or whose degree passes
+    MAX_DEGREE.  The walk recurses once per level, and parsed trees are
+    at most MAX_DEPTH levels tall."""
     degree = _degree(root)
     if degree > MAX_DEGREE:
         raise ExprEvalError(

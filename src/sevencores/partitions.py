@@ -89,7 +89,7 @@ def is_t_core(partition: tuple, t: int) -> bool:
 
 def count_cores(n: int, t: int) -> int:
     """Number of t-core partitions of n, by brute force."""
-    return sum(1 for p in enumerate_partitions(n) if is_t_core(p, t))
+    return sum(rank_histogram(n, t).values())
 
 
 def rank_histogram(n: int, t: int) -> dict:
@@ -108,14 +108,8 @@ def count_cores_by_rank(n: int, t: int, j: int) -> int:
 
 
 def core_rank_census(max_n: int, t: int) -> list:
-    """Rows 0..max_n of rank_histogram, computed in one pass."""
-    rows: list[dict[int, int]] = [dict() for _ in range(max_n + 1)]
-    for n in range(max_n + 1):
-        for p in enumerate_partitions(n):
-            if is_t_core(p, t):
-                j = bg_rank(p)
-                rows[n][j] = rows[n].get(j, 0) + 1
-    return rows
+    """Rows 0..max_n of rank_histogram."""
+    return [rank_histogram(n, t) for n in range(max_n + 1)]
 
 
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}

@@ -67,8 +67,8 @@ PAIRS_PER_SLOT = 8
 #: divisions at order 400 were flat from 24 to 64.
 BLOCK = 32
 
-#: Signed array typecode for each slot width (in bytes) it covers.
-_TYPECODES = {array(code).itemsize: code for code in "qlihb"}
+#: Signed array typecode for each slot width in bytes, widths ascending.
+_TYPECODES = {array(code).itemsize: code for code in "bhilq"}
 
 
 def _pair_product(a: tuple, b: tuple, n: int) -> list:
@@ -98,13 +98,16 @@ def _kronecker(a: tuple, b: tuple, n: int) -> list:
     nonnegative digit below 2^(8*width), so no slot borrows from the
     next; XOR with h moves between that biased digit and the slot's
     two's complement, which is the form ``array`` and ``to_bytes`` read
-    and write.
+    and write.  A width of at most 8 bytes is rounded up to the next
+    ``array`` itemsize (1, 2, 4 or 8), which packs and unpacks at C
+    speed; only wider slots take ``to_bytes`` coefficient by coefficient.
     """
     sum_a, sum_b = sum(map(abs, a)), sum(map(abs, b))
     if not sum_a or not sum_b:
         return [0] * (n + 1)
     bound = min(sum_a * max(map(abs, b)), sum_b * max(map(abs, a)))
     width = (bound.bit_length() + 8) // 8
+    width = next((w for w in _TYPECODES if w >= width), width)
     size = width * (n + 1)
     bias = int.from_bytes(
         (1 << (8 * width - 1)).to_bytes(width, "little") * (n + 1), "little"

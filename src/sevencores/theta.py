@@ -1,15 +1,20 @@
 """Classical theta-style building blocks as exact truncated series.
 
-Everything here is a sparse sum or an infinite-product prefix over the
-ring of integer q-series:
+Every sum here is Ramanujan's bilateral theta function
 
-* ``euler_E(m, order)``      product (1 - q^(m*j)) for j >= 1, via the
-  pentagonal-number expansion
-* ``pochhammer(...)``        finite prefix of a general q-product
-* ``theta_f(args, order)``   two-variable theta with arguments +-q^r, +-q^s
-* ``phi`` / ``psi`` / ``chi_neg``   the standard one-variable specials
-* ``sigma_at`` / ``omega_at``       two fixed bilinear combinations that
-  recur throughout the identity catalog
+    f(a, b) = sum_{n in Z} a^(n(n+1)/2) * b^(n(n-1)/2)
+
+with a = +-q^r and b = +-q^s, built by ``_theta_sum``.  The one-variable
+atoms are f at fixed arguments (Berndt, Ramanujan's Notebooks III,
+Entry 22):
+
+* ``theta_f(args, order)``   f(+-q^r, +-q^s)
+* ``euler_E(m, order)``      E(q^m) = prod (1 - q^(m*j)) = f(-q^m, -q^(2m))
+* ``phi(m, order)``          f(q^m, q^m) = 1 + 2 * sum q^(m*n^2)
+* ``psi(m, order)``          f(q^m, q^(3m)) = sum q^(m*n(n+1)/2)
+* ``chi_neg`` = E(q^m)/E(q^(2m)), and ``sigma_at`` / ``omega_at``, two
+  bilinear combinations of phi and psi that recur in the catalog
+* ``pochhammer(...)``        finite q-product prefix, for ``triple_product``
 
 Each atom keeps the highest order built so far and serves lower orders
 by truncation (``prefix_cached``): every series here is prefix-stable.
@@ -30,30 +35,10 @@ def _check_order(order: int) -> None:
         raise ValueError(f"order must be nonnegative, got {order}")
 
 
-@prefix_cached
-def euler_E(step: int, order: int) -> TruncSeries:
-    """Euler product E(q^step) = prod_{j>=1} (1 - q^(step*j)).
-
-    Expanded by the pentagonal-number theorem, so building it costs
-    O(sqrt(order)) nonzero terms rather than a long product.
-    """
+def _check_step(step: int) -> int:
     if step < 1:
         raise ValueError(f"step must be a positive int, got {step}")
-    cs = [0] * (order + 1)
-    if order >= 0:
-        cs[0] = 1
-    k = 1
-    while True:
-        e1 = step * k * (3 * k - 1) // 2
-        e2 = step * k * (3 * k + 1) // 2
-        if e1 > order:
-            break
-        sign = -1 if k & 1 else 1
-        cs[e1] += sign
-        if e2 <= order:
-            cs[e2] += sign
-        k += 1
-    return TruncSeries(order, cs)
+    return step
 
 
 def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
@@ -66,8 +51,7 @@ def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if start < 1:
         raise ValueError(f"start must be at least 1, got {start}")
-    if step < 1:
-        raise ValueError(f"step must be a positive int, got {step}")
+    _check_step(step)
     _check_order(order)
     cs = [0] * (order + 1)
     cs[0] = 1
@@ -104,42 +88,50 @@ def _tri(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def _theta_sum(sign_a: int, r: int, sign_b: int, s: int, order: int) -> TruncSeries:
+    """f(sign_a*q^r, sign_b*q^s) = sum_n a^T(n) * b^T(n-1), T(n) = n(n+1)/2.
+
+    T(-m) = T(m-1) and T(-m-1) = T(m), so the terms n = -1, -2, ... are
+    the terms m = 1, 2, ... with a and b swapped.  For r + s >= 1 the
+    exponent r*T(n) + s*T(n-1) grows strictly once |n| >= 1, so each
+    direction stops at the first exponent past the order.
+    """
+    _check_order(order)
+    cs = [0] * (order + 1)
+    for sa, a, sb, b, n in ((sign_a, r, sign_b, s, 0), (sign_b, s, sign_a, r, 1)):
+        while True:
+            ta, tb = _tri(n), _tri(n - 1)
+            e = a * ta + b * tb
+            if e > order:
+                break
+            cs[e] += (sa if ta & 1 else 1) * (sb if tb & 1 else 1)
+            n += 1
+    return TruncSeries(order, cs)
+
+
 @prefix_cached
 def theta_f(args: ThetaArgs, order: int) -> TruncSeries:
-    """Bilateral sum sum_n a^(n(n+1)/2) * b^(n(n-1)/2) with a, b as in args.
+    """The two-variable theta f(a, b) with a, b as in args."""
+    return _theta_sum(args.sign_a, args.r, args.sign_b, args.s, order)
 
-    The term exponent is r*T(n) + s*T(n-1) with T the triangular numbers;
-    for r + s >= 1 it grows strictly once |n| >= 1, so each direction of
-    the sum stops at the first exponent past the order.
-    """
-    r, s = args.r, args.s
-    sa, sb = args.sign_a, args.sign_b
-    cs = [0] * (order + 1)
 
-    def term(n: int) -> tuple[int, int]:
-        e = r * _tri(n) + s * _tri(n - 1)
-        sign = 1
-        if sa == -1 and _tri(n) & 1:
-            sign = -sign
-        if sb == -1 and _tri(n - 1) & 1:
-            sign = -sign
-        return e, sign
+@prefix_cached
+def euler_E(step: int, order: int) -> TruncSeries:
+    """E(q^step) = prod_{j>=1} (1 - q^(step*j)) = f(-q^step, -q^(2*step)),
+    whose O(sqrt(order)) terms sit at the pentagonal numbers."""
+    return _theta_sum(-1, _check_step(step), -1, 2 * step, order)
 
-    n = 0
-    while True:
-        e, sign = term(n)
-        if e > order:
-            break
-        cs[e] += sign
-        n += 1
-    n = -1
-    while True:
-        e, sign = term(n)
-        if e > order:
-            break
-        cs[e] += sign
-        n -= 1
-    return TruncSeries(order, cs)
+
+@prefix_cached
+def phi(step: int, order: int) -> TruncSeries:
+    """phi(q^step) = f(q^step, q^step) = 1 + 2 * sum_{n>=1} q^(step*n^2)."""
+    return _theta_sum(1, _check_step(step), 1, step, order)
+
+
+@prefix_cached
+def psi(step: int, order: int) -> TruncSeries:
+    """psi(q^step) = f(q^step, q^(3*step)) = sum_{n>=0} q^(step*n(n+1)/2)."""
+    return _theta_sum(1, _check_step(step), 1, 3 * step, order)
 
 
 def triple_product(args: ThetaArgs, order: int) -> TruncSeries:
@@ -166,34 +158,6 @@ def triple_product(args: ThetaArgs, order: int) -> TruncSeries:
     out = out.mul(pochhammer(args.sign_b, args.s + m, 2 * m, order))
     out = out.mul(pochhammer(-1, m, 2 * m, order))
     return out.mul(pochhammer(1, 2 * m, 2 * m, order))
-
-
-@prefix_cached
-def phi(step: int, order: int) -> TruncSeries:
-    """phi(q^step) = 1 + 2 * sum_{n>=1} q^(step*n^2)."""
-    if step < 1:
-        raise ValueError(f"step must be a positive int, got {step}")
-    _check_order(order)
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    n = 1
-    while step * n * n <= order:
-        cs[step * n * n] += 2
-        n += 1
-    return TruncSeries(order, cs)
-
-
-@prefix_cached
-def psi(step: int, order: int) -> TruncSeries:
-    """psi(q^step) = sum_{n>=0} q^(step*n(n+1)/2)."""
-    if step < 1:
-        raise ValueError(f"step must be a positive int, got {step}")
-    cs = [0] * (order + 1)
-    n = 0
-    while step * _tri(n) <= order:
-        cs[step * _tri(n)] += 1
-        n += 1
-    return TruncSeries(order, cs)
 
 
 @prefix_cached
@@ -250,8 +214,7 @@ def divide_by_euler(out: TruncSeries, pairs) -> TruncSeries:
 @prefix_cached
 def sigma_at(step: int, order: int) -> TruncSeries:
     """sigma(q^step) where sigma(q) = phi(q)phi(q^7) + 4q^2 psi(q^2)psi(q^14)."""
-    if step < 1:
-        raise ValueError(f"step must be a positive int, got {step}")
+    _check_step(step)
     head = phi(step, order).mul(phi(7 * step, order))
     tail = psi(2 * step, order).mul(psi(14 * step, order))
     return head.add(tail.shift(2 * step).scale(4))
@@ -260,8 +223,7 @@ def sigma_at(step: int, order: int) -> TruncSeries:
 @prefix_cached
 def omega_at(step: int, order: int) -> TruncSeries:
     """omega(q^step) where omega(q) = psi(q^4)phi(q^14) + q^3 psi(q^28)phi(q^2)."""
-    if step < 1:
-        raise ValueError(f"step must be a positive int, got {step}")
+    _check_step(step)
     head = psi(4 * step, order).mul(phi(14 * step, order))
     tail = psi(28 * step, order).mul(phi(2 * step, order))
     return head.add(tail.shift(3 * step))

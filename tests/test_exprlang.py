@@ -29,6 +29,7 @@ from sevencores.exprlang import (
     SigmaAtom,
     ThetaAtom,
     Unary,
+    _K_ATOMS,
     _degree,
     _eval_product,
     _fold,
@@ -37,6 +38,7 @@ from sevencores.exprlang import (
     parse,
     to_text,
 )
+from sevencores import theta
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries
 from sevencores.theta import chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
@@ -173,6 +175,10 @@ def test_exponents_multiply_along_a_path():
             evaluate(text, 2)
     # parse alone keeps accepting them, so printed trees still reparse
     assert to_text(parse("E(q)^100^100")) == "E(q)^100^100"
+    # Of two offending paths, the rightmost is reported.
+    with pytest.raises(ExprEvalError, match="multiply to 150") as exc:
+        evaluate("E(q)^100^2 + psi(q)^50^3", 2)
+    assert exc.value.expression == "psi(q)^50^3"
 
 
 def test_degree_adds_across_products_and_multiplies_across_powers():
@@ -198,6 +204,33 @@ def test_nested_t2_stops_before_building_past_twice_max_order():
     # the check runs before any argument is evaluated.
     with pytest.raises(ExprEvalError, match="T2 would evaluate"):
         evaluate("T2(" * 40 + "E(q)" + ")" * 40, 200)
+
+
+@pytest.mark.parametrize("name", _K_ATOMS)
+def test_each_atom_row_parses_prints_and_evaluates(name):
+    cls, builder = _K_ATOMS[name]
+    text = f"{name}(-q^3)" if cls is ChiAtom else f"{name}(q^3)"
+    node = parse(text)
+    assert type(node) is cls and node == cls(3)
+    assert to_text(node) == text
+    assert evaluate(text, 60) == getattr(theta, builder)(3, 60)
+    # The rows share one node type, and still no two compare equal.
+    assert [other(3) == node for other, _ in _K_ATOMS.values()].count(True) == 1
+
+
+def test_atoms_are_built_through_the_theta_module(monkeypatch):
+    """Builders are looked up on ``theta`` at each evaluation, so a
+    function rebound there, such as a tracer's wrapper, sees every call."""
+    calls = []
+    real = theta.phi
+
+    def counted(step, order):
+        calls.append((step, order))
+        return real(step, order)
+
+    monkeypatch.setattr(theta, "phi", counted)
+    assert evaluate("phi(q^3)", 20) == real(3, 20)
+    assert calls == [(3, 20)]
 
 
 def test_eval_core_quotient():

@@ -85,6 +85,71 @@ def test_psi_is_triangular_sum():
     assert psi(1, 12) == theta_f(ThetaArgs(1, 1, 1, 3), 12)
 
 
+# The sums that built E, phi and psi before each became the bilateral
+# theta f(a, b) at fixed arguments, kept as oracles.
+
+
+def pentagonal(step, order):
+    """E(q^step) by the pentagonal-number theorem."""
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    k = 1
+    while step * k * (3 * k - 1) // 2 <= order:
+        sign = -1 if k & 1 else 1
+        cs[step * k * (3 * k - 1) // 2] += sign
+        if step * k * (3 * k + 1) // 2 <= order:
+            cs[step * k * (3 * k + 1) // 2] += sign
+        k += 1
+    return TruncSeries(order, cs)
+
+
+def square_sum(step, order):
+    """phi(q^step) = 1 + 2 * sum_{n>=1} q^(step*n^2)."""
+    cs = [0] * (order + 1)
+    cs[0] = 1
+    n = 1
+    while step * n * n <= order:
+        cs[step * n * n] += 2
+        n += 1
+    return TruncSeries(order, cs)
+
+
+def triangular_sum(step, order):
+    """psi(q^step) = sum_{n>=0} q^(step*n(n+1)/2)."""
+    cs = [0] * (order + 1)
+    n = 0
+    while step * n * (n + 1) // 2 <= order:
+        cs[step * n * (n + 1) // 2] += 1
+        n += 1
+    return TruncSeries(order, cs)
+
+
+SUMS = ((euler_E, pentagonal), (phi, square_sum), (psi, triangular_sum))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=200))
+def test_theta_atoms_match_their_sums(step, order):
+    # __wrapped__ is the builder without its cache.
+    for atom, oracle in SUMS:
+        want = oracle(step, order)
+        assert atom.__wrapped__(step, order) == want
+        assert atom(step, order) == want
+
+
+@pytest.mark.parametrize("step", (1, 2, 3, 7, 14))
+def test_theta_atoms_match_their_sums_at_6000(step):
+    for atom, oracle in SUMS:
+        assert atom.__wrapped__(step, 6000) == oracle(step, 6000)
+
+
+@pytest.mark.parametrize("atom", (euler_E, phi, psi, sigma_at, omega_at))
+def test_step_must_be_positive(atom):
+    for step in (0, -2):
+        with pytest.raises(ValueError, match="step must be a positive int"):
+            atom(step, 10)
+
+
 def test_phi_psi_eta_forms():
     assert phi(1, 40) == eta_quotient({2: 5, 4: -2, 1: -2}, 40)
     assert psi(1, 40) == eta_quotient({2: 2, 1: -1}, 40)
