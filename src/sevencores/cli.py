@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate
@@ -142,37 +143,24 @@ def _cmd_scan(args, parser):
     else:
         reports = run_all(order, "conjecture" if args.conjectures else "theorem")
     reports = sorted(reports, key=lambda r: r.claim)
-    bad_theorem = bad_conjecture = False
     for r in reports:
         print(_scan_row(r))
         if r.status == "violated":
             n, lhs, rhs = r.violation
             print(f"  counterexample at n={n}: lhs={lhs} rhs={rhs}")
-            if r.kind == "theorem":
-                bad_theorem = True
-            else:
-                bad_conjecture = True
     holds = sum(1 for r in reports if r.status == "holds")
     print(f"{holds}/{len(reports)} claims hold to order {order}")
-    if bad_theorem:
-        return 1
-    if bad_conjecture:
-        return 3
-    return 0
+    violated = {r.kind for r in reports if r.status == "violated"}
+    return 1 if "theorem" in violated else 3 if violated else 0
 
 
 def _cmd_table(args, parser):
     _check_bound(parser, "--max", args.max)
     cs = core_split(args.max)
-    if args.which == "a7":
-        headers = ("n", "a7")
-        rows = [(n, cs.a7[n]) for n in range(args.max + 1)]
-    else:
-        headers = ("n", "a7", "a7_m1", "a7_0", "a7_1", "a7_2")
-        rows = [
-            (n, cs.a7[n], cs.a7_m1[n], cs.a7_0[n], cs.a7_1[n], cs.a7_2[n])
-            for n in range(args.max + 1)
-        ]
+    split = ("a7_m1", "a7_0", "a7_1", "a7_2") if args.which == "a7j" else ()
+    headers = ("n", "a7") + split
+    columns = (getattr(cs, name).coeffs for name in headers[1:])
+    rows = list(zip(range(args.max + 1), *columns))
     if args.csv:
         print(",".join(headers))
         for row in rows:
@@ -263,6 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None and hasattr(signal, "SIGPIPE"):
+        # As a console script, a reader that closes the pipe early ends
+        # the run the way it ends any filter, not as a failure (exit 1).
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args, parser)

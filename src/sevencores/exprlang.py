@@ -605,7 +605,9 @@ def _eval_product(node: Node, order: int) -> TruncSeries:
     unit of negative exponent (``divide_by_euler``), as ``eta_quotient``
     divides.  The quotient of the fold alone can have far wider
     coefficients than the whole product, and a product of Euler factors
-    is a dense divisor where each factor is a sparse one."""
+    is a dense divisor where each factor is a sparse one.  A fold with a
+    positive part and a single E(q^k) below is the exception: its cached
+    ``eta_quotient`` is one multiply, shared by every node it is in."""
     if isinstance(node, Power):
         return eval_ast(node.base, order).pow(node.exponent)
     mixed = _divide_last(node)
@@ -613,6 +615,9 @@ def _eval_product(node: Node, order: int) -> TruncSeries:
         other, fold = mixed
         out = eval_ast(other, order)
         positive = {k: v for k, v in fold.factors.items() if v > 0}
+        negative = [v for v in fold.factors.values() if v < 0]
+        if positive and negative == [-1]:
+            return _shift_scale(out.mul(eta_quotient(fold.factors, order)), fold)
         if positive:
             out = out.mul(eta_quotient(positive, order))
         return _shift_scale(divide_by_euler(out, fold.factors.items()), fold)

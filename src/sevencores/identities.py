@@ -376,16 +376,7 @@ def verify(identity_id, order: int) -> VerificationReport:
     millis = (time.perf_counter() - start) * 1000.0
     if mismatch is None:
         return VerificationReport(rec.id, rec.note, order, "pass", millis)
-    return VerificationReport(
-        rec.id,
-        rec.note,
-        order,
-        "fail",
-        millis,
-        mismatch_exponent=mismatch.exponent,
-        lhs_coeff=mismatch.lhs,
-        rhs_coeff=mismatch.rhs,
-    )
+    return VerificationReport(rec.id, rec.note, order, "fail", millis, *mismatch)
 
 
 def verify_all(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .series import TruncSeries, prefix_cached
+from .series import TruncSeries, check_order, prefix_cached
 
 # Hard cap for the exponential enumeration; p(45) = 89134 partitions.
 PARTITION_BOUND = 45
@@ -163,8 +163,7 @@ def _flip_layers(t: int, order: int) -> tuple:
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+    check_order(order)
     ranges = _coordinate_ranges(t, order)
     width = _slot_bytes(ranges)
     bits = 8 * width
@@ -201,14 +200,14 @@ def _flip_layers(t: int, order: int) -> tuple:
             int.from_bytes(raw[k : k + width], "little")
             for k in range(0, size, width)
         )
-        layers.append(TruncSeries(order, counts))
+        layers.append(TruncSeries._trusted(order, tuple(counts)))
     return tuple(layers)
 
 
 def lattice_sum(t: int, order: int) -> TruncSeries:
     """Full t-core generating function from the lattice view."""
     layers = (layer.coeffs for layer in _flip_layers(t, order))
-    return TruncSeries(order, map(sum, zip(*layers)))
+    return TruncSeries._trusted(order, tuple(map(sum, zip(*layers))))
 
 
 def lattice_rank_sum(j: int, order: int) -> TruncSeries:

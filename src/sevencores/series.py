@@ -2,15 +2,20 @@
 
 A ``TruncSeries`` of order N stores the coefficients of q^0 .. q^N as
 Python ints, so every operation is exact.  Binary operations truncate to
-the smaller order of the two operands.  Instances are immutable; every
-operation returns a fresh series, built once through the constructor.
+the smaller order of the two operands.  Instances are immutable.
 
-The linear passes (``add``, ``sub``, ``neg``, ``scale``, ``shift``,
-``compose_power``, ``alternate``, ``even_part``, ``odd_part``,
-``hecke_T2``) and the queries (``compare``, ``is_zero``,
-``first_negative``) are slices of the coefficient tuple and ``map``
-over ``operator`` functions, so the one Python-level loop over single
-coefficients left is the constructor's type check.
+Coefficients are checked at the boundary only.  The public constructor
+``TruncSeries(...)`` refuses a negative order, too many coefficients
+and any coefficient that is not an int, bools and floats included.
+Every series the engine builds itself holds ints by construction, so
+it goes through ``TruncSeries._trusted``, which makes no pass over the
+coefficients; the builders in ``theta`` and ``partitions`` check their
+order (``check_order``) and signs on the way in.  The linear passes
+(``add``, ``sub``, ``neg``, ``scale``, ``shift``, ``compose_power``,
+``alternate``, ``even_part``, ``odd_part``, ``hecke_T2``) and the
+queries (``compare``, ``is_zero``, ``first_negative``) are slices of
+the coefficient tuple and ``map`` over ``operator`` functions, with no
+Python-level loop over single coefficients.
 
 Multiplication has one entry point, ``TruncSeries.mul``.  A dense
 product is one big-int multiply by Kronecker substitution: each operand
@@ -213,11 +218,11 @@ def stride(coeffs: tuple) -> int:
 
 
 def dilate(coeffs, g: int, order: int) -> "TruncSeries":
-    """sum of coeffs[k] * q^(g*k) cut at the order: the substitution
-    q -> q^g, built in one construction."""
+    """sum of coeffs[k] * q^(g*k) cut at the order, for the int
+    coefficients of a series: the substitution q -> q^g, built unchecked."""
     out = [0] * (order + 1)
     out[::g] = coeffs[: order // g + 1]
-    return TruncSeries(order, out)
+    return TruncSeries._trusted(order, tuple(out))
 
 
 def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
@@ -226,7 +231,7 @@ def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
     coefficient at order n // g and the result is spread back."""
     g = gcd(stride(a), stride(b))
     if g < 2:
-        return TruncSeries(n, kernel(a, b, n))
+        return TruncSeries._trusted(n, tuple(kernel(a, b, n)))
     return dilate(kernel(a[::g], b[::g], n // g), g, n)
 
 
@@ -234,6 +239,13 @@ def _check_int(what: str, value) -> None:
     # bool is an int subclass, but True as an order or exponent is a bug.
     if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {value!r}")
+
+
+def check_order(order) -> None:
+    """The order check of every builder that makes a series itself."""
+    _check_int("order", order)
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
 
 
 class Mismatch(NamedTuple):
@@ -253,9 +265,7 @@ class TruncSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[int] = ()) -> None:
-        _check_int("order", order)
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
+        check_order(order)
         cs = list(coeffs)
         if len(cs) > order + 1:
             raise ValueError(
@@ -268,6 +278,15 @@ class TruncSeries:
         cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _trusted(cls, order: int, coeffs: tuple) -> "TruncSeries":
+        """The series with this tuple of order + 1 ints, unchecked: the
+        engine's own results, whose coefficients are ints by construction."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "order", order)
+        object.__setattr__(new, "coeffs", coeffs)
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncSeries is immutable")
@@ -294,9 +313,7 @@ class TruncSeries:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
         if exponent > order:
             return TruncSeries(order)
-        cs = [0] * (exponent + 1)
-        cs[exponent] = coeff
-        return TruncSeries(order, cs)
+        return TruncSeries(order, [0] * exponent + [coeff])
 
     # -- basic queries -------------------------------------------------
 
@@ -333,7 +350,7 @@ class TruncSeries:
         if not 0 <= order <= self.order:
             raise ValueError(f"cannot truncate order {self.order} to {order}")
         cut = self.coeffs[: order + 1]
-        return self if order == self.order else TruncSeries(order, cut)
+        return self if order == self.order else TruncSeries._trusted(order, cut)
 
     def compare(self, other: "TruncSeries") -> Optional[Mismatch]:
         """First disagreement over the common order, or None if equal."""
@@ -349,18 +366,19 @@ class TruncSeries:
 
     def add(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        return TruncSeries(n, map(add, self.coeffs, other.coeffs))
+        return TruncSeries._trusted(n, tuple(map(add, self.coeffs, other.coeffs)))
 
     def sub(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        return TruncSeries(n, map(sub, self.coeffs, other.coeffs))
+        return TruncSeries._trusted(n, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def neg(self) -> "TruncSeries":
-        return TruncSeries(self.order, map(neg, self.coeffs))
+        return TruncSeries._trusted(self.order, tuple(map(neg, self.coeffs)))
 
     def scale(self, factor: int) -> "TruncSeries":
         _check_int("scale factor", factor)
-        return TruncSeries(self.order, map(mul, repeat(factor), self.coeffs))
+        cs = tuple(map(mul, repeat(factor), self.coeffs))
+        return TruncSeries._trusted(self.order, cs)
 
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         """Product, truncated to the smaller order.
@@ -435,19 +453,19 @@ class TruncSeries:
         """Substitute q -> -q, negating odd-exponent coefficients."""
         out = list(self.coeffs)
         out[1::2] = map(neg, self.coeffs[1::2])
-        return TruncSeries(self.order, out)
+        return TruncSeries._trusted(self.order, tuple(out))
 
     def even_part(self) -> "TruncSeries":
         """Keep even-exponent terms, zeroing the odd positions."""
         out = [0] * (self.order + 1)
         out[::2] = self.coeffs[::2]
-        return TruncSeries(self.order, out)
+        return TruncSeries._trusted(self.order, tuple(out))
 
     def odd_part(self) -> "TruncSeries":
         """Keep odd-exponent terms, zeroing the even positions."""
         out = [0] * (self.order + 1)
         out[1::2] = self.coeffs[1::2]
-        return TruncSeries(self.order, out)
+        return TruncSeries._trusted(self.order, tuple(out))
 
     def shift(self, k: int) -> "TruncSeries":
         """Multiply by q^k; the top k coefficients fall off the end."""
@@ -457,7 +475,7 @@ class TruncSeries:
         n = self.order
         if k > n:
             return TruncSeries(n)
-        return TruncSeries(n, (0,) * k + self.coeffs[: n + 1 - k])
+        return TruncSeries._trusted(n, (0,) * k + self.coeffs[: n + 1 - k])
 
     # -- operator sugar --------------------------------------------------
 
@@ -529,4 +547,4 @@ def hecke_T2(a: TruncSeries) -> TruncSeries:
     n = a.order // 2
     out = list(a.coeffs[::2])
     out[::2] = map(add, out[::2], map(mul, repeat(4), a.coeffs[: n // 2 + 1]))
-    return TruncSeries(n, out)
+    return TruncSeries._trusted(n, tuple(out))

@@ -25,14 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .series import TruncSeries, dilate, prefix_cached
-
-
-def _check_order(order: int) -> None:
-    # A builder that writes cs[0] before making its TruncSeries would
-    # otherwise fail with an IndexError on a negative order.
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+from .series import TruncSeries, check_order, dilate, prefix_cached
 
 
 def _check_step(step: int) -> int:
@@ -47,12 +40,12 @@ def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
     Only factors whose exponent fits under the order contribute, so the
     product prefix is already exact at this truncation.
     """
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if start < 1:
         raise ValueError(f"start must be at least 1, got {start}")
     _check_step(step)
-    _check_order(order)
+    check_order(order)
     cs = [0] * (order + 1)
     cs[0] = 1
     e = start
@@ -63,7 +56,7 @@ def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
             if cm:
                 cs[m] -= sign * cm
         e += step
-    return TruncSeries(order, cs)
+    return TruncSeries._trusted(order, tuple(cs))
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,8 @@ class ThetaArgs:
     s: int
 
     def __post_init__(self):
-        if self.sign_a not in (1, -1) or self.sign_b not in (1, -1):
+        signs = (self.sign_a, self.sign_b)
+        if any(type(x) is not int or x not in (1, -1) for x in signs):
             raise ValueError("signs must be +1 or -1")
         if self.r < 0 or self.s < 0:
             raise ValueError("exponents must be nonnegative")
@@ -96,7 +90,7 @@ def _theta_sum(sign_a: int, r: int, sign_b: int, s: int, order: int) -> TruncSer
     exponent r*T(n) + s*T(n-1) grows strictly once |n| >= 1, so each
     direction stops at the first exponent past the order.
     """
-    _check_order(order)
+    check_order(order)
     cs = [0] * (order + 1)
     for sa, a, sb, b, n in ((sign_a, r, sign_b, s, 0), (sign_b, s, sign_a, r, 1)):
         while True:
@@ -106,7 +100,7 @@ def _theta_sum(sign_a: int, r: int, sign_b: int, s: int, order: int) -> TruncSer
                 break
             cs[e] += (sa if ta & 1 else 1) * (sb if tb & 1 else 1)
             n += 1
-    return TruncSeries(order, cs)
+    return TruncSeries._trusted(order, tuple(cs))
 
 
 @prefix_cached
@@ -176,7 +170,7 @@ def eta_quotient(factors, order: int) -> TruncSeries:
     (step, exp) pairs with a nonzero exp, so equal mappings, and
     mappings equal up to such a dilation, share one entry.
     """
-    _check_order(order)
+    check_order(order)
     pairs = sorted((step, exp) for step, exp in factors.items() if exp)
     g = gcd(*(step for step, _ in pairs)) or 1
     reduced = tuple((step // g, exp) for step, exp in pairs)
@@ -240,9 +234,10 @@ def omega(order: int) -> TruncSeries:
 @prefix_cached
 def jacobi_cube(order: int) -> TruncSeries:
     """E(q)^3 expanded as sum_{k>=1} (-1)^(k-1) (2k-1) q^(k(k-1)/2)."""
+    check_order(order)
     cs = [0] * (order + 1)
     k = 1
     while _tri(k - 1) <= order:
         cs[_tri(k - 1)] += (2 * k - 1) * (1 if k & 1 else -1)
         k += 1
-    return TruncSeries(order, cs)
+    return TruncSeries._trusted(order, tuple(cs))

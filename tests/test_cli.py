@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -389,3 +394,31 @@ def test_stdout_matches_its_golden_digest(capsys, name):
     assert code == want_code
     out = re.sub(r', "millis": [^,}]+', "", out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_a_closed_pipe_ends_the_console_script_quietly():
+    """A reader that stops after one line: the run shows no traceback and
+    does not exit 1, the code of a failed identity.  The table, about
+    80 KB, is more than a pipe holds, so the writer meets the closed end."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sevencores.cli",
+         "table", "a7j", "--max", "3000", "--csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.stdout.readline() == b"n,a7,a7_m1,a7_0,a7_1,a7_2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert b"Traceback" not in err, err
+    assert code == -signal.SIGPIPE
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+def test_in_process_calls_keep_the_sigpipe_handler(capsys):
+    before = signal.getsignal(signal.SIGPIPE)
+    assert run(capsys, "coeffs", "q", "--order", "1") == (0, "0 0\n1 1\n")
+    assert signal.getsignal(signal.SIGPIPE) == before

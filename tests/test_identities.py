@@ -1,5 +1,10 @@
 """Identity catalog plumbing and the weight-3 Hecke-style slice operator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,3 +151,30 @@ def test_verify_all_custom_subset():
 
 def test_verify_all_empty():
     assert verify_all(40, records=[]) == []
+
+
+# Counts the series divisions of a cold verify --all in a fresh
+# interpreter, where every cache starts empty.
+COUNT_DIVISIONS = """
+from sevencores import series
+from sevencores.identities import verify_all
+divide, calls = series._divide, []
+series._divide = lambda *args: calls.append(1) or divide(*args)
+assert all(r.status == "pass" for r in verify_all(400))
+print(len(calls))
+"""
+
+
+def test_a_cold_catalog_pass_divides_19_times():
+    """Q = E(q^28)E(q^14)^3E(q^4)/E(q^2) multiplies a non-folding operand
+    in four nodes (eq-1.17, eq-5.1, eq-5.3, eq-5.5); each multiplies by
+    the one cached quotient instead of dividing by E(q^2) itself, which
+    took 23 divisions.  W, with two Euler factors below, still divides
+    last in each of its nodes."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_DIVISIONS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == "19\n"

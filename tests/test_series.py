@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from sevencores.exprlang import evaluate
 from sevencores.forms import FFF7, G, W, CoreSplit, core_split
-from sevencores.partitions import _flip_layers
+from sevencores.partitions import _flip_layers, lattice_rank_sum, lattice_sum
 from sevencores.series import (
     BLOCK,
     Mismatch,
@@ -23,11 +23,25 @@ from sevencores.series import (
     _divide,
     _kronecker,
     _pair_product,
+    dilate,
     hecke_T2,
     prefix_cached,
     stride,
 )
-from sevencores.theta import euler_E, eta_quotient, omega_at, phi, sigma_at
+from sevencores.theta import (
+    ThetaArgs,
+    chi_neg,
+    euler_E,
+    eta_quotient,
+    jacobi_cube,
+    omega_at,
+    phi,
+    pochhammer,
+    psi,
+    sigma_at,
+    theta_f,
+    triple_product,
+)
 
 # partition numbers p(0)..p(10), counted by listing partitions
 PARTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
@@ -739,22 +753,83 @@ def test_passes_at_orders_0_and_1(cs):
 
 def test_a_spread_is_one_construction(monkeypatch):
     """A product of series in q^2 and a dilated eta quotient each build
-    one series at the full order, through ``TruncSeries.__init__``.  (A
-    cached reduced quotient may also be truncated, at half the order.)"""
+    one series at the full order, through the engine's unchecked
+    constructor ``TruncSeries._trusted``.  (A cached reduced quotient may
+    also be truncated, at half the order.)"""
     a = TruncSeries(40, [1, 0, 3, 0, -2])
     b = euler_E(2, 40)
     factors = {14: 7, 2: -1}
     product, quotient = schoolbook_mul(a, b), eta_quotient(factors, 40)
     full = []
-    init = TruncSeries.__init__
+    trusted = TruncSeries._trusted
 
-    def counting_init(self, order, coeffs=()):
+    def counting_trusted(order, coeffs):
         if order == 40:
             full.append(order)
-        init(self, order, coeffs)
+        return trusted(order, coeffs)
 
-    monkeypatch.setattr(TruncSeries, "__init__", counting_init)
+    monkeypatch.setattr(TruncSeries, "_trusted", staticmethod(counting_trusted))
     assert a.mul(b) == product
     assert len(full) == 1
     assert eta_quotient(factors, 40) == quotient
     assert len(full) == 2
+
+
+# -- the unchecked internal constructor ------------------------------------
+
+
+def assert_sound(r):
+    """r is what the checked public constructor would have built."""
+    assert type(r.coeffs) is tuple
+    assert len(r.coeffs) == r.order + 1
+    assert all(type(c) is int for c in r.coeffs)
+    assert TruncSeries(r.order, r.coeffs) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signed_series(),
+    signed_series(),
+    strided_pair(unit=True),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=0, max_value=45),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=3),
+)
+def test_every_operation_builds_a_sound_series(a, b, pair, unit, factor, k, g, e):
+    """Each public operation, its stride-reduced paths included, returns
+    a series the public constructor accepts unchanged, although the
+    engine builds it without checking its coefficients."""
+    u = TruncSeries(b.order, (unit,) + b.coeffs[1:])
+    x, y = pair
+    for r in (
+        a.add(b), a.sub(b), a.neg(), a.scale(factor), a.mul(b), a.div(u),
+        x.mul(y), x.div(y), u.invert(), a.pow(e), a.shift(k),
+        a.truncate(min(k, a.order)), a.compose_power(g), a.alternate(),
+        a.even_part(), a.odd_part(), hecke_T2(a), dilate(a.coeffs, g, a.order),
+    ):
+        assert_sound(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from((1, -1)),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+)
+def test_every_builder_builds_a_sound_series(order, step, sa, sb, r, s):
+    args = ThetaArgs(sa, r, sb, s)
+    for out in (
+        pochhammer(sa, r, step, order), theta_f(args, order),
+        triple_product(args, order), euler_E(step, order), phi(step, order),
+        psi(step, order), chi_neg(step, order), sigma_at(step, order),
+        omega_at(step, order), jacobi_cube(order),
+        eta_quotient({step: r, 2 * step: -s}, order),
+        lattice_sum(r + 1, order // 4), lattice_rank_sum(r - 2, order // 4),
+        *_flip_layers(7, order // 4),
+    ):
+        assert_sound(out)

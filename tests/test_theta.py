@@ -183,27 +183,46 @@ def test_eta_quotient_empty_is_one():
     assert eta_quotient({}, 5) == TruncSeries.one(5)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda n: euler_E(1, n),
-        lambda n: pochhammer(1, 1, 1, n),
-        lambda n: theta_f(ThetaArgs(1, 1, 1, 1), n),
-        lambda n: triple_product(ThetaArgs(1, 1, 1, 1), n),
-        lambda n: phi(1, n),
-        lambda n: psi(1, n),
-        lambda n: chi_neg(1, n),
-        lambda n: eta_quotient({7: 7, 1: -1}, n),
-        lambda n: sigma_at(1, n),
-        lambda n: omega_at(1, n),
-        jacobi_cube,
-    ],
-    ids=["euler_E", "pochhammer", "theta_f", "triple_product", "phi", "psi",
-         "chi_neg", "eta_quotient", "sigma_at", "omega_at", "jacobi_cube"],
-)
+BUILDERS = {
+    "euler_E": lambda n: euler_E(1, n),
+    "pochhammer": lambda n: pochhammer(1, 1, 1, n),
+    "theta_f": lambda n: theta_f(ThetaArgs(1, 1, 1, 1), n),
+    "triple_product": lambda n: triple_product(ThetaArgs(1, 1, 1, 1), n),
+    "phi": lambda n: phi(1, n),
+    "psi": lambda n: psi(1, n),
+    "chi_neg": lambda n: chi_neg(1, n),
+    "eta_quotient": lambda n: eta_quotient({7: 7, 1: -1}, n),
+    "sigma_at": lambda n: sigma_at(1, n),
+    "omega_at": lambda n: omega_at(1, n),
+    "jacobi_cube": jacobi_cube,
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
 def test_negative_order_is_a_value_error(build):
     with pytest.raises(ValueError):
         build(-3)
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS)
+def test_an_order_that_is_not_an_int_is_a_type_error(build):
+    # The builders make their series unchecked, so the order is checked
+    # on the way in, before and after the builder has cached a value.
+    for _ in range(2):
+        for order in (True, 3.0):
+            with pytest.raises(TypeError, match="order must be an int"):
+                build(order)
+        build(5)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0, True])
+def test_a_sign_that_is_not_an_int_is_refused(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        pochhammer(sign, 1, 1, 5)
+    with pytest.raises(ValueError, match="signs must be"):
+        ThetaArgs(sign, 1, 1, 1)
+    with pytest.raises(ValueError, match="signs must be"):
+        ThetaArgs(1, 1, sign, 1)
 
 
 def folded_factors(text):
