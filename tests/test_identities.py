@@ -167,7 +167,7 @@ print(len(calls))
 
 def test_a_cold_catalog_pass_divides_19_times():
     """Q = E(q^28)E(q^14)^3E(q^4)/E(q^2) multiplies a non-folding operand
-    in four nodes (eq-1.17, eq-5.1, eq-5.3, eq-5.5); each multiplies by
+    in eq-1.17, eq-5.1, eq-5.3 and eq-5.5; each such node multiplies by
     the one cached quotient instead of dividing by E(q^2) itself, which
     took 23 divisions.  W, with two Euler factors below, still divides
     last in each of its nodes."""
