@@ -21,9 +21,9 @@ emitted exactly where reparsing would otherwise regroup.  A bare caret
 on q folds into the q^k atom itself.
 
 The six one-argument atoms (E, phi, psi, chi, sigma, omega) are one
-node type, ``KAtom``, and one table, ``_K_ATOMS``, which gives each its
-name and its builder in ``theta``; parsing, printing and evaluation all
-read that table.
+node, ``KAtom(name, k)``, and one table, ``_K_ATOMS``, which gives each
+name its builder in ``theta``; parsing, printing and evaluation all read
+that table.  The slices neg, even, odd and altq are rows of ``_SLICES``.
 
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
@@ -35,7 +35,9 @@ refuses, before it builds anything, a tree whose exponents multiply past
 MAX_EXPONENT along one root-to-leaf path, such as E(q)^100^100, and a
 tree whose degree passes MAX_DEGREE, such as a product of three E(q)^100
 factors.  Each T2 doubles the order its argument is evaluated at; past
-2 * MAX_ORDER that is an evaluation error.
+2 * MAX_ORDER that is an evaluation error.  Before evaluating, it also
+refuses a tree whose degree times evaluation order passes MAX_COST,
+such as E(q)^100 * E(q)^100 at order 20000.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from . import theta
 from .partitions import lattice_rank_sum, lattice_sum
-from .series import MAX_ORDER, TruncSeries, hecke_T2, prefix_cached
+from .series import MAX_ORDER, TruncSeries, check_order, hecke_T2, prefix_cached
 from .theta import ThetaArgs, divide_by_euler, eta_quotient, theta_f
 
 
@@ -86,33 +88,11 @@ class QPow(Node):
 
 @dataclass(frozen=True)
 class KAtom(Node):
-    """A one-argument atom at q^k; its subclass names which (_K_ATOMS)."""
+    """The one-argument atom name (a key of _K_ATOMS) at q^k; for chi
+    the argument is -q^k, its sign part of the atom."""
 
+    name: str
     k: int
-
-
-class EulerAtom(KAtom):
-    pass
-
-
-class PhiAtom(KAtom):
-    pass
-
-
-class PsiAtom(KAtom):
-    pass
-
-
-class ChiAtom(KAtom):
-    """chi(-q^k): the sign in the argument is part of the atom."""
-
-
-class SigmaAtom(KAtom):
-    pass
-
-
-class OmegaAtom(KAtom):
-    pass
 
 
 @dataclass(frozen=True)
@@ -135,7 +115,7 @@ class Lattice7Atom(Node):
 
 @dataclass(frozen=True)
 class Unary(Node):
-    op: str  # "neg" | "even" | "odd" | "T2" | "altq"
+    op: str  # "T2" or a key of _SLICES
     child: Node
 
 
@@ -197,17 +177,12 @@ def _tokenize(text: str):
 # -- parser -------------------------------------------------------------
 
 _UNARY_NAMES = ("even", "odd", "T2", "altq")
-#: Name -> (node class, builder in ``theta``) of each one-argument atom.
-#: Builders are looked up by name at each call, so a rebound one is seen.
-_K_ATOMS = {
-    "E": (EulerAtom, "euler_E"),
-    "phi": (PhiAtom, "phi"),
-    "psi": (PsiAtom, "psi"),
-    "chi": (ChiAtom, "chi_neg"),
-    "sigma": (SigmaAtom, "sigma_at"),
-    "omega": (OmegaAtom, "omega_at"),
-}
-_K_ROWS = {cls: (name, builder) for name, (cls, builder) in _K_ATOMS.items()}
+#: Name -> builder in ``theta`` of each one-argument atom.  Builders are
+#: looked up by name at each call, so a rebound one is seen.
+_K_ATOMS = {"E": "euler_E", "phi": "phi", "psi": "psi", "chi": "chi_neg",
+            "sigma": "sigma_at", "omega": "omega_at"}
+#: The ``TruncSeries`` method of each unary operation but T2.
+_SLICES = {"neg": "neg", "even": "even_part", "odd": "odd_part", "altq": "alternate"}
 _KNOWN_NAMES = (
     "q", "E", "phi", "psi", "chi", "f", "sigma", "omega",
     "even", "odd", "T2", "altq", "lattice", "lattice7",
@@ -227,6 +202,11 @@ MAX_EXPONENT = 100
 #: is 12.  Unbounded, thirty factors E(q)^100 at order 2000 ran ~9 s on
 #: a 2-core Xeon, and twenty factors psi(q)^100 ~30 s.
 MAX_DEGREE = 2 * MAX_EXPONENT
+
+#: Largest degree times evaluation order (``evaluate``): MAX_DEGREE at order
+#: 2000.  On a 2-core Xeon, sigma(q)^20 at order 20000 takes 4.6 s; unbounded,
+#: psi(q)^100*phi(q)^100 at 20000 ran 49 s.
+MAX_COST = MAX_DEGREE * 2000
 
 
 def _too_deep(offset: int) -> ExprSyntaxError:
@@ -307,21 +287,20 @@ class _Parser:
         _check_height(node)
         return node
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
+    def parse_chain(self, ops, parse_operand) -> Node:
+        """Operands joined by the binary operators ops, left-associative."""
+        node = parse_operand()
+        while self.peek().kind in ops:
             op = self.advance().kind
-            rhs = self.parse_term()
+            rhs = parse_operand()
             node = Binary(op, node, rhs, span=(node.span[0], rhs.span[1]))
         return node
 
+    def parse_expr(self) -> Node:
+        return self.parse_chain(("+", "-"), self.parse_term)
+
     def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            rhs = self.parse_factor()
-            node = Binary(op, node, rhs, span=(node.span[0], rhs.span[1]))
-        return node
+        return self.parse_chain(("*", "/"), self.parse_factor)
 
     def parse_factor(self) -> Node:
         tok = self.peek()
@@ -378,7 +357,7 @@ class _Parser:
                 self.expect("-", 'the "-" of chi(-q^k)')
             k = self.parse_qarg()
             end = self.expect(")").pos + 1
-            return _K_ATOMS[name][0](k, span=(start, end))
+            return KAtom(name, k, span=(start, end))
         if name == "f":
             self.expect("(")
             sa, r = self.parse_signed_qarg()
@@ -474,8 +453,8 @@ def to_text(node: Node) -> str:
     if isinstance(node, QPow):
         return _qtxt(node.k)
     if isinstance(node, KAtom):
-        sign = "-" if isinstance(node, ChiAtom) else ""
-        return f"{_K_ROWS[type(node)][0]}({sign}{_qtxt(node.k)})"
+        sign = "-" if node.name == "chi" else ""
+        return f"{node.name}({sign}{_qtxt(node.k)})"
     if isinstance(node, ThetaAtom):
         a = ("-" if node.sign_a < 0 else "") + _qtxt(node.r)
         b = ("-" if node.sign_b < 0 else "") + _qtxt(node.s)
@@ -535,9 +514,9 @@ def _fold(node: Node) -> Optional[EtaFold]:
     by *, / and ^, and when every divisor is a unit: a divisor with a
     factor q^s or a constant other than +1 or -1 is left to eval_ast,
     which reports it."""
-    if isinstance(node, EulerAtom):
+    if isinstance(node, KAtom) and node.name == "E":
         return EtaFold({node.k: 1}, 0, 1)
-    if isinstance(node, ChiAtom):
+    if isinstance(node, KAtom) and node.name == "chi":
         return EtaFold({node.k: 1, 2 * node.k: -1}, 0, 1)
     if isinstance(node, QPow):
         return EtaFold({}, node.k, 1)
@@ -555,8 +534,14 @@ def _fold(node: Node) -> Optional[EtaFold]:
     left, right = _fold(node.left), _fold(node.right)
     if left is None or right is None:
         return None
+    return _join(node.op, left, right)
+
+
+def _join(op: str, left: EtaFold, right: EtaFold) -> Optional[EtaFold]:
+    """left * right or left / right as one EtaFold, or None for a divisor
+    with a factor q^s or a constant other than +1 or -1."""
     sign = 1
-    if node.op == "/":
+    if op == "/":
         if right.shift or right.const not in (1, -1):
             return None
         sign = -1
@@ -588,12 +573,8 @@ def _divide_last(node: Binary) -> Optional[tuple]:
         return None
     if right is None:
         return (node.right, left) if node.op == "*" else None
-    if node.op == "*":
-        return node.left, right
-    if right.shift or right.const not in (1, -1):
-        return None
-    inverse = {k: -v for k, v in right.factors.items()}
-    return node.left, EtaFold(inverse, 0, right.const)
+    fold = _join(node.op, EtaFold({}, 0, 1), right)
+    return None if fold is None else (node.left, fold)
 
 
 @prefix_cached
@@ -654,7 +635,7 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     if isinstance(node, QPow):
         return TruncSeries.monomial(1, node.k, order)
     if isinstance(node, KAtom):
-        return getattr(theta, _K_ROWS[type(node)][1])(node.k, order)
+        return getattr(theta, _K_ATOMS[node.name])(node.k, order)
     if isinstance(node, ThetaAtom):
         return theta_f(ThetaArgs(node.sign_a, node.r, node.sign_b, node.s), order)
     if isinstance(node, LatticeAtom):
@@ -671,14 +652,8 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
                 )
             return hecke_T2(eval_ast(node.child, 2 * order))
         child = eval_ast(node.child, order)
-        if node.op == "neg":
-            return child.neg()
-        if node.op == "even":
-            return child.even_part()
-        if node.op == "odd":
-            return child.odd_part()
-        if node.op == "altq":
-            return child.alternate()
+        if node.op in _SLICES:
+            return getattr(child, _SLICES[node.op])()
         raise ExprEvalError(to_text(node), f"unknown unary operation {node.op!r}")
     if isinstance(node, Binary):
         left = eval_ast(node.left, order)
@@ -691,10 +666,11 @@ def eval_ast(node: Node, order: int) -> TruncSeries:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _degree(node: Node, product: int = 1, outer: Optional[Power] = None) -> int:
+def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -> int:
     """1 per leaf, added across * and /, times max(e, 1) across ^ e, and
     the largest operand's across +, - and the unary operations: at most
-    this many atom factors are multiplied into any one term.
+    this many atom factors are multiplied into any one term.  With t2=2,
+    a T2 doubles its argument's, as it doubles the order it is built at.
 
     product is that of the exponents on the path down to node, and outer
     the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
@@ -711,45 +687,53 @@ def _degree(node: Node, product: int = 1, outer: Optional[Power] = None) -> int:
                 f"its exponents multiply to {product} on one path,"
                 f" above the limit {MAX_EXPONENT}",
             )
-        return _degree(node.base, product, outer) * e
+        return _degree(node.base, product, outer, t2) * e
     if isinstance(node, Unary):
-        return _degree(node.child, product, outer)
+        child = _degree(node.child, product, outer, t2)
+        return child * t2 if node.op == "T2" else child
     if isinstance(node, Binary):
-        right = _degree(node.right, product, outer)
-        left = _degree(node.left, product, outer)
+        right = _degree(node.right, product, outer, t2)
+        left = _degree(node.left, product, outer, t2)
         return left + right if node.op in ("*", "/") else max(left, right)
     return 1
 
 
-def _check_bounds(root: Node) -> None:
-    """Refuse a tree whose ^ exponents multiply past MAX_EXPONENT on some
+def _checked(expr) -> tuple:
+    """expr's tree (parsed, if it is text), its degree, and its degree
+    with each T2 doubling its argument's, for ``evaluate``'s cost bound.
+    Refuses a tree whose ^ exponents multiply past MAX_EXPONENT on some
     root-to-leaf path (``_degree`` raises that), or whose degree passes
     MAX_DEGREE.  The walk recurses once per level, and parsed trees are
     at most MAX_DEPTH levels tall."""
-    degree = _degree(root)
+    node = parse(expr) if isinstance(expr, str) else expr
+    degree = _degree(node)
     if degree > MAX_DEGREE:
         raise ExprEvalError(
-            to_text(root), f"its degree {degree} is above the limit {MAX_DEGREE}"
+            to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
         )
+    return node, degree, _degree(node, t2=2)
 
 
 class Text(str):
     """Expression text whose tree is parsed and checked on its first
-    evaluation and kept, so ``evaluate`` never parses it again.  For
-    texts evaluated many times, such as the catalog's."""
+    evaluation and kept, with its degrees, so ``evaluate`` never parses
+    or walks it again.  For texts evaluated many times, such as the
+    catalog's."""
 
-    @cached_property
-    def node(self) -> Node:
-        node = parse(self)
-        _check_bounds(node)
-        return node
+    checked = cached_property(_checked)
 
 
 def evaluate(expr, order: int) -> TruncSeries:
-    """Parse (if given text), check the exponent and degree bounds, and
-    evaluate to a TruncSeries."""
-    if isinstance(expr, Text):
-        return eval_ast(expr.node, order)
-    node = parse(expr) if isinstance(expr, str) else expr
-    _check_bounds(node)
+    """Parse (if given text), check the exponent, degree and cost bounds,
+    and evaluate to a TruncSeries.  The cost is the degree times the
+    evaluation order: each T2 doubles the order below it, but eval_ast
+    builds nothing under a T2 past 2 * MAX_ORDER."""
+    node, degree, doubled = expr.checked if isinstance(expr, Text) else _checked(expr)
+    check_order(order)
+    cost = min(doubled * order, degree * max(order, 2 * MAX_ORDER))
+    if cost > MAX_COST:
+        raise ExprEvalError(
+            to_text(node),
+            f"its degree times evaluation order is {cost}, above the limit {MAX_COST}",
+        )
     return eval_ast(node, order)

@@ -28,17 +28,6 @@ FFF7 = "f(q,q^13)*f(q^3,q^11)*f(q^5,q^9)*phi(q^7)"
 FFF1 = "f(q,q^6)*f(q^2,q^5)*f(q^3,q^4)"
 
 
-class CoreSplit(NamedTuple):
-    """The 7-core series and its rank layers, all from closed forms."""
-
-    a7: TruncSeries
-    a7_m1: TruncSeries
-    a7_0: TruncSeries
-    a7_1: TruncSeries
-    a7_2: TruncSeries
-    b: TruncSeries
-
-
 #: The text of each ``CoreSplit`` field.
 SPLIT = {
     "a7": G,
@@ -48,6 +37,9 @@ SPLIT = {
     "a7_2": RANK_2,
     "b": CUBE_PAIR,
 }
+
+#: The 7-core series and its rank layers, one field per key of SPLIT.
+CoreSplit = NamedTuple("CoreSplit", [(name, TruncSeries) for name in SPLIT])
 
 
 def core_split(order: int) -> CoreSplit:

@@ -18,6 +18,7 @@ Entry 22):
 
 Each atom keeps the highest order built so far and serves lower orders
 by truncation (``prefix_cached``): every series here is prefix-stable.
+chi_neg is the ``eta_quotient`` {m: 1, 2m: -1} and shares its cache.
 """
 
 from __future__ import annotations
@@ -154,10 +155,9 @@ def triple_product(args: ThetaArgs, order: int) -> TruncSeries:
     return out.mul(pochhammer(1, 2 * m, 2 * m, order))
 
 
-@prefix_cached
 def chi_neg(step: int, order: int) -> TruncSeries:
-    """chi(-q^step) = E(q^step) / E(q^(2*step))."""
-    return euler_E(step, order).div(euler_E(2 * step, order))
+    """chi(-q^step) = E(q^step) / E(q^(2*step)), as an eta quotient."""
+    return eta_quotient({_check_step(step): 1, 2 * step: -1}, order)
 
 
 def eta_quotient(factors, order: int) -> TruncSeries:

@@ -13,17 +13,12 @@ from catalog_oracle import ORACLE, theta_args_used
 import sevencores.cli as cli
 from sevencores.exprlang import (
     Binary,
-    ChiAtom,
     Const,
-    EulerAtom,
+    KAtom,
     Lattice7Atom,
     LatticeAtom,
-    OmegaAtom,
-    PhiAtom,
     Power,
-    PsiAtom,
     QPow,
-    SigmaAtom,
     ThetaAtom,
     Unary,
     evaluate,
@@ -158,12 +153,12 @@ def _random_tree(rng, depth):
     leaves = (
         lambda: Const(rng.randrange(100)),
         lambda: QPow(rng.randrange(1, 20)),
-        lambda: EulerAtom(rng.randrange(1, 30)),
-        lambda: PhiAtom(rng.randrange(1, 30)),
-        lambda: PsiAtom(rng.randrange(1, 30)),
-        lambda: ChiAtom(rng.randrange(1, 30)),
-        lambda: SigmaAtom(rng.randrange(1, 30)),
-        lambda: OmegaAtom(rng.randrange(1, 30)),
+        lambda: KAtom("E", rng.randrange(1, 30)),
+        lambda: KAtom("phi", rng.randrange(1, 30)),
+        lambda: KAtom("psi", rng.randrange(1, 30)),
+        lambda: KAtom("chi", rng.randrange(1, 30)),
+        lambda: KAtom("sigma", rng.randrange(1, 30)),
+        lambda: KAtom("omega", rng.randrange(1, 30)),
         lambda: ThetaAtom(
             rng.choice((1, -1)), rng.randrange(1, 20),
             rng.choice((1, -1)), rng.randrange(1, 20),

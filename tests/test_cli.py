@@ -285,6 +285,25 @@ def test_products_of_many_powers_are_usage_error(capsys, factor, count):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "expr, order", [("E(q)^100*E(q)^100", 20000), ("psi(q)^100*phi(q)^100", 20000),
+                    ("sigma(q)^21", 20000), ("T2(E(q)^100)", 2001)]
+)
+def test_costly_expressions_are_usage_error(capsys, expr, order):
+    # Within the degree limit, but unbounded these ran 15 s to 49 s at
+    # order 20000; evaluate refuses degree times order past 400000.
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", expr, "--order", str(order)])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree times evaluation order is" in captured.err
+    assert "above the limit 400000" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_coeffs_eval_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "1/(1 - 1)", "--order", "4"])

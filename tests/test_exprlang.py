@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 
 from sevencores.exprlang import (
     Binary,
-    ChiAtom,
     Const,
     EtaFold,
-    EulerAtom,
     ExprEvalError,
+    KAtom,
+    MAX_COST,
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_EXPONENT,
     ExprSyntaxError,
     Lattice7Atom,
     LatticeAtom,
-    OmegaAtom,
-    PhiAtom,
     Power,
-    PsiAtom,
     QPow,
-    SigmaAtom,
     ThetaAtom,
     Unary,
     _K_ATOMS,
@@ -46,7 +42,7 @@ from sevencores.theta import chi_neg, eta_quotient, euler_E, omega_at, psi, sigm
 
 def test_parse_quotient_power():
     ast = parse("E(q^7)^7 / E(q)")
-    assert ast == Binary("/", Power(EulerAtom(7), 7), EulerAtom(1))
+    assert ast == Binary("/", Power(KAtom("E", 7), 7), KAtom("E", 1))
 
 
 def test_parse_respects_precedence():
@@ -61,11 +57,11 @@ def test_neg_binds_tighter_than_mul():
 
 def test_parse_theta_and_named_atoms():
     ast = parse("f(q, q^13)*phi(q^7)")
-    assert ast == Binary("*", ThetaAtom(1, 1, 1, 13), PhiAtom(7))
+    assert ast == Binary("*", ThetaAtom(1, 1, 1, 13), KAtom("phi", 7))
     assert parse("f(-q^2, -q^5)") == ThetaAtom(-1, 2, -1, 5)
-    assert parse("chi(-q^3)") == ChiAtom(3)
-    assert parse("sigma(q)") == SigmaAtom(1)
-    assert parse("omega(q^2)") == OmegaAtom(2)
+    assert parse("chi(-q^3)") == KAtom("chi", 3)
+    assert parse("sigma(q)") == KAtom("sigma", 1)
+    assert parse("omega(q^2)") == KAtom("omega", 2)
     assert parse("lattice(7)") == LatticeAtom(7)
     assert parse("lattice7(-1)") == Lattice7Atom(-1)
 
@@ -159,7 +155,7 @@ def test_unreadable_integer_is_a_syntax_error(text, offset):
 
 
 def test_exponent_bound():
-    assert parse(f"E(q)^{MAX_EXPONENT}") == Power(EulerAtom(1), MAX_EXPONENT)
+    assert parse(f"E(q)^{MAX_EXPONENT}") == Power(KAtom("E", 1), MAX_EXPONENT)
     for text in (f"E(q)^{MAX_EXPONENT + 1}", "(q)^2^" + "1" + "0" * 30):
         with pytest.raises(ExprSyntaxError, match="above the limit"):
             parse(text)
@@ -193,6 +189,44 @@ def test_degree_adds_across_products_and_multiplies_across_powers():
         assert exc.value.expression == to_text(parse(text))
 
 
+def test_cost_is_degree_times_evaluation_order():
+    # Accepted at the limit, one past it refused before anything is built.
+    assert evaluate("E(q)^100 * E(q)^100", 2000).order == 2000
+    assert evaluate("sigma(q)^20", 0) == TruncSeries.one(0)
+    for text, order, cost in (("E(q)^100 * E(q)^100", MAX_ORDER, 4000000),
+                              ("E(q)^100 * E(q)^100", 2001, 400200),
+                              ("sigma(q)^20 + q", MAX_ORDER + 1, 400020),
+                              ("T2(E(q)^100)", 2001, 400200),
+                              ("T2(T2(E(q)^10*E(q^2)^10))", 5001, 400080)):
+        with pytest.raises(
+            ExprEvalError, match=f"order is {cost}, above the limit {MAX_COST}$"
+        ) as exc:
+            evaluate(text, order)
+        assert exc.value.expression == to_text(parse(text))
+    # No leaf is built past 2 * MAX_ORDER, so degree 10 under two T2s
+    # costs at most 10 * 2 * MAX_ORDER, and the T2 check stops it.
+    with pytest.raises(ExprEvalError, match="T2 would evaluate"):
+        evaluate("T2(T2(E(q)^5*E(q^2)^5))", MAX_ORDER // 2 + 1)
+
+
+def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
+    """evaluate at MAX_ORDER with eval_ast replaced, so every bound is
+    checked on each text's cached degrees and no text is built."""
+    from sevencores import exprlang
+    from sevencores.identities import REGISTRY
+    from sevencores.inequalities import SERIES
+
+    texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
+    texts += SERIES.values()
+    reached = []
+    monkeypatch.setattr(exprlang, "eval_ast", lambda node, order: reached.append(node))
+    for text in texts:
+        evaluate(text, MAX_ORDER)
+    assert reached == [text.checked[0] for text in texts]
+    # The largest is eq-3.28's T2(q^2*G): degree 9 at order 2 * MAX_ORDER.
+    assert max(text.checked[2] for text in texts) * MAX_ORDER == 360000
+
+
 def test_nested_t2_stops_before_building_past_twice_max_order():
     assert evaluate("T2(q)", MAX_ORDER) == TruncSeries(MAX_ORDER, (0, 0, 4))
     assert evaluate("T2(T2(q^4))", MAX_ORDER // 2).coeffs[:2] == (0, 1)
@@ -208,14 +242,17 @@ def test_nested_t2_stops_before_building_past_twice_max_order():
 
 @pytest.mark.parametrize("name", _K_ATOMS)
 def test_each_atom_row_parses_prints_and_evaluates(name):
-    cls, builder = _K_ATOMS[name]
-    text = f"{name}(-q^3)" if cls is ChiAtom else f"{name}(q^3)"
+    text = f"{name}(-q^3)" if name == "chi" else f"{name}(q^3)"
     node = parse(text)
-    assert type(node) is cls and node == cls(3)
+    assert type(node) is KAtom and node == KAtom(name, 3)
     assert to_text(node) == text
-    assert evaluate(text, 60) == getattr(theta, builder)(3, 60)
+    assert evaluate(text, 60) == getattr(theta, _K_ATOMS[name])(3, 60)
     # The rows share one node type, and still no two compare equal.
-    assert [other(3) == node for other, _ in _K_ATOMS.values()].count(True) == 1
+    assert [KAtom(other, 3) == node for other in _K_ATOMS].count(True) == 1
+
+
+def test_no_class_subclasses_the_atom_node():
+    assert KAtom.__subclasses__() == []
 
 
 def test_atoms_are_built_through_the_theta_module(monkeypatch):
@@ -294,8 +331,11 @@ def test_fold_collects_one_eta_quotient():
 
 def plain_walk(node, order):
     """Every product, quotient and power taken as it is written, by mul,
-    div and pow on its evaluated operands: the oracle for folding and for
-    divide-last evaluation."""
+    div and pow on its evaluated operands, and chi(-q^k) as
+    E(q^k)/E(q^2k) by div, not through eval_ast's eta quotient: the
+    oracle for folding and for divide-last evaluation."""
+    if isinstance(node, KAtom) and node.name == "chi":
+        return euler_E(node.k, order).div(euler_E(2 * node.k, order))
     if isinstance(node, Power):
         return plain_walk(node.base, order).pow(node.exponent)
     if not isinstance(node, Binary):
@@ -313,8 +353,8 @@ def plain_walk(node, order):
 
 eta_trees = st.recursive(
     st.one_of(
-        st.builds(EulerAtom, st.integers(min_value=1, max_value=6)),
-        st.builds(ChiAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(KAtom, st.just("E"), st.integers(min_value=1, max_value=6)),
+        st.builds(KAtom, st.just("chi"), st.integers(min_value=1, max_value=6)),
         st.builds(QPow, st.integers(min_value=0, max_value=3)),
         st.builds(Const, st.integers(min_value=0, max_value=3)),
     ),
@@ -365,13 +405,13 @@ def test_non_unit_divisor_still_raises(text, divisor, constant):
 # which do not.
 mixed_trees = st.recursive(
     st.one_of(
-        st.builds(EulerAtom, st.integers(min_value=1, max_value=6)),
-        st.builds(ChiAtom, st.integers(min_value=1, max_value=6)),
+        st.builds(KAtom, st.just("E"), st.integers(min_value=1, max_value=6)),
+        st.builds(KAtom, st.just("chi"), st.integers(min_value=1, max_value=6)),
         st.builds(QPow, st.integers(min_value=0, max_value=3)),
         st.builds(Const, st.integers(min_value=-2, max_value=3)),
-        st.builds(PsiAtom, st.integers(min_value=1, max_value=4)),
-        st.builds(PhiAtom, st.integers(min_value=1, max_value=4)),
-        st.builds(OmegaAtom, st.integers(min_value=1, max_value=2)),
+        st.builds(KAtom, st.just("psi"), st.integers(min_value=1, max_value=4)),
+        st.builds(KAtom, st.just("phi"), st.integers(min_value=1, max_value=4)),
+        st.builds(KAtom, st.just("omega"), st.integers(min_value=1, max_value=2)),
     ),
     lambda children: st.one_of(
         st.builds(Power, children, st.integers(min_value=0, max_value=3)),
@@ -485,12 +525,12 @@ pm = st.sampled_from((1, -1))
 atoms = st.one_of(
     st.builds(Const, st.integers(min_value=0, max_value=99)),
     st.builds(QPow, one_based),
-    st.builds(EulerAtom, one_based),
-    st.builds(PhiAtom, one_based),
-    st.builds(PsiAtom, one_based),
-    st.builds(ChiAtom, one_based),
-    st.builds(SigmaAtom, one_based),
-    st.builds(OmegaAtom, one_based),
+    st.builds(KAtom, st.just("E"), one_based),
+    st.builds(KAtom, st.just("phi"), one_based),
+    st.builds(KAtom, st.just("psi"), one_based),
+    st.builds(KAtom, st.just("chi"), one_based),
+    st.builds(KAtom, st.just("sigma"), one_based),
+    st.builds(KAtom, st.just("omega"), one_based),
     st.builds(ThetaAtom, pm, one_based, pm, one_based),
     st.builds(LatticeAtom, st.sampled_from((2, 3, 5, 7))),
     st.builds(Lattice7Atom, st.sampled_from((-1, 0, 1, 2))),

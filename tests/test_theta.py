@@ -158,8 +158,10 @@ def test_phi_psi_eta_forms():
 
 def test_chi_is_odd_pochhammer():
     # E(q^m)/E(q^2m) telescopes to the odd-spaced product (q^m; q^2m)
-    for m in (1, 2, 7):
-        assert chi_neg(m, 60) == pochhammer(1, m, 2 * m, 60)
+    for m in range(1, 13):
+        for order in (0, 1, 2 * m, 60, 399, 400):
+            assert chi_neg(m, order) == pochhammer(1, m, 2 * m, order)
+    assert chi_neg(1, 6000) == pochhammer(1, 1, 2, 6000)
 
 
 def test_sigma_omega_heads():
