@@ -14,6 +14,7 @@ import json
 import os
 import signal
 import sys
+from functools import partial
 
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate
 from .identities import get_record, verify, verify_all
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="first exponent to print (default 0)")
     p.add_argument("--to", type=int, default=None,
                    help="last exponent to print (default: order)")
-    p.set_defaults(func=_cmd_coeffs)
+    p.set_defaults(func=partial(_cmd_coeffs, parser=p))
 
     p = sub.add_parser("verify", help="check identities from the catalog")
     p.add_argument("id", nargs="?", default=None, help="identity id, e.g. eq-3.2")
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None,
                    help="expansion order (default 200)")
     p.add_argument("--format", choices=("table", "jsonlike"), default="table")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=partial(_cmd_verify, parser=p))
 
     p = sub.add_parser("scan", help="scan inequality and progression claims")
     p.add_argument("claim", nargs="?", default=None, help="claim id, e.g. ineq-1.11")
@@ -232,20 +233,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan every proved claim")
     p.add_argument("--order", type=int, default=None,
                    help=f"scan depth (default {DEFAULT_DEPTH})")
-    p.set_defaults(func=_cmd_scan)
+    p.set_defaults(func=partial(_cmd_scan, parser=p))
 
     p = sub.add_parser("table", help="tabulate 7-core counts from closed forms")
     p.add_argument("which", choices=("a7", "a7j"),
                    help="a7: totals only; a7j: split by rank class")
     p.add_argument("--max", type=int, required=True, help="last n to print")
     p.add_argument("--csv", action="store_true", help="emit CSV with fixed header")
-    p.set_defaults(func=_cmd_table)
+    p.set_defaults(func=partial(_cmd_table, parser=p))
 
     p = sub.add_parser("oracle",
                        help="diff brute-force core counts against the series table")
     p.add_argument("--max", type=int, required=True,
                    help=f"last n to check (at most {PARTITION_BOUND})")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=partial(_cmd_oracle, parser=p))
 
     return parser
 
@@ -255,9 +256,8 @@ def main(argv=None) -> int:
         # As a console script, a reader that closes the pipe early ends
         # the run the way it ends any filter, not as a failure (exit 1).
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

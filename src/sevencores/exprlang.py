@@ -32,19 +32,24 @@ a stack overflow in the parser, the printer or the evaluator.  So is an
 integer literal too long for ``int`` (Python refuses more than 4300
 digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
 refuses, before it builds anything, a tree whose exponents multiply past
-MAX_EXPONENT along one root-to-leaf path, such as E(q)^100^100, and a
-tree whose degree passes MAX_DEGREE, such as a product of three E(q)^100
-factors.  Each T2 doubles the order its argument is evaluated at; past
-2 * MAX_ORDER that is an evaluation error.  Before evaluating, it also
-refuses a tree whose degree times evaluation order passes MAX_COST,
-such as E(q)^100 * E(q)^100 at order 20000.
+MAX_EXPONENT along one root-to-leaf path (E(q)^100^100), whose degree
+passes MAX_DEGREE (three E(q)^100 factors), or whose degree times order
+passes MAX_COST (E(q)^100 * E(q)^100 at order 20000).  Each T2 doubles
+the order its argument is evaluated at; past 2 * MAX_ORDER that is an
+evaluation error.
+
+Each distinct tree is compiled once, on its first evaluation, into a
+plan (``_compile``): a tree of closures of the order in which every
+fold, every divide-last choice and every product's cache key is fixed.
+A run does series work and the checks that need a series only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Optional
+from functools import cache, cached_property, partial
+from operator import methodcaller
+from typing import Callable, NamedTuple, Optional
 
 from . import theta
 from .partitions import lattice_rank_sum, lattice_sum
@@ -502,18 +507,25 @@ class EtaFold(NamedTuple):
     const: int
 
 
+class Plan(NamedTuple):
+    """A compiled tree: run(order) evaluates it; fold is ``_fold``'s."""
+
+    run: Callable[[int], TruncSeries]
+    fold: Optional[EtaFold]
+
+
 def _is_product(node: Node) -> bool:
     return isinstance(node, Power) or (
         isinstance(node, Binary) and node.op in ("*", "/")
     )
 
 
-def _fold(node: Node) -> Optional[EtaFold]:
-    """node as one EtaFold, or None.  It folds when its leaves are only
-    E(q^k), chi(-q^k) = E(q^k)/E(q^2k), q^s and integer constants, joined
-    by *, / and ^, and when every divisor is a unit: a divisor with a
-    factor q^s or a constant other than +1 or -1 is left to eval_ast,
-    which reports it."""
+def _fold(node: Node, operands: list) -> Optional[EtaFold]:
+    """node as one EtaFold, from its operands' plans, or None.  It folds
+    when its leaves are only E(q^k), chi(-q^k) = E(q^k)/E(q^2k), q^s and
+    integer constants, joined by *, / and ^, and when every divisor is a
+    unit: a divisor with a factor q^s or a constant other than +1 or -1
+    is left to the plain quotient, which reports it."""
     if isinstance(node, KAtom) and node.name == "E":
         return EtaFold({node.k: 1}, 0, 1)
     if isinstance(node, KAtom) and node.name == "chi":
@@ -522,19 +534,14 @@ def _fold(node: Node) -> Optional[EtaFold]:
         return EtaFold({}, node.k, 1)
     if isinstance(node, Const):
         return EtaFold({}, 0, node.value)
+    folds = [plan.fold for plan in operands]
+    if not _is_product(node) or None in folds:
+        return None
     if isinstance(node, Power):
-        base = _fold(node.base)
-        if base is None:
-            return None
-        e = node.exponent
+        (base,), e = folds, node.exponent
         factors = {k: v * e for k, v in base.factors.items()} if e else {}
         return EtaFold(factors, base.shift * e, base.const**e)
-    if not _is_product(node):
-        return None
-    left, right = _fold(node.left), _fold(node.right)
-    if left is None or right is None:
-        return None
-    return _join(node.op, left, right)
+    return _join(node.op, *folds)
 
 
 def _join(op: str, left: EtaFold, right: EtaFold) -> Optional[EtaFold]:
@@ -562,108 +569,119 @@ def _shift_scale(out: TruncSeries, fold: EtaFold) -> TruncSeries:
     return out if fold.const == 1 else out.scale(fold.const)
 
 
-def _divide_last(node: Binary) -> Optional[tuple]:
-    """(other, fold) for a product or quotient in which exactly one
-    operand folds: the node is other times the EtaFold, a divisor's fold
-    inverted.  None when both or neither fold, when the fold is the
-    dividend, or when a divisor's fold has a shift or a constant other
-    than +1 or -1 (eval_ast reports those)."""
-    left, right = _fold(node.left), _fold(node.right)
-    if (left is None) == (right is None):
-        return None
-    if right is None:
-        return (node.right, left) if node.op == "*" else None
-    fold = _join(node.op, EtaFold({}, 0, 1), right)
-    return None if fold is None else (node.left, fold)
-
-
 @prefix_cached
-def _eval_product(node: Node, order: int) -> TruncSeries:
-    """A product, quotient or power that does not fold, from its operands.
-
-    When one operand folds (``_divide_last``), the other is multiplied by
-    the fold's positive part and then divided by one euler_E(step) per
-    unit of negative exponent (``divide_by_euler``), as ``eta_quotient``
-    divides.  The quotient of the fold alone can have far wider
-    coefficients than the whole product, and a product of Euler factors
-    is a dense divisor where each factor is a sparse one.  A fold with a
-    positive part and a single E(q^k) below is the exception: its cached
-    ``eta_quotient`` is one multiply, shared by every node it is in."""
-    if isinstance(node, Power):
-        return eval_ast(node.base, order).pow(node.exponent)
-    mixed = _divide_last(node)
-    if mixed is not None:
-        other, fold = mixed
-        out = eval_ast(other, order)
-        positive = {k: v for k, v in fold.factors.items() if v > 0}
-        negative = [v for v in fold.factors.values() if v < 0]
-        if positive and negative == [-1]:
-            return _shift_scale(out.mul(eta_quotient(fold.factors, order)), fold)
-        if positive:
-            out = out.mul(eta_quotient(positive, order))
-        return _shift_scale(divide_by_euler(out, fold.factors.items()), fold)
-    left = eval_ast(node.left, order)
-    right = eval_ast(node.right, order)
-    if node.op == "*":
-        return left.mul(right)
-    if right.coeffs[0] not in (1, -1):
-        raise ExprEvalError(
-            to_text(node.right),
-            f"division needs constant term +1 or -1, got {right.coeffs[0]}",
-        )
-    return left.div(right)
+def _product(build, order: int) -> TruncSeries:
+    """build(order) for a product that does not fold, cached under build,
+    which equal subtrees share (``_plan``), so a lookup hashes no node."""
+    return build(order)
 
 
-def eval_ast(node: Node, order: int) -> TruncSeries:
-    """Evaluate an AST to a TruncSeries of the given order.
+#: The fields of each node type that hold its operands.
+_OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
 
-    A product, quotient or power that folds (see ``_fold``) is one
-    ``eta_quotient`` call, which caches it.  Any other product, quotient
-    or power is cached under its node, so equal subtrees share one
-    entry; one with an operand that folds divides last (see
-    ``_eval_product``).  Leaves are cached atoms; sums, differences and
-    the unary operations cost one pass over the coefficients and are not
-    cached.
-    """
+
+def _compile(node: Node) -> Plan:
+    """node's plan, from its operands' plans: the one walk that folds each
+    node and decides how it is evaluated.  A run does the series work and
+    the checks that need a series: the non-unit divisor and the T2 order.
+    Builders are looked up on ``theta`` and this module at each run."""
+    operands = [_plan(getattr(node, c)) for c in _OPERANDS.get(type(node), ())]
+    fold = _fold(node, operands)
     if _is_product(node):
-        folded = _fold(node)
-        if folded is None:
-            return _eval_product(node, order)
-        return _shift_scale(eta_quotient(folded.factors, order), folded)
+        if fold is not None:
+            factors = fold.factors
+            return Plan(
+                lambda order: _shift_scale(eta_quotient(factors, order), fold), fold
+            )
+        return Plan(partial(_product, _build_product(node, *operands)), None)
     if isinstance(node, Const):
-        return TruncSeries.constant(node.value, order)
+        return Plan(partial(TruncSeries.constant, node.value), fold)
     if isinstance(node, QPow):
-        return TruncSeries.monomial(1, node.k, order)
+        return Plan(partial(TruncSeries.monomial, 1, node.k), fold)
     if isinstance(node, KAtom):
-        return getattr(theta, _K_ATOMS[node.name])(node.k, order)
+        builder, k = _K_ATOMS[node.name], node.k
+        return Plan(lambda order: getattr(theta, builder)(k, order), fold)
     if isinstance(node, ThetaAtom):
-        return theta_f(ThetaArgs(node.sign_a, node.r, node.sign_b, node.s), order)
+        args = ThetaArgs(node.sign_a, node.r, node.sign_b, node.s)
+        return Plan(lambda order: theta_f(args, order), None)
     if isinstance(node, LatticeAtom):
-        return lattice_sum(node.t, order)
+        return Plan(lambda order: lattice_sum(node.t, order), None)
     if isinstance(node, Lattice7Atom):
-        return lattice_rank_sum(node.j, order)
-    if isinstance(node, Unary):
-        if node.op == "T2":
+        return Plan(lambda order: lattice_rank_sum(node.j, order), None)
+    if isinstance(node, Unary) and node.op == "T2":
+        child = operands[0].run
+
+        def t2(order):
             # The halving action reads coefficients up to twice the order.
             if order > MAX_ORDER:
                 raise ExprEvalError(
                     to_text(node),
                     f"T2 would evaluate its argument past order {2 * MAX_ORDER}",
                 )
-            return hecke_T2(eval_ast(node.child, 2 * order))
-        child = eval_ast(node.child, order)
-        if node.op in _SLICES:
-            return getattr(child, _SLICES[node.op])()
-        raise ExprEvalError(to_text(node), f"unknown unary operation {node.op!r}")
-    if isinstance(node, Binary):
-        left = eval_ast(node.left, order)
-        right = eval_ast(node.right, order)
+            return hecke_T2(child(2 * order))
+
+        return Plan(t2, None)
+    if isinstance(node, Unary) and node.op in _SLICES:
+        child, method = operands[0].run, methodcaller(_SLICES[node.op])
+        return Plan(lambda order: method(child(order)), None)
+    if isinstance(node, Binary) and node.op in ("+", "-"):
+        left, right = operands[0].run, operands[1].run
         if node.op == "+":
-            return left.add(right)
-        if node.op == "-":
-            return left.sub(right)
+            return Plan(lambda order: left(order).add(right(order)), None)
+        return Plan(lambda order: left(order).sub(right(order)), None)
+    if isinstance(node, (Unary, Binary)):
         raise ExprEvalError(to_text(node), f"unknown operation {node.op!r}")
     raise TypeError(f"not an expression node: {node!r}")
+
+
+#: node -> its plan, compiled on first use and kept under the node, so
+#: equal subtrees share one plan and one ``_product`` entry.
+_plan = cache(_compile)
+
+
+def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
+    """The build of a product, quotient or power that does not fold.  When
+    exactly one operand folds and is not the dividend, the node divides
+    last: the other operand times the fold's positive part, divided by
+    each Euler factor below (``divide_by_euler``).  The fold's quotient
+    alone can have far wider coefficients than the whole product.  A fold
+    with a positive part over a single E(q^k) is the exception: its cached
+    ``eta_quotient`` is one multiply, shared by every node it is in."""
+    if isinstance(node, Power):
+        base, e = left.run, node.exponent
+        return lambda order: base(order).pow(e)
+    other = fold = None
+    if left.fold is not None and right.fold is None and node.op == "*":
+        other, fold = right.run, left.fold
+    elif left.fold is None and right.fold is not None:
+        other, fold = left.run, _join(node.op, EtaFold({}, 0, 1), right.fold)
+    if fold is not None:
+        positive = {k: v for k, v in fold.factors.items() if v > 0}
+        below = [(k, v) for k, v in fold.factors.items() if v < 0]
+        if positive and [v for _, v in below] == [-1]:
+            positive, below = fold.factors, []
+
+        def divide_last(order):
+            out = other(order)
+            if positive:
+                out = out.mul(eta_quotient(positive, order))
+            return _shift_scale(divide_by_euler(out, below), fold)
+
+        return divide_last
+    dividend, divisor = left.run, right.run
+    if node.op == "*":
+        return lambda order: dividend(order).mul(divisor(order))
+
+    def quotient(order):
+        top, bottom = dividend(order), divisor(order)
+        if bottom.coeffs[0] not in (1, -1):
+            raise ExprEvalError(
+                to_text(node.right),
+                f"division needs constant term +1 or -1, got {bottom.coeffs[0]}",
+            )
+        return top.div(bottom)
+
+    return quotient
 
 
 def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -> int:
@@ -699,36 +717,38 @@ def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -
 
 
 def _checked(expr) -> tuple:
-    """expr's tree (parsed, if it is text), its degree, and its degree
-    with each T2 doubling its argument's, for ``evaluate``'s cost bound.
-    Refuses a tree whose ^ exponents multiply past MAX_EXPONENT on some
-    root-to-leaf path (``_degree`` raises that), or whose degree passes
-    MAX_DEGREE.  The walk recurses once per level, and parsed trees are
-    at most MAX_DEPTH levels tall."""
+    """expr's tree (parsed, if it is text), its degree, its degree with
+    each T2 doubling its argument's, for ``evaluate``'s cost bound, and
+    its plan (``_plan``).  Refuses a tree whose ^ exponents multiply past
+    MAX_EXPONENT on some root-to-leaf path (``_degree`` raises that), or
+    whose degree passes MAX_DEGREE.  The walks recurse once per level,
+    and parsed trees are at most MAX_DEPTH levels tall."""
     node = parse(expr) if isinstance(expr, str) else expr
     degree = _degree(node)
     if degree > MAX_DEGREE:
         raise ExprEvalError(
             to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
         )
-    return node, degree, _degree(node, t2=2)
+    return node, degree, _degree(node, t2=2), _plan(node)
 
 
 class Text(str):
-    """Expression text whose tree is parsed and checked on its first
-    evaluation and kept, with its degrees, so ``evaluate`` never parses
-    or walks it again.  For texts evaluated many times, such as the
-    catalog's."""
+    """Expression text whose tree is parsed, checked and compiled on its
+    first evaluation and kept, with its degrees and its plan, so
+    ``evaluate`` never parses, walks or hashes it again.  For texts
+    evaluated many times, such as the catalog's."""
 
     checked = cached_property(_checked)
 
 
 def evaluate(expr, order: int) -> TruncSeries:
     """Parse (if given text), check the exponent, degree and cost bounds,
-    and evaluate to a TruncSeries.  The cost is the degree times the
-    evaluation order: each T2 doubles the order below it, but eval_ast
-    builds nothing under a T2 past 2 * MAX_ORDER."""
-    node, degree, doubled = expr.checked if isinstance(expr, Text) else _checked(expr)
+    and run the tree's plan to a TruncSeries.  The cost is the degree
+    times the evaluation order: each T2 doubles the order below it, but
+    a plan builds nothing under a T2 past 2 * MAX_ORDER."""
+    node, degree, doubled, plan = (
+        expr.checked if isinstance(expr, Text) else _checked(expr)
+    )
     check_order(order)
     cost = min(doubled * order, degree * max(order, 2 * MAX_ORDER))
     if cost > MAX_COST:
@@ -736,4 +756,4 @@ def evaluate(expr, order: int) -> TruncSeries:
             to_text(node),
             f"its degree times evaluation order is {cost}, above the limit {MAX_COST}",
         )
-    return eval_ast(node, order)
+    return plan.run(order)

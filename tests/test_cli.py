@@ -221,6 +221,30 @@ def test_coeffs_bad_window(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "altq(q)/q", "--order", "3"],
+        ["coeffs"],
+        ["verify"],
+        ["verify", "eq-9.99"],
+        ["scan"],
+        ["table", "a7", "--max", "-1"],
+        ["oracle", "--max", "0"],
+    ],
+)
+def test_usage_errors_print_the_subcommand_usage(capsys, argv):
+    """A handler's own check and argparse's both print the usage of the
+    subcommand that was given, not the top-level usage."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: sevencores {argv[0]} [-h]")
+    assert f"\nsevencores {argv[0]}: error: " in captured.err
+
+
 def test_coeffs_syntax_error_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "E(q^7"])

@@ -4,8 +4,10 @@ The round-trip property is structural: print an AST, reparse, and demand
 the identical tree, not merely equal series.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sevencores.exprlang import (
@@ -25,19 +27,19 @@ from sevencores.exprlang import (
     QPow,
     ThetaAtom,
     Unary,
+    Text,
     _K_ATOMS,
     _degree,
-    _eval_product,
-    _fold,
-    eval_ast,
+    _plan,
+    _product,
     evaluate,
     parse,
     to_text,
 )
 from sevencores import theta
 from sevencores.partitions import lattice_rank_sum, lattice_sum
-from sevencores.series import MAX_ORDER, TruncSeries
-from sevencores.theta import chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
+from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
+from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
 
 
 def test_parse_quotient_power():
@@ -209,19 +211,22 @@ def test_cost_is_degree_times_evaluation_order():
 
 
 def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
-    """evaluate at MAX_ORDER with eval_ast replaced, so every bound is
-    checked on each text's cached degrees and no text is built."""
+    """evaluate at MAX_ORDER with every plan replaced by one that builds
+    nothing, so every bound is checked on each text's degrees and no
+    text is built.  The texts are fresh copies, whose plans are not kept
+    yet."""
     from sevencores import exprlang
     from sevencores.identities import REGISTRY
     from sevencores.inequalities import SERIES
 
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
-    texts += SERIES.values()
+    texts = [Text(t) for t in texts + list(SERIES.values())]
     reached = []
-    monkeypatch.setattr(exprlang, "eval_ast", lambda node, order: reached.append(node))
+    monkeypatch.setattr(exprlang, "_plan", lambda node: exprlang.Plan(
+        lambda order: reached.append((node, order)), None))
     for text in texts:
         evaluate(text, MAX_ORDER)
-    assert reached == [text.checked[0] for text in texts]
+    assert reached == [(text.checked[0], MAX_ORDER) for text in texts]
     # The largest is eq-3.28's T2(q^2*G): degree 9 at order 2 * MAX_ORDER.
     assert max(text.checked[2] for text in texts) * MAX_ORDER == 360000
 
@@ -319,27 +324,69 @@ def test_eval_division_by_nonunit():
 
 
 def test_fold_collects_one_eta_quotient():
-    assert _fold(parse("q^3*E(q^28)^3/E(q^2)^2")) == EtaFold({28: 3, 2: -2}, 3, 1)
-    assert _fold(parse("2*chi(-q)^2")) == EtaFold({1: 2, 2: -2}, 0, 2)
-    assert _fold(parse("E(q)/(1*E(q))^3")) == EtaFold({1: -2}, 0, 1)
-    assert _fold(parse("(q*E(q))^0")) == EtaFold({}, 0, 1)
+    assert _plan(parse("q^3*E(q^28)^3/E(q^2)^2")).fold == EtaFold({28: 3, 2: -2}, 3, 1)
+    assert _plan(parse("2*chi(-q)^2")).fold == EtaFold({1: 2, 2: -2}, 0, 2)
+    assert _plan(parse("E(q)/(1*E(q))^3")).fold == EtaFold({1: -2}, 0, 1)
+    assert _plan(parse("(q*E(q))^0")).fold == EtaFold({}, 0, 1)
     # not a unit divisor, or a leaf that is not an eta factor
     for text in ("E(q)/q", "E(q)/(2*E(q^2))", "E(q)*psi(q)", "E(q)*(1 + q)"):
-        assert _fold(parse(text)) is None
+        assert _plan(parse(text)).fold is None
+
+
+def run(node, order):
+    """node evaluated by its plan, past evaluate's size and cost bounds."""
+    return _plan(node).run(order)
+
+
+def _uncached(builder):
+    """builder past its own prefix_cached wrapper, if it has one."""
+    return getattr(builder, "__wrapped__", builder)
+
+
+#: The TruncSeries method of each unary slice, written out again here.
+SLICE_METHODS = {"neg": TruncSeries.neg, "even": TruncSeries.even_part,
+                 "odd": TruncSeries.odd_part, "altq": TruncSeries.alternate}
 
 
 def plain_walk(node, order):
-    """Every product, quotient and power taken as it is written, by mul,
-    div and pow on its evaluated operands, and chi(-q^k) as
-    E(q^k)/E(q^2k) by div, not through eval_ast's eta quotient: the
-    oracle for folding and for divide-last evaluation."""
+    """The evaluator's oracle: every node taken as it is written, with no
+    plan, no fold and no cache of the evaluator's.  Products, quotients
+    and powers are mul, div and pow on their evaluated operands, and
+    chi(-q^k) is E(q^k)/E(q^2k) by div, not an eta quotient.  Each atom
+    is its theta or partitions builder, called past the builder's own
+    cache where it has one."""
+    if isinstance(node, Const):
+        return TruncSeries.constant(node.value, order)
+    if isinstance(node, QPow):
+        return TruncSeries.monomial(1, node.k, order)
     if isinstance(node, KAtom) and node.name == "chi":
-        return euler_E(node.k, order).div(euler_E(2 * node.k, order))
+        e = _uncached(euler_E)
+        return e(node.k, order).div(e(2 * node.k, order))
+    if isinstance(node, KAtom):
+        return _uncached(getattr(theta, _K_ATOMS[node.name]))(node.k, order)
+    if isinstance(node, ThetaAtom):
+        args = ThetaArgs(node.sign_a, node.r, node.sign_b, node.s)
+        return _uncached(theta.theta_f)(args, order)
+    if isinstance(node, LatticeAtom):
+        return lattice_sum(node.t, order)
+    if isinstance(node, Lattice7Atom):
+        return lattice_rank_sum(node.j, order)
+    if isinstance(node, Unary) and node.op == "T2":
+        if order > MAX_ORDER:
+            raise ExprEvalError(
+                to_text(node),
+                f"T2 would evaluate its argument past order {2 * MAX_ORDER}",
+            )
+        return hecke_T2(plain_walk(node.child, 2 * order))
+    if isinstance(node, Unary):
+        return SLICE_METHODS[node.op](plain_walk(node.child, order))
     if isinstance(node, Power):
         return plain_walk(node.base, order).pow(node.exponent)
-    if not isinstance(node, Binary):
-        return eval_ast(node, order)
     left, right = plain_walk(node.left, order), plain_walk(node.right, order)
+    if node.op == "+":
+        return left.add(right)
+    if node.op == "-":
+        return left.sub(right)
     if node.op == "*":
         return left.mul(right)
     if right.coeffs[0] not in (1, -1):
@@ -348,6 +395,64 @@ def plain_walk(node, order):
             f"division needs constant term +1 or -1, got {right.coeffs[0]}",
         )
     return left.div(right)
+
+
+def outcome(evaluator, node, order):
+    """The series, or the quoted expression and text of the ExprEvalError."""
+    try:
+        return evaluator(node, order)
+    except ExprEvalError as exc:
+        return exc.expression, str(exc)
+
+
+def random_tree(rng, depth):
+    """A tree of any node kind, at most depth levels above its leaves,
+    drawn as test_acceptance's _random_tree draws them, with smaller
+    arguments."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice((
+            lambda: Const(rng.randint(-2, 3)),
+            lambda: QPow(rng.randint(0, 3)),
+            lambda: KAtom(rng.choice(sorted(_K_ATOMS)), rng.randint(1, 4)),
+            lambda: ThetaAtom(rng.choice((1, -1)), rng.randint(1, 5),
+                              rng.choice((1, -1)), rng.randint(1, 5)),
+            lambda: LatticeAtom(rng.choice((2, 3, 5, 7))),
+            lambda: Lattice7Atom(rng.choice((-1, 0, 1, 2))),
+        ))()
+    shape = rng.randrange(3)
+    if shape == 0:
+        op = rng.choice(("T2",) + tuple(SLICE_METHODS))
+        return Unary(op, random_tree(rng, depth - 1))
+    if shape == 1:
+        return Power(random_tree(rng, depth - 1), rng.randint(0, 3))
+    op = rng.choice("+-*/")
+    return Binary(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0), st.integers(min_value=0, max_value=60),
+       st.integers(min_value=0, max_value=60))
+def test_the_evaluator_matches_its_uncompiled_uncached_oracle(seed, order, other):
+    """evaluate, with its plans, folds and caches, against plain_walk: the
+    same series, or the same error quoting the same expression.  The
+    second order runs the plan kept from the first, and is served by
+    truncation where a cache already holds a higher order."""
+    node = random_tree(random.Random(seed), 4)
+    try:
+        assume(_degree(node) <= MAX_DEGREE)
+    except ExprEvalError:  # exponents multiply past MAX_EXPONENT
+        assume(False)
+    for n in (order, other):
+        assert outcome(evaluate, node, n) == outcome(plain_walk, node, n)
+
+
+def test_a_tree_is_compiled_once():
+    node = parse("psi(q^5)^3 - T2(phi(q)*E(q)^2)")
+    plan = _plan(node)
+    assert _plan(parse(to_text(node))) is plan
+    assert evaluate(node, 30) == plain_walk(node, 30)
+    assert evaluate(node, 10) == plain_walk(node, 10)
+    assert _plan(node) is plan
 
 
 eta_trees = st.recursive(
@@ -370,17 +475,17 @@ eta_trees = st.recursive(
 def test_folding_matches_the_unfolded_walk(node, order):
     # A tree of these leaves folds whole unless some divisor is not a
     # unit, and then it raises, so it never adds to the node cache.
-    cached = _eval_product.cache_info().currsize
+    cached = _product.cache_info().currsize
     try:
         want = plain_walk(node, order)
     except ExprEvalError as exc:
         with pytest.raises(ExprEvalError) as got:
-            eval_ast(node, order)
+            run(node, order)
         assert got.value.expression == exc.expression
         assert str(got.value) == str(exc)
     else:
-        assert eval_ast(node, order) == want
-    assert _eval_product.cache_info().currsize == cached
+        assert run(node, order) == want
+    assert _product.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize(
@@ -427,11 +532,11 @@ def test_divide_last_matches_the_plain_walk(node, order):
         want = plain_walk(node, order)
     except ExprEvalError as exc:
         with pytest.raises(ExprEvalError) as got:
-            eval_ast(node, order)
+            run(node, order)
         assert got.value.expression == exc.expression
         assert str(got.value) == str(exc)
     else:
-        assert eval_ast(node, order) == want
+        assert run(node, order) == want
 
 
 @pytest.mark.parametrize(
@@ -475,20 +580,20 @@ def test_a_divisor_that_folds_is_divided_factor_by_factor(monkeypatch):
 
 
 def test_failed_evaluation_caches_nothing():
-    before = _eval_product.cache_info()
+    before = _product.cache_info()
     for _ in range(2):
         with pytest.raises(ExprEvalError):
             evaluate("psi(q)*(psi(q^3)/q)", 20)
-    after = _eval_product.cache_info()
+    after = _product.cache_info()
     assert after.currsize == before.currsize
     assert (after.hits, after.misses) == (before.hits, before.misses + 4)
 
 
 def test_equal_subtrees_share_one_cache_entry():
-    before = _eval_product.cache_info()
+    before = _product.cache_info()
     got = evaluate("psi(q^5)^3 - (psi(q^5))^3 + psi(q^5)^3", 40)
     assert got == psi(5, 40).pow(3)
-    after = _eval_product.cache_info()
+    after = _product.cache_info()
     # three lookups of one node: at most one build, the others are hits
     assert after.hits + after.misses == before.hits + before.misses + 3
     assert after.misses <= before.misses + 1

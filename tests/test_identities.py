@@ -178,3 +178,32 @@ def test_a_cold_catalog_pass_divides_19_times():
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     assert out == "19\n"
+
+
+# Counts, in a fresh interpreter, the fold steps and the node hashes of a
+# warm verify --all, after a cold one has compiled every tree.
+COUNT_WARM_WALKS = """
+from sevencores import exprlang
+from sevencores.identities import verify_all
+assert all(r.status == "pass" for r in verify_all(400))
+fold, folds, hashes = exprlang._fold, [], []
+exprlang._fold = lambda *args: folds.append(1) or fold(*args)
+for cls in exprlang.Node.__subclasses__():
+    cls.__hash__ = lambda self, real=cls.__hash__: hashes.append(1) or real(self)
+assert all(r.status == "pass" for r in verify_all(400))
+print(len(folds), len(hashes))
+"""
+
+
+def test_a_warm_catalog_pass_folds_and_hashes_no_node():
+    """Each catalog text keeps its compiled plan, and each non-folding
+    product's cache key is fixed when it is compiled, so a warm pass
+    neither folds a node nor hashes one (folding on every evaluation
+    took 754 fold steps and 1326 node hashes per pass)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_WARM_WALKS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == "0 0\n"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from catalog_oracle import catalog_texts, children, eta
 
-from sevencores.exprlang import _fold, _is_product, parse
+from sevencores.exprlang import _is_product, _plan, parse
 from sevencores.inequalities import SERIES
 from sevencores.series import TruncSeries
 from sevencores.theta import (
@@ -233,7 +233,7 @@ def folded_factors(text):
     found, stack = [], [parse(text)]
     while stack:
         node = stack.pop()
-        folded = _fold(node) if _is_product(node) else None
+        folded = _plan(node).fold if _is_product(node) else None
         if folded is None:
             stack.extend(children(node))
         else:
