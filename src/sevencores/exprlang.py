@@ -668,12 +668,12 @@ def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
             return _shift_scale(divide_by_euler(out, below), fold)
 
         return divide_last
-    dividend, divisor = left.run, right.run
+    a, b = left.run, right.run
     if node.op == "*":
-        return lambda order: dividend(order).mul(divisor(order))
+        return lambda order: a(order).mul(b(order))
 
     def quotient(order):
-        top, bottom = dividend(order), divisor(order)
+        top, bottom = a(order), b(order)
         if bottom.coeffs[0] not in (1, -1):
             raise ExprEvalError(
                 to_text(node.right),
