@@ -4,7 +4,8 @@ Subcommands: coeffs, verify, scan, table, oracle.  Exit codes: 0 pass,
 1 theorem or identity failure, 2 usage error, 3 conjecture counterexample.
 The SEVENCORES_ORDER environment variable supplies a default expansion
 order; an explicit --order flag always wins.  Orders and table sizes
-run from 0 to MAX_ORDER.
+run from 0 to MAX_ORDER.  ``main`` builds its parser once per process
+and reuses it; ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import signal
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .exprlang import ExprEvalError, ExprSyntaxError, evaluate
 from .identities import get_record, verify, verify_all
@@ -211,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="expand an expression and print coefficients")
     p.add_argument("expr", help="expression, e.g. 'E(q^7)^7/E(q)'")
     p.add_argument("--order", type=int, default=None, help="expansion order")
-    p.add_argument("--from", dest="from_", type=int, default=None,
-                   help="first exponent to print (default 0)")
+    p.add_argument("--from", dest="from_", metavar="FROM", type=int,
+                   default=None, help="first exponent to print (default 0)")
     p.add_argument("--to", type=int, default=None,
                    help="last exponent to print (default: order)")
     p.set_defaults(func=partial(_cmd_coeffs, parser=p))
@@ -251,12 +252,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser ``main`` uses: built on its first call, then reused.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
     if argv is None and hasattr(signal, "SIGPIPE"):
         # As a console script, a reader that closes the pipe early ends
         # the run the way it ends any filter, not as a failure (exit 1).
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -41,7 +41,9 @@ evaluation error.
 Each distinct tree is compiled once, on its first evaluation, into a
 plan (``_compile``): a tree of closures of the order in which every
 fold, every divide-last choice and every product's cache key is fixed.
-A run does series work and the checks that need a series only.
+A run does series work and the checks that need a series only.  A whole
+tree that is a sum, difference, slice, T2 or fold keeps its value
+(``_root``), so evaluating it again at its order or below is a lookup.
 """
 
 from __future__ import annotations
@@ -570,9 +572,10 @@ def _shift_scale(out: TruncSeries, fold: EtaFold) -> TruncSeries:
 
 
 @prefix_cached
-def _product(build, order: int) -> TruncSeries:
-    """build(order) for a product that does not fold, cached under build,
-    which equal subtrees share (``_plan``), so a lookup hashes no node."""
+def _kept(build, order: int) -> TruncSeries:
+    """build(order), cached under build: that of a product that does not
+    fold, which equal subtrees share (``_plan``), or a root's (``_root``).
+    A lookup hashes no node."""
     return build(order)
 
 
@@ -593,7 +596,7 @@ def _compile(node: Node) -> Plan:
             return Plan(
                 lambda order: _shift_scale(eta_quotient(factors, order), fold), fold
             )
-        return Plan(partial(_product, _build_product(node, *operands)), None)
+        return Plan(partial(_kept, _build_product(node, *operands)), None)
     if isinstance(node, Const):
         return Plan(partial(TruncSeries.constant, node.value), fold)
     if isinstance(node, QPow):
@@ -635,8 +638,23 @@ def _compile(node: Node) -> Plan:
 
 
 #: node -> its plan, compiled on first use and kept under the node, so
-#: equal subtrees share one plan and one ``_product`` entry.
+#: equal subtrees share one plan and one ``_kept`` entry.
 _plan = cache(_compile)
+
+
+@cache
+def _root(node: Node) -> Plan:
+    """node's plan as a whole tree: its value is kept (``_kept``) when it
+    is a sum, difference, slice, T2 or fold, whose run builds a series or
+    normalises the fold's factors again.  Atoms and the products that do
+    not fold are cached already.  Inner sums are not kept: keeping them
+    cost more memory and saved less time than keeping roots only."""
+    plan = _plan(node)
+    if _is_product(node):
+        keep = plan.fold is not None
+    else:
+        keep = isinstance(node, (Unary, Binary))
+    return Plan(partial(_kept, plan.run), plan.fold) if keep else plan
 
 
 def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
@@ -719,9 +737,9 @@ def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -
 def _checked(expr) -> tuple:
     """expr's tree (parsed, if it is text), its degree, its degree with
     each T2 doubling its argument's, for ``evaluate``'s cost bound, and
-    its plan (``_plan``).  Refuses a tree whose ^ exponents multiply past
-    MAX_EXPONENT on some root-to-leaf path (``_degree`` raises that), or
-    whose degree passes MAX_DEGREE.  The walks recurse once per level,
+    its root plan (``_root``).  Refuses a tree whose ^ exponents multiply
+    past MAX_EXPONENT on some root-to-leaf path (``_degree`` raises
+    that), or whose degree passes MAX_DEGREE.  The walks recurse once per level,
     and parsed trees are at most MAX_DEPTH levels tall."""
     node = parse(expr) if isinstance(expr, str) else expr
     degree = _degree(node)
@@ -729,7 +747,7 @@ def _checked(expr) -> tuple:
         raise ExprEvalError(
             to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
         )
-    return node, degree, _degree(node, t2=2), _plan(node)
+    return node, degree, _degree(node, t2=2), _root(node)
 
 
 class Text(str):

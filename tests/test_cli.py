@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, environment default."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -219,6 +221,17 @@ def test_coeffs_bad_window(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["coeffs", "q", "--order", "5", "--from", "4", "--to", "2"])
     assert exc.value.code == 2
+
+
+def test_coeffs_usage_names_the_from_option_by_its_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "q", "--from", "x"])
+    assert exc.value.code == 2
+    assert "[--from FROM]" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--help"])
+    assert exc.value.code == 0
+    assert "[--from FROM]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -465,3 +478,77 @@ def test_in_process_calls_keep_the_sigpipe_handler(capsys):
     before = signal.getsignal(signal.SIGPIPE)
     assert run(capsys, "coeffs", "q", "--order", "1") == (0, "0 0\n1 1\n")
     assert signal.getsignal(signal.SIGPIPE) == before
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process call; a usage error
+    exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    # verify's "millis" and its table column are wall time
+    text = re.sub(r', "millis": [^,}]+|\s+[0-9.]+ms ', "", out.getvalue())
+    return code, text, err.getvalue()
+
+
+REPEATED = (
+    ["verify", "--all", "--order", "400"],
+    ["verify", "--all", "--order", "400", "--format", "jsonlike"],
+    ["scan", "--theorems", "--order", "2000"],
+    ["scan", "--conjectures", "--order", "2000"],
+)
+
+
+def test_repeated_calls_in_one_process_print_the_same():
+    """The parser built once and the values kept from the first calls
+    change neither output nor exit code, a usage error in between
+    included."""
+    first = [call(argv) for argv in REPEATED]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0]
+    usage = call(["verify", "--all", "--order", "-1"])
+    assert usage[0] == 2 and "usage: sevencores verify" in usage[2]
+    assert [call(argv) for argv in REPEATED] == first
+    assert call(["verify", "--all", "--order", "-1"]) == usage
+
+
+# Counts, in a fresh interpreter, the series passes, the eta_quotient
+# calls and the top-level parser builds of a second verify --all.
+COUNT_WARM_WORK = """
+import argparse, contextlib, io
+from sevencores import cli, exprlang
+from sevencores.series import TruncSeries
+work, parsers = [], []
+def counted(real):
+    return lambda *args: work.append(real.__name__) or real(*args)
+for name in ("mul", "div", "pow", "add", "sub", "neg", "scale", "shift",
+             "even_part", "odd_part", "alternate"):
+    setattr(TruncSeries, name, counted(getattr(TruncSeries, name)))
+exprlang.eta_quotient = counted(exprlang.eta_quotient)
+init = argparse.ArgumentParser.__init__
+def counted_init(self, *args, **kwargs):
+    parsers.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted_init
+for _ in range(2):
+    work.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--all", "--order", "400"]) == 0
+print(len(work), parsers.count("sevencores"))
+"""
+
+
+def test_a_warm_verify_builds_no_series_and_no_parser():
+    """A second verify --all looks every text up: each root that builds
+    a series keeps its value, and main keeps its parser (the first
+    kept neither and made 102 series passes, 58 eta_quotient calls and
+    a second parser)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_WARM_WORK],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == "0 1\n"

@@ -30,8 +30,9 @@ from sevencores.exprlang import (
     Text,
     _K_ATOMS,
     _degree,
+    _kept,
     _plan,
-    _product,
+    _root,
     evaluate,
     parse,
     to_text,
@@ -211,10 +212,10 @@ def test_cost_is_degree_times_evaluation_order():
 
 
 def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
-    """evaluate at MAX_ORDER with every plan replaced by one that builds
-    nothing, so every bound is checked on each text's degrees and no
-    text is built.  The texts are fresh copies, whose plans are not kept
-    yet."""
+    """evaluate at MAX_ORDER with every root plan replaced by one that
+    builds nothing, so every bound is checked on each text's degrees and
+    no text is built.  The texts are fresh copies, whose plans are not
+    kept yet."""
     from sevencores import exprlang
     from sevencores.identities import REGISTRY
     from sevencores.inequalities import SERIES
@@ -222,7 +223,7 @@ def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
     texts = [Text(t) for t in texts + list(SERIES.values())]
     reached = []
-    monkeypatch.setattr(exprlang, "_plan", lambda node: exprlang.Plan(
+    monkeypatch.setattr(exprlang, "_root", lambda node: exprlang.Plan(
         lambda order: reached.append((node, order)), None))
     for text in texts:
         evaluate(text, MAX_ORDER)
@@ -260,8 +261,9 @@ def test_no_class_subclasses_the_atom_node():
 
 
 def test_atoms_are_built_through_the_theta_module(monkeypatch):
-    """Builders are looked up on ``theta`` at each evaluation, so a
-    function rebound there, such as a tracer's wrapper, sees every call."""
+    """Builders are looked up on ``theta`` at each evaluation, and a lone
+    atom's value is not kept above its builder's own cache, so a function
+    rebound there, such as a tracer's wrapper, sees every evaluation."""
     calls = []
     real = theta.phi
 
@@ -271,7 +273,9 @@ def test_atoms_are_built_through_the_theta_module(monkeypatch):
 
     monkeypatch.setattr(theta, "phi", counted)
     assert evaluate("phi(q^3)", 20) == real(3, 20)
-    assert calls == [(3, 20)]
+    assert evaluate(Text("phi(q^3)"), 20) == real(3, 20)
+    assert evaluate("phi(q^3)", 10) == real(3, 10)
+    assert calls == [(3, 20), (3, 20), (3, 10)]
 
 
 def test_eval_core_quotient():
@@ -446,6 +450,34 @@ def test_the_evaluator_matches_its_uncompiled_uncached_oracle(seed, order, other
         assert outcome(evaluate, node, n) == outcome(plain_walk, node, n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0))
+def test_a_kept_root_matches_the_oracle_at_falling_and_rising_orders(seed):
+    """A root's kept value serves a lower order by truncation and is
+    rebuilt for a higher one: each order agrees with plain_walk."""
+    node = random_tree(random.Random(seed), 4)
+    try:
+        assume(_degree(node) <= MAX_DEGREE)
+    except ExprEvalError:  # exponents multiply past MAX_EXPONENT
+        assume(False)
+    for n in (60, 20, 90, 45):
+        assert outcome(evaluate, node, n) == outcome(plain_walk, node, n)
+
+
+@pytest.mark.parametrize("text, order", [
+    ("psi(q)*(psi(q^3)/q)", 20),
+    ("1 + psi(q)*(psi(q^3)/q)", 20),
+    ("T2(T2(E(q)))", MAX_ORDER // 2 + 1),
+    ("T2(T2(E(q))) + q", MAX_ORDER // 2 + 1),
+])
+def test_a_root_that_raises_raises_again_and_keeps_nothing(text, order):
+    before = _kept.cache_info().currsize
+    for _ in range(2):
+        assert outcome(evaluate, text, order) == outcome(plain_walk, parse(text), order)
+    assert isinstance(outcome(evaluate, text, order), tuple)
+    assert _kept.cache_info().currsize == before
+
+
 def test_a_tree_is_compiled_once():
     node = parse("psi(q^5)^3 - T2(phi(q)*E(q)^2)")
     plan = _plan(node)
@@ -475,7 +507,7 @@ eta_trees = st.recursive(
 def test_folding_matches_the_unfolded_walk(node, order):
     # A tree of these leaves folds whole unless some divisor is not a
     # unit, and then it raises, so it never adds to the node cache.
-    cached = _product.cache_info().currsize
+    cached = _kept.cache_info().currsize
     try:
         want = plain_walk(node, order)
     except ExprEvalError as exc:
@@ -485,7 +517,7 @@ def test_folding_matches_the_unfolded_walk(node, order):
         assert str(got.value) == str(exc)
     else:
         assert run(node, order) == want
-    assert _product.cache_info().currsize == cached
+    assert _kept.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize(
@@ -580,24 +612,35 @@ def test_a_divisor_that_folds_is_divided_factor_by_factor(monkeypatch):
 
 
 def test_failed_evaluation_caches_nothing():
-    before = _product.cache_info()
-    for _ in range(2):
-        with pytest.raises(ExprEvalError):
-            evaluate("psi(q)*(psi(q^3)/q)", 20)
-    after = _product.cache_info()
+    """Neither a failing product nor the kept root of a sum above it
+    stores a series, so each evaluation misses them all again."""
+    before = _kept.cache_info()
+    for text in ("psi(q)*(psi(q^3)/q)", "1 + psi(q)*(psi(q^3)/q)"):
+        for _ in range(2):
+            with pytest.raises(ExprEvalError):
+                evaluate(text, 20)
+    after = _kept.cache_info()
     assert after.currsize == before.currsize
-    assert (after.hits, after.misses) == (before.hits, before.misses + 4)
+    # two products per evaluation, and the sum's root in the last two
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2 * 2 + 2 * 3)
 
 
 def test_equal_subtrees_share_one_cache_entry():
-    before = _product.cache_info()
-    got = evaluate("psi(q^5)^3 - (psi(q^5))^3 + psi(q^5)^3", 40)
+    text = "psi(q^5)^3 - (psi(q^5))^3 + psi(q^5)^3"
+    before = _kept.cache_info()
+    got = evaluate(text, 40)
     assert got == psi(5, 40).pow(3)
-    after = _product.cache_info()
-    # three lookups of one node: at most one build, the others are hits
-    assert after.hits + after.misses == before.hits + before.misses + 3
-    assert after.misses <= before.misses + 1
-    assert after.currsize <= before.currsize + 1
+    after = _kept.cache_info()
+    # the root and three lookups of one node: at most two builds, one
+    # per distinct kept subtree, and the others are hits
+    assert after.hits + after.misses == before.hits + before.misses + 4
+    assert after.misses <= before.misses + 2
+    assert after.currsize <= before.currsize + 2
+    # Evaluated again, the tree is one lookup of its kept root.
+    assert evaluate(text, 30) == got.truncate(30)
+    again = _kept.cache_info()
+    assert (again.hits, again.misses) == (after.hits + 1, after.misses)
+    assert _root(parse(text)).run is not _plan(parse(text)).run
 
 
 def test_eval_accepts_parsed_node():
