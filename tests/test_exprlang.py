@@ -471,10 +471,11 @@ def test_a_kept_root_matches_the_oracle_at_falling_and_rising_orders(seed):
     ("T2(T2(E(q))) + q", MAX_ORDER // 2 + 1),
 ])
 def test_a_root_that_raises_raises_again_and_keeps_nothing(text, order):
+    want = outcome(plain_walk, parse(text), order)
+    assert isinstance(want, tuple)  # the quoted expression and error text
     before = _kept.cache_info().currsize
     for _ in range(2):
-        assert outcome(evaluate, text, order) == outcome(plain_walk, parse(text), order)
-    assert isinstance(outcome(evaluate, text, order), tuple)
+        assert outcome(evaluate, text, order) == want
     assert _kept.cache_info().currsize == before
 
 
@@ -621,7 +622,7 @@ def test_failed_evaluation_caches_nothing():
                 evaluate(text, 20)
     after = _kept.cache_info()
     assert after.currsize == before.currsize
-    # two products per evaluation, and the sum's root in the last two
+    # each evaluation misses both products, and the sum also its root
     assert (after.hits, after.misses) == (before.hits, before.misses + 2 * 2 + 2 * 3)
 
 
