@@ -100,14 +100,15 @@ def _cmd_verify(args, parser):
     if (args.id is None) == (not args.all):
         parser.error("give exactly one of: an identity id, or --all")
     order = _resolve_order(parser, args.order, 200)
-    if args.all:
-        reports = verify_all(order)
-    else:
+    if not args.all:
         try:
             record = get_record(args.id)
         except KeyError as exc:
             parser.error(str(exc.args[0]))
-        reports = [verify(record, order)]
+    try:
+        reports = verify_all(order) if args.all else [verify(record, order)]
+    except ExprEvalError as exc:
+        parser.error(str(exc))
     reports = sorted(reports, key=lambda r: r.id)
     for r in reports:
         print(_report_json(r) if args.format == "jsonlike" else _report_table_row(r))

@@ -33,8 +33,10 @@ integer literal too long for ``int`` (Python refuses more than 4300
 digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
 refuses, before it builds anything, a tree whose exponents multiply past
 MAX_EXPONENT along one root-to-leaf path (E(q)^100^100), whose degree
-passes MAX_DEGREE (three E(q)^100 factors), or whose degree times order
-passes MAX_COST (E(q)^100 * E(q)^100 at order 20000).  Each T2 doubles
+passes MAX_DEGREE (three E(q)^100 factors), whose degree times order
+passes MAX_COST (E(q)^100 * E(q)^100 at order 20000), or whose lattice
+atom would be counted past its dimension's MAX_LATTICE_ORDER (lattice(7)
+at order 20000); ``check_bounds`` is that refusal alone.  Each T2 doubles
 the order its argument is evaluated at; past 2 * MAX_ORDER that is an
 evaluation error.
 
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
-from operator import methodcaller
+from operator import itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from . import theta
@@ -214,6 +216,14 @@ MAX_DEGREE = 2 * MAX_EXPONENT
 #: 2000.  On a 2-core Xeon, sigma(q)^20 at order 20000 takes 4.6 s; unbounded,
 #: psi(q)^100*phi(q)^100 at 20000 ran 49 s.
 MAX_COST = MAX_DEGREE * 2000
+
+#: Largest order at which a lattice atom is counted, by its dimension t
+#: (``lattice7`` counts t = 7); a T2 above the atom doubles its order.
+#: ``partitions._flip_layers`` grows faster than its order: on a 2-core
+#: Xeon, t = 3 at order 40000 took 2.0 s, t = 5 at 12800 1.9 s and t = 7
+#: at 6400 1.5 s (3.4 s at 9600).  t = 2 took 0.01 s at 40000, so only
+#: T2's 2 * MAX_ORDER bounds it, as it bounds t = 3.
+MAX_LATTICE_ORDER = {2: 2 * MAX_ORDER, 3: 2 * MAX_ORDER, 5: 12800, 7: 6400}
 
 
 def _too_deep(offset: int) -> ExprSyntaxError:
@@ -510,10 +520,12 @@ class EtaFold(NamedTuple):
 
 
 class Plan(NamedTuple):
-    """A compiled tree: run(order) evaluates it; fold is ``_fold``'s."""
+    """A compiled tree: run(order) evaluates it; fold is ``_fold``'s.  A
+    root plan (``_root``) also holds ``_lattice_limit``'s triple."""
 
     run: Callable[[int], TruncSeries]
     fold: Optional[EtaFold]
+    lattice: Optional[tuple] = None
 
 
 def _is_product(node: Node) -> bool:
@@ -644,17 +656,34 @@ _plan = cache(_compile)
 
 @cache
 def _root(node: Node) -> Plan:
-    """node's plan as a whole tree: its value is kept (``_kept``) when it
-    is a sum, difference, slice, T2 or fold, whose run builds a series or
-    normalises the fold's factors again.  Atoms and the products that do
-    not fold are cached already.  Inner sums are not kept: keeping them
-    cost more memory and saved less time than keeping roots only."""
+    """node's plan as a whole tree, with its ``_lattice_limit``: its value
+    is kept (``_kept``) when it is a sum, difference, slice, T2 or fold,
+    whose run builds a series or normalises the fold's factors again.
+    Atoms and the products that do not fold are cached already.  Inner
+    sums are not kept: keeping them cost more memory and saved less time
+    than keeping roots only."""
     plan = _plan(node)
     if _is_product(node):
         keep = plan.fold is not None
     else:
         keep = isinstance(node, (Unary, Binary))
-    return Plan(partial(_kept, plan.run), plan.fold) if keep else plan
+    run = partial(_kept, plan.run) if keep else plan.run
+    return Plan(run, plan.fold, _lattice_limit(node))
+
+
+def _lattice_limit(node: Node, scale: int = 1) -> Optional[tuple]:
+    """(limit, leaf, scale): the largest order node can be evaluated at
+    before a lattice leaf under it passes its MAX_LATTICE_ORDER, that
+    leaf, and the factor its order is scaled by (2 per T2 above it).
+    None when node has no lattice leaf."""
+    if isinstance(node, (LatticeAtom, Lattice7Atom)):
+        return MAX_LATTICE_ORDER[getattr(node, "t", 7)] // scale, node, scale
+    if isinstance(node, Unary) and node.op == "T2":
+        scale *= 2
+    limits = [
+        _lattice_limit(getattr(node, c), scale) for c in _OPERANDS.get(type(node), ())
+    ]
+    return min(filter(None, limits), key=itemgetter(0), default=None)
 
 
 def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
@@ -759,11 +788,12 @@ class Text(str):
     checked = cached_property(_checked)
 
 
-def evaluate(expr, order: int) -> TruncSeries:
-    """Parse (if given text), check the exponent, degree and cost bounds,
-    and run the tree's plan to a TruncSeries.  The cost is the degree
-    times the evaluation order: each T2 doubles the order below it, but
-    a plan builds nothing under a T2 past 2 * MAX_ORDER."""
+def check_bounds(expr, order: int) -> Plan:
+    """Parse expr (if given text), check the exponent, degree, cost and
+    lattice bounds at order, and return its root plan; build nothing.
+    The cost is the degree times the evaluation order: each T2 doubles
+    the order below it, but a plan builds nothing under a T2 past
+    2 * MAX_ORDER.  A lattice leaf is refused past its MAX_LATTICE_ORDER."""
     node, degree, doubled, plan = (
         expr.checked if isinstance(expr, Text) else _checked(expr)
     )
@@ -774,4 +804,18 @@ def evaluate(expr, order: int) -> TruncSeries:
             to_text(node),
             f"its degree times evaluation order is {cost}, above the limit {MAX_COST}",
         )
-    return plan.run(order)
+    if plan.lattice is not None and order > plan.lattice[0]:
+        _, leaf, scale = plan.lattice
+        t = getattr(leaf, "t", 7)
+        raise ExprEvalError(
+            to_text(leaf),
+            f"it would be counted at order {order * scale},"
+            f" above the limit {MAX_LATTICE_ORDER[t]} for t = {t}",
+        )
+    return plan
+
+
+def evaluate(expr, order: int) -> TruncSeries:
+    """Check expr's bounds at order (``check_bounds``) and run its plan to
+    a TruncSeries."""
+    return check_bounds(expr, order).run(order)

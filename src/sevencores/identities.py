@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .exprlang import Text, evaluate
+from .exprlang import Text, check_bounds, evaluate
 from .forms import FFF1, FFF7, G, G2, Q, RANK_2, RANK_M1, RANK_M1_QUOTIENT, W
 from .series import TruncSeries
 
@@ -383,8 +383,13 @@ def verify_all(
     order: int, records: Optional[Iterable[IdentityRecord]] = None
 ) -> list:
     """Verify a collection of records (default: the whole catalog, in
-    registry order) and return the reports in that same order."""
+    registry order) and return the reports in that same order.  Every
+    side's bounds are checked at order before any record is built, so a
+    refused order raises ``ExprEvalError`` at once."""
     recs: Sequence[IdentityRecord] = (
         tuple(records) if records is not None else REGISTRY
     )
+    for rec in recs:
+        check_bounds(rec.lhs_text, order)
+        check_bounds(rec.rhs_text, order)
     return [verify(rec, order) for rec in recs]

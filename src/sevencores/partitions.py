@@ -11,14 +11,20 @@ Two independent views of the same counts live here.
   (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
   over the coordinates rather than visited one by one, and keeping the
   number of coordinate parities that differ from (1,0,1,0,1,0,1) splits
-  the 7-core generating function into the four rank classes.
+  the 7-core generating function into the four rank classes.  The DP
+  is bounded from both sides: an exact least cost of the coordinates
+  still to come drops states and high exponents that cannot reach
+  q^order, and each state is stored from its least exponent up.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import accumulate
 from typing import Iterator
 
-from .series import TruncSeries, check_order, prefix_cached
+from .series import TruncSeries, _check_int, check_order, prefix_cached
 
 # Hard cap for the exponential enumeration; p(45) = 89134 partitions.
 PARTITION_BOUND = 45
@@ -114,6 +120,9 @@ def core_rank_census(max_n: int, t: int) -> list:
 
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
 
+#: Unsigned array typecode for each slot width in bytes, widths ascending.
+_UNSIGNED = {array(code).itemsize: code for code in "BHILQ"}
+
 
 def _coordinate_ranges(t: int, order: int) -> list:
     """Per coordinate i, the (x, cost) pairs with cost <= order.
@@ -151,15 +160,75 @@ def _slot_bytes(ranges: list) -> int:
     return (bound.bit_length() + 7) // 8
 
 
+def _least_costs(ranges: list, order: int) -> list:
+    """need_i for i = 1..t as (lo, costs): costs[r - lo] is the least total
+    cost of coordinates i..t-1 whose values sum to r, kept where it is at
+    most order.  Entry t admits only r = 0, at cost 0.  Entry 0 is None:
+    the DP reads need_{i+1} after coordinate i, never need_0.
+
+    Each coordinate's cost is convex in x on its range (its second
+    difference is t), so every need_i is convex on an interval too: the
+    min-plus convolution of two convex sequences starts at the sum of
+    their first values and then takes their steps in increasing order.
+    Convex values at most order form an interval, so trimming both ends
+    keeps it one.
+    """
+    t = len(ranges)
+    needs = [None] * t + [(0, [0])]
+    for i in range(t - 1, 0, -1):
+        lo, costs = needs[i + 1]
+        own = [cost for _, cost in ranges[i]]
+        steps = sorted(
+            [b - a for a, b in zip(own, own[1:])]
+            + [b - a for a, b in zip(costs, costs[1:])]
+        )
+        costs = list(accumulate(steps, initial=own[0] + costs[0]))
+        kept = [k for k, c in enumerate(costs) if c <= order]
+        needs[i] = (lo + ranges[i][0][0] + kept[0], costs[kept[0] : kept[-1] + 1])
+    return needs
+
+
+def _unpack(raw: bytes, width: int) -> list:
+    """The little-endian unsigned slots of raw, width bytes each.
+
+    A width up to 8 bytes is spread into the next ``array`` itemsize
+    (1, 2, 4 or 8) by one strided copy per byte, then read at C speed.
+    """
+    code = next((c for w, c in _UNSIGNED.items() if w >= width), None)
+    if code is None:
+        return [
+            int.from_bytes(raw[k : k + width], "little")
+            for k in range(0, len(raw), width)
+        ]
+    item = array(code).itemsize
+    if item != width:
+        wide = bytearray(len(raw) // width * item)
+        for b in range(width):
+            wide[b::item] = raw[b::width]
+        raw = wide
+    slots = array(code, raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
 @prefix_cached
 def _flip_layers(t: int, order: int) -> tuple:
     """Counts of zero-sum vectors in Z^t by size, split by parity flips.
 
     Entry f is the series, to q^order, of the vectors with f
     coordinates whose parity differs from (1, 0, 1, 0, ...).  The vectors
-    are built one coordinate at a time; a state is keyed by the partial
-    sum and the flips so far, and holds its q-polynomial Kronecker-packed
-    into one nonnegative int, slot k at bit 8 * width * k.
+    are built one coordinate at a time.  A state is keyed by the partial
+    sum s and the flips so far, and holds a pair (low, poly): its
+    q-polynomial divided by q^low, its least exponent, Kronecker-packed
+    into one nonnegative int, slot k at bit 8 * width * k.  Merging two
+    states shifts the one with the higher low up by the difference.
+
+    After coordinate i, the coordinates after it cost at least
+    need_{i+1}(-s) to bring the sum back to zero (``_least_costs``).  A
+    state with no such need, or with low + need past the order, is
+    dropped, and every other is masked to the order - need - low + 1
+    slots that can still reach q^order.
     """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
@@ -167,45 +236,51 @@ def _flip_layers(t: int, order: int) -> tuple:
     ranges = _coordinate_ranges(t, order)
     width = _slot_bytes(ranges)
     bits = 8 * width
-    keep = (1 << (bits * (order + 1))) - 1
-    # The coordinates after i must be able to bring the sum back to zero.
-    rest_lo = [0] * (t + 1)
-    rest_hi = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        rest_lo[i] = rest_lo[i + 1] + ranges[i][0][0]
-        rest_hi[i] = rest_hi[i + 1] + ranges[i][-1][0]
+    needs = _least_costs(ranges, order)
 
-    states = {(0, 0): 1}
+    states = {(0, 0): (0, 1)}
     for i in range(t):
-        moves = [(x, (x ^ i ^ 1) & 1, bits * cost) for x, cost in ranges[i]]
-        lo, hi = -rest_hi[i + 1], -rest_lo[i + 1]
+        moves = [(x, (x ^ i ^ 1) & 1, cost) for x, cost in ranges[i]]
+        x0 = moves[0][0]
+        lo, need = needs[i + 1]
+        hi = lo + len(need) - 1
         grown: dict = {}
-        for (s, f), poly in states.items():
-            for x, flip, shift in moves:
-                if lo <= s + x <= hi:
-                    key = (s + x, f + flip)
-                    grown[key] = grown.get(key, 0) + (poly << shift)
+        for (s, f), (low, poly) in states.items():
+            top = order - low
+            # The x whose sum s + x the later coordinates can undo.
+            first, last = max(0, -s - hi - x0), max(0, -s - lo - x0 + 1)
+            for x, flip, cost in moves[first:last]:
+                if cost + need[-s - x - lo] > top:
+                    continue
+                base = low + cost
+                key = (s + x, f + flip)
+                old = grown.get(key)
+                if old is None:
+                    grown[key] = (base, poly)
+                elif old[0] <= base:
+                    grown[key] = (old[0], old[1] + (poly << bits * (base - old[0])))
+                else:
+                    grown[key] = (base, poly + (old[1] << bits * (old[0] - base)))
         states = {}
-        for key, poly in grown.items():
-            poly &= keep
-            if poly:
-                states[key] = poly
+        for key, (low, poly) in grown.items():
+            room = bits * (order - need[-key[0] - lo] - low + 1)
+            if poly.bit_length() > room:
+                poly &= (1 << room) - 1
+            states[key] = (low, poly)
 
     # Past the last coordinate only the sum 0 survives.
-    size = width * (order + 1)
     layers = []
     for f in range(t + 1):
-        raw = states.get((0, f), 0).to_bytes(size, "little")
-        counts = (
-            int.from_bytes(raw[k : k + width], "little")
-            for k in range(0, size, width)
-        )
-        layers.append(TruncSeries._trusted(order, tuple(counts)))
+        low, poly = states.get((0, f), (0, 0))
+        raw = poly.to_bytes(width * (order + 1 - low), "little")
+        counts = (0,) * low + tuple(_unpack(raw, width))
+        layers.append(TruncSeries._trusted(order, counts))
     return tuple(layers)
 
 
 def lattice_sum(t: int, order: int) -> TruncSeries:
     """Full t-core generating function from the lattice view."""
+    _check_int("t", t)
     layers = (layer.coeffs for layer in _flip_layers(t, order))
     return TruncSeries._trusted(order, tuple(map(sum, zip(*layers))))
 
@@ -216,6 +291,7 @@ def lattice_rank_sum(j: int, order: int) -> TruncSeries:
     Vectors at 0, 2, 4, 6 parity flips from (1,0,1,0,1,0,1) carry ranks
     2, 1, 0, -1; no zero-sum vector has an odd number of flips.
     """
+    _check_int("rank class", j)
     if j not in _RANK_FLIPS:
         raise ValueError(f"rank class must be in -1..2, got {j}")
     return _flip_layers(7, order)[_RANK_FLIPS[j]]

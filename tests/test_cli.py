@@ -324,20 +324,29 @@ def test_products_of_many_powers_are_usage_error(capsys, factor, count):
 
 @pytest.mark.parametrize(
     "expr, order", [("E(q)^100*E(q)^100", 20000), ("psi(q)^100*phi(q)^100", 20000),
-                    ("sigma(q)^21", 20000), ("T2(E(q)^100)", 2001)]
+                    ("sigma(q)^21", 20000), ("T2(E(q)^100)", 2001),
+                    ("lattice(7)", 20000),
+                    pytest.param(None, 20000, id="verify --all-20000")]
 )
 def test_costly_expressions_are_usage_error(capsys, expr, order):
     # Within the degree limit, but unbounded these ran 15 s to 49 s at
-    # order 20000; evaluate refuses degree times order past 400000.
+    # order 20000: evaluate refuses degree times order past 400000, and a
+    # lattice atom past its dimension's order cap.  With expr None the
+    # whole catalog is verified, which checks every record's bounds
+    # before it builds any.
+    argv = ["coeffs", expr] if expr else ["verify", "--all"]
     start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
-        cli.main(["coeffs", expr, "--order", str(order)])
+        cli.main([*argv, "--order", str(order)])
     assert time.perf_counter() - start < 1.0
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "degree times evaluation order is" in captured.err
-    assert "above the limit 400000" in captured.err
+    if expr is None or "lattice" in expr:
+        assert f"it would be counted at order {order}, above the limit" in captured.err
+    else:
+        assert "degree times evaluation order is" in captured.err
+        assert "above the limit 400000" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -20,6 +20,7 @@ from sevencores.exprlang import (
     MAX_DEGREE,
     MAX_DEPTH,
     MAX_EXPONENT,
+    MAX_LATTICE_ORDER,
     ExprSyntaxError,
     Lattice7Atom,
     LatticeAtom,
@@ -33,6 +34,7 @@ from sevencores.exprlang import (
     _kept,
     _plan,
     _root,
+    check_bounds,
     evaluate,
     parse,
     to_text,
@@ -212,10 +214,11 @@ def test_cost_is_degree_times_evaluation_order():
 
 
 def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
-    """evaluate at MAX_ORDER with every root plan replaced by one that
-    builds nothing, so every bound is checked on each text's degrees and
-    no text is built.  The texts are fresh copies, whose plans are not
-    kept yet."""
+    """evaluate at MAX_ORDER, or at the largest order its lattice atoms
+    admit, with every root plan's run replaced by one that builds
+    nothing, so every bound is checked on each text's degrees and no
+    text is built.  The texts are fresh copies, whose plans are not kept
+    yet."""
     from sevencores import exprlang
     from sevencores.identities import REGISTRY
     from sevencores.inequalities import SERIES
@@ -223,11 +226,20 @@ def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
     texts = [Text(t) for t in texts + list(SERIES.values())]
     reached = []
-    monkeypatch.setattr(exprlang, "_root", lambda node: exprlang.Plan(
-        lambda order: reached.append((node, order)), None))
+    root = exprlang._root
+    monkeypatch.setattr(exprlang, "_root", lambda node: root(node)._replace(
+        run=lambda order: reached.append((node, order))))
+    orders = []
     for text in texts:
-        evaluate(text, MAX_ORDER)
-    assert reached == [(text.checked[0], MAX_ORDER) for text in texts]
+        limit = (text.checked[3].lattice or (MAX_ORDER,))[0]
+        if limit < MAX_ORDER:
+            with pytest.raises(ExprEvalError, match="it would be counted at order"):
+                evaluate(text, MAX_ORDER)
+        orders.append(min(MAX_ORDER, limit))
+        evaluate(text, orders[-1])
+    assert reached == [(text.checked[0], order) for text, order in zip(texts, orders)]
+    # No lattice atom sits under a T2, so lattice(7)'s cap is the least.
+    assert min(orders) == MAX_LATTICE_ORDER[7] == 6400
     # The largest is eq-3.28's T2(q^2*G): degree 9 at order 2 * MAX_ORDER.
     assert max(text.checked[2] for text in texts) * MAX_ORDER == 360000
 
@@ -297,6 +309,34 @@ def test_eval_sigma_self_similarity():
 def test_eval_lattice_atoms():
     assert evaluate("lattice(7)", 20) == lattice_sum(7, 20)
     assert evaluate("lattice7(2)", 20) == lattice_rank_sum(2, 20)
+
+
+@pytest.mark.parametrize(
+    "text, limit, leaf",
+    [("lattice(7)", 6400, "lattice(7)"), ("lattice7(-1)", 6400, "lattice7(-1)"),
+     ("lattice(5)", 12800, "lattice(5)"), ("T2(lattice(3))", MAX_ORDER, None),
+     ("T2(lattice7(2))", 3200, "lattice7(2)"),
+     ("T2(T2(lattice(5)))", 3200, "lattice(5)"),
+     ("lattice(5) + E(q)*T2(lattice7(1))", 3200, "lattice7(1)"),
+     ("T2(lattice(2)) - lattice(5)", 12800, "lattice(5)")],
+)
+def test_a_lattice_atom_is_refused_past_its_order_cap(monkeypatch, text, limit, leaf):
+    from sevencores import exprlang
+
+    assert check_bounds(text, limit).run is _root(parse(text)).run
+    if leaf is None:
+        return
+    built = []
+    monkeypatch.setattr(exprlang, "lattice_sum", lambda *args: built.append(args))
+    monkeypatch.setattr(exprlang, "lattice_rank_sum", lambda *args: built.append(args))
+    with pytest.raises(ExprEvalError) as exc:
+        evaluate(text, limit + 1)
+    assert exc.value.expression == leaf
+    t = 7 if leaf.startswith("lattice7") else int(leaf[8])
+    scale = MAX_LATTICE_ORDER[t] // limit
+    assert f"counted at order {scale * (limit + 1)}, above the limit" in str(exc.value)
+    assert f"{MAX_LATTICE_ORDER[t]} for t = {t}" in str(exc.value)
+    assert built == []
 
 
 def test_eval_bare_q():

@@ -4,6 +4,9 @@ The enumeration side is deliberately naive.  Its whole value is that it
 cannot share a bug with the generating-function code it checks.  The
 same goes for the lattice walk below: it visits every lattice point,
 and it is the slow oracle for the coordinate DP in ``partitions``.
+Between the two sits ``_layers_oracle``, the coordinate DP with only
+the bound that the sum can still return to zero: fast enough to pin
+every layer of the bounded DP at order 1600.
 """
 
 from functools import lru_cache
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 from sevencores.partitions import (
     PARTITION_BOUND,
     _coordinate_ranges,
+    _flip_layers,
     _slot_bytes,
     bg_rank,
     conjugate,
@@ -128,6 +132,53 @@ def _walk(t: int, order: int) -> dict:
 
     visit(0, 0, 0, 0)
     return buckets
+
+
+@lru_cache(maxsize=None)
+def _layers_oracle(t: int, order: int) -> tuple:
+    """``partitions._flip_layers`` without its cost bounds.
+
+    A state is keyed by the partial sum and the flips so far and holds
+    its whole q-polynomial packed into one int, slot k at bit
+    8 * width * k.  It is dropped only when the remaining coordinates
+    cannot bring the sum back to zero, and masked to order + 1 slots.
+    """
+    ranges = _coordinate_ranges(t, order)
+    width = _slot_bytes(ranges)
+    bits = 8 * width
+    keep = (1 << (bits * (order + 1))) - 1
+    rest_lo = [0] * (t + 1)
+    rest_hi = [0] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        rest_lo[i] = rest_lo[i + 1] + ranges[i][0][0]
+        rest_hi[i] = rest_hi[i + 1] + ranges[i][-1][0]
+
+    states = {(0, 0): 1}
+    for i in range(t):
+        moves = [(x, (x ^ i ^ 1) & 1, bits * cost) for x, cost in ranges[i]]
+        lo, hi = -rest_hi[i + 1], -rest_lo[i + 1]
+        grown: dict = {}
+        for (s, f), poly in states.items():
+            for x, flip, shift in moves:
+                if lo <= s + x <= hi:
+                    key = (s + x, f + flip)
+                    grown[key] = grown.get(key, 0) + (poly << shift)
+        states = {}
+        for key, poly in grown.items():
+            poly &= keep
+            if poly:
+                states[key] = poly
+
+    size = width * (order + 1)
+    layers = []
+    for f in range(t + 1):
+        raw = states.get((0, f), 0).to_bytes(size, "little")
+        counts = (
+            int.from_bytes(raw[k : k + width], "little")
+            for k in range(0, size, width)
+        )
+        layers.append(TruncSeries(order, tuple(counts)))
+    return tuple(layers)
 
 
 def walk_sum(t: int, order: int, patterns=None) -> TruncSeries:
@@ -244,6 +295,21 @@ def test_lattice_rejects_bad_arguments():
         lattice_sum(7, -1)
 
 
+def test_lattice_refuses_arguments_that_are_not_ints():
+    # A float or bool key would share the cache entry of the equal int,
+    # and True would count the rank-1 layer.
+    lattice_sum(7, 5)
+    for bad in (7.0, True, "7"):
+        with pytest.raises(TypeError, match="t must be an int"):
+            lattice_sum(bad, 5)
+    for bad in (True, False, 1.0, -1.0):
+        with pytest.raises(TypeError, match="rank class must be an int"):
+            lattice_rank_sum(bad, 5)
+    for bad in (5.0, True):
+        with pytest.raises(TypeError, match="order must be an int"):
+            lattice_sum(3, bad)
+
+
 def test_lattice_matches_eta_quotient():
     # t-core generating function as an eta quotient, small t
     for t in (2, 3, 5):
@@ -287,6 +353,23 @@ def test_lattice_matches_walk_at_order_120():
         assert lattice_sum(t, 120) == walk_sum(t, 120)
     for j in (-1, 0, 1, 2):
         assert lattice_rank_sum(j, 120) == walk_rank_sum(j, 120)
+
+
+def _same_layers(t: int, order: int) -> None:
+    # The build itself: a cached value at a higher order would only be cut.
+    got, want = _flip_layers.__wrapped__(t, order), _layers_oracle(t, order)
+    assert [layer.coeffs for layer in got] == [layer.coeffs for layer in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(min_value=0, max_value=200))
+def test_every_flip_layer_matches_the_unbounded_dp(t, order):
+    _same_layers(t, order)
+
+
+@pytest.mark.parametrize("t", [5, 7])
+def test_every_flip_layer_matches_the_unbounded_dp_at_order_1600(t):
+    _same_layers(t, 1600)
 
 
 def test_slot_width_grows_with_order():
