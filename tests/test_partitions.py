@@ -21,6 +21,7 @@ from sevencores.partitions import (
     PARTITION_BOUND,
     _coordinate_ranges,
     _flip_layers,
+    _least_costs,
     _slot_bytes,
     bg_rank,
     conjugate,
@@ -370,6 +371,26 @@ def test_every_flip_layer_matches_the_unbounded_dp(t, order):
 @pytest.mark.parametrize("t", [5, 7])
 def test_every_flip_layer_matches_the_unbounded_dp_at_order_1600(t):
     _same_layers(t, 1600)
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 7])
+def test_least_costs_are_the_pairwise_minima(t):
+    # need_i(r) by the plain min-plus DP over every pair of a value of
+    # coordinate i and a sum of the later ones; a weaker bound would
+    # still count right, only slower, so the layer tests cannot see it.
+    for order in (0, 1, 9, 40, 130):
+        ranges = _coordinate_ranges(t, order)
+        needs = _least_costs(ranges, order)
+        best = {0: 0}
+        assert needs[t] == (0, [0])
+        for i in range(t - 1, 0, -1):
+            pairs = [(r + x, c + cost) for r, c in best.items() for x, cost in ranges[i]]
+            best = {}
+            for r, c in pairs:
+                if c <= order and c < best.get(r, order + 1):
+                    best[r] = c
+            lo, costs = needs[i]
+            assert dict(enumerate(costs, lo)) == best
 
 
 def test_slot_width_grows_with_order():

@@ -13,9 +13,20 @@ tree and the changed tree) the output records, over those run medians,
 the median, first and third quartile and count of ``setup_s``,
 ``cold_s``, ``warm_s`` and ``peak_rss_mib``, with the seeds, the
 operations attempted and failed, and the machine: ``nproc``, CPU,
-Python version, ``git_revision`` and ``src_sha256``.  Where both sides
-ran a seed, ``pairs`` counts the seeds on which the change's median
-was lower (all four metrics are better lower).
+Python version, ``git_revision`` and ``src_sha256``.
+
+Where both sides ran a seed, ``pairs`` states the verdict per metric,
+with each metric's ``better`` direction and ``bound`` read from the
+checkout's BENCHMARK.json:
+
+* ``change_won``, ``parent_won`` and ``ties``: the seeds on which the
+  change's run median was better, worse or equal;
+* ``parent_iqr``: the distance between the parent's quartiles;
+* ``gain``: at least ten pairs ran, the change won at least nine tenths
+  of them (ties count for neither), and its median is better than the
+  parent's by more than ``parent_iqr``;
+* ``worse``: the change's median is worse than the parent's by more
+  than the metric's ``bound``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from pathlib import Path
 
 METRICS = ("setup_s", "cold_s", "warm_s", "peak_rss_mib")
 MACHINE = ("nproc", "cpu", "python", "git_revision", "src_sha256")
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def spread(values):
@@ -74,7 +86,27 @@ def side(records):
     return out
 
 
-def record(parent, change):
+def verdict(pairs, parent, change, rule):
+    """The verdict on one metric of one workload: pairs holds the (parent,
+    change) run medians of each shared seed, parent and change the two
+    sides' spreads, rule the metric's entry in BENCHMARK.json."""
+    sign = 1 if rule["better"] == "lower" else -1
+    diffs = [sign * (ours - theirs) for theirs, ours in pairs]
+    won = sum(d < 0 for d in diffs)
+    iqr = parent["q3"] - parent["q1"]
+    delta = sign * (change["median"] - parent["median"])
+    return {
+        "n": len(pairs),
+        "change_won": won,
+        "parent_won": sum(d > 0 for d in diffs),
+        "ties": diffs.count(0),
+        "parent_iqr": iqr,
+        "gain": len(pairs) >= 10 and won >= 0.9 * len(pairs) and -delta > iqr,
+        "worse": delta > rule["bound"] * parent["median"],
+    }
+
+
+def record(parent, change, rules):
     workloads = {}
     for name in sorted(set(parent) | set(change)):
         entry = {}
@@ -83,19 +115,25 @@ def record(parent, change):
                 entry[label] = side(runs[name])
         shared = sorted(set(parent.get(name, {})) & set(change.get(name, {})))
         if shared:
-            entry["pairs"] = {
-                metric: {
-                    "n": len(shared),
-                    "change_lower": sum(
-                        change[name][s]["end_to_end"][metric]["median"]
-                        < parent[name][s]["end_to_end"][metric]["median"]
-                        for s in shared
-                    ),
-                }
-                for metric in METRICS
-            }
+            entry["pairs"] = {}
+            for metric in METRICS:
+                pairs = [
+                    (parent[name][s]["end_to_end"][metric]["median"],
+                     change[name][s]["end_to_end"][metric]["median"])
+                    for s in shared
+                ]
+                entry["pairs"][metric] = verdict(
+                    pairs, entry["parent"][metric], entry["change"][metric],
+                    rules[metric],
+                )
         workloads[name] = entry
     return {"metrics": list(METRICS), "workloads": workloads}
+
+
+def benchmark_rules():
+    """{metric: its entry in the end_to_end list of BENCHMARK.json}."""
+    declared = json.loads(BENCHMARK.read_text())["end_to_end"]
+    return {rule["name"]: rule for rule in declared}
 
 
 def main(argv=None):
@@ -107,7 +145,7 @@ def main(argv=None):
                         help="result sets of the changed tree")
     args = parser.parse_args(argv)
     try:
-        out = record(load(args.parent), load(args.change))
+        out = record(load(args.parent), load(args.change), benchmark_rules())
     except (OSError, ValueError, KeyError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 1
