@@ -520,12 +520,24 @@ class EtaFold(NamedTuple):
 
 
 class Plan(NamedTuple):
-    """A compiled tree: run(order) evaluates it; fold is ``_fold``'s.  A
-    root plan (``_root``) also holds ``_lattice_limit``'s triple."""
+    """A compiled tree: run(order) evaluates it; fold is ``_fold``'s."""
 
     run: Callable[[int], TruncSeries]
     fold: Optional[EtaFold]
-    lattice: Optional[tuple] = None
+
+
+class Root(NamedTuple):
+    """A whole tree, checked and compiled (``_root``): run(order)
+    evaluates it; degree and doubled are ``_degree``'s, without and with
+    each T2 doubling its argument's; lattice is ``_lattice_limit``'s
+    triple; most is the largest order ``check_bounds`` accepts."""
+
+    run: Callable[[int], TruncSeries]
+    node: Node
+    degree: int
+    doubled: int
+    lattice: Optional[tuple]
+    most: int
 
 
 def _is_product(node: Node) -> bool:
@@ -655,20 +667,38 @@ _plan = cache(_compile)
 
 
 @cache
-def _root(node: Node) -> Plan:
-    """node's plan as a whole tree, with its ``_lattice_limit``: its value
-    is kept (``_kept``) when it is a sum, difference, slice, T2 or fold,
-    whose run builds a series or normalises the fold's factors again.
-    Atoms and the products that do not fold are cached already.  Inner
-    sums are not kept: keeping them cost more memory and saved less time
-    than keeping roots only."""
+def _root(node: Node) -> Root:
+    """node as a whole tree: its bounds and a run that keeps its value
+    (``_kept``) when it is a sum, difference, slice, T2 or fold, whose
+    run builds a series or normalises the fold's factors again.  Atoms
+    and the products that do not fold are cached already.  Inner sums
+    are not kept: keeping them cost more memory and saved less time than
+    keeping roots only.
+
+    Refuses a tree whose ^ exponents multiply past MAX_EXPONENT on some
+    root-to-leaf path (``_degree`` raises that), or whose degree passes
+    MAX_DEGREE.  The walks recurse once per level, and parsed trees are
+    at most MAX_DEPTH levels tall.  The cost (``_refuse``) never falls as
+    the order grows; when degree * 2 * MAX_ORDER is at most MAX_COST it
+    stays at most MAX_COST up to MAX_COST // degree (doubled is never
+    below degree), else up to MAX_COST // doubled."""
+    degree = _degree(node)
+    if degree > MAX_DEGREE:
+        raise ExprEvalError(
+            to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
+        )
+    doubled = _degree(node, t2=2)
     plan = _plan(node)
     if _is_product(node):
         keep = plan.fold is not None
     else:
         keep = isinstance(node, (Unary, Binary))
     run = partial(_kept, plan.run) if keep else plan.run
-    return Plan(run, plan.fold, _lattice_limit(node))
+    lattice = _lattice_limit(node)
+    most = MAX_COST // (degree if degree * 2 * MAX_ORDER <= MAX_COST else doubled)
+    if lattice is not None:
+        most = min(most, lattice[0])
+    return Root(run, node, degree, doubled, lattice, most)
 
 
 def _lattice_limit(node: Node, scale: int = 1) -> Optional[tuple]:
@@ -763,56 +793,51 @@ def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -
     return 1
 
 
-def _checked(expr) -> tuple:
-    """expr's tree (parsed, if it is text), its degree, its degree with
-    each T2 doubling its argument's, for ``evaluate``'s cost bound, and
-    its root plan (``_root``).  Refuses a tree whose ^ exponents multiply
-    past MAX_EXPONENT on some root-to-leaf path (``_degree`` raises
-    that), or whose degree passes MAX_DEGREE.  The walks recurse once per level,
-    and parsed trees are at most MAX_DEPTH levels tall."""
-    node = parse(expr) if isinstance(expr, str) else expr
-    degree = _degree(node)
-    if degree > MAX_DEGREE:
-        raise ExprEvalError(
-            to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
-        )
-    return node, degree, _degree(node, t2=2), _root(node)
+def _checked(expr) -> Root:
+    """expr's ``_root``, parsing it first if it is text."""
+    return _root(parse(expr) if isinstance(expr, str) else expr)
 
 
 class Text(str):
     """Expression text whose tree is parsed, checked and compiled on its
-    first evaluation and kept, with its degrees and its plan, so
-    ``evaluate`` never parses, walks or hashes it again.  For texts
-    evaluated many times, such as the catalog's."""
+    first evaluation and kept, as its ``Root``, so ``evaluate`` never
+    parses, walks or hashes it again.  For texts evaluated many times,
+    such as the catalog's."""
 
     checked = cached_property(_checked)
 
 
-def check_bounds(expr, order: int) -> Plan:
-    """Parse expr (if given text), check the exponent, degree, cost and
-    lattice bounds at order, and return its root plan; build nothing.
-    The cost is the degree times the evaluation order: each T2 doubles
-    the order below it, but a plan builds nothing under a T2 past
-    2 * MAX_ORDER.  A lattice leaf is refused past its MAX_LATTICE_ORDER."""
-    node, degree, doubled, plan = (
-        expr.checked if isinstance(expr, Text) else _checked(expr)
-    )
-    check_order(order)
-    cost = min(doubled * order, degree * max(order, 2 * MAX_ORDER))
+def _refuse(root: Root, order: int) -> None:
+    """Raise the refusal of order past root's cost or lattice bound.  The
+    cost is the degree times the evaluation order: each T2 doubles the
+    order below it, but a plan builds nothing under a T2 past
+    2 * MAX_ORDER."""
+    cost = min(root.doubled * order, root.degree * max(order, 2 * MAX_ORDER))
     if cost > MAX_COST:
         raise ExprEvalError(
-            to_text(node),
+            to_text(root.node),
             f"its degree times evaluation order is {cost}, above the limit {MAX_COST}",
         )
-    if plan.lattice is not None and order > plan.lattice[0]:
-        _, leaf, scale = plan.lattice
+    if root.lattice is not None and order > root.lattice[0]:
+        _, leaf, scale = root.lattice
         t = getattr(leaf, "t", 7)
         raise ExprEvalError(
             to_text(leaf),
             f"it would be counted at order {order * scale},"
             f" above the limit {MAX_LATTICE_ORDER[t]} for t = {t}",
         )
-    return plan
+
+
+def check_bounds(expr, order: int) -> Root:
+    """Parse expr (if given text), check the exponent, degree, cost and
+    lattice bounds at order, and return its ``Root``; build nothing.
+    Once the tree is checked, an order is one comparison with
+    ``Root.most``, and ``_refuse`` words a refusal."""
+    root = expr.checked if isinstance(expr, Text) else _checked(expr)
+    check_order(order)
+    if order > root.most:
+        _refuse(root, order)
+    return root
 
 
 def evaluate(expr, order: int) -> TruncSeries:

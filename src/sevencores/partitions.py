@@ -3,9 +3,11 @@
 Two independent views of the same counts live here.
 
 * Direct enumeration: walk every partition of n, keep the t-cores, and
-  classify them by the parity-alternating rank.  Exponential in n, so it is capped, but it
-  assumes nothing beyond the hook-length definition and serves as the
-  oracle for everything built on series.
+  classify them by the parity-alternating rank.  Exponential in n, so it
+  is capped.  Every partition is visited and tested on its own by the
+  abacus criterion on its beta-numbers, which the tests pin against the
+  hook-length definition; nothing is shared with the series or lattice
+  code, so the enumeration is the oracle for everything built on them.
 * Lattice counting: t-cores of n correspond to integer vectors
   n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i)
   (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
@@ -22,6 +24,7 @@ from __future__ import annotations
 import sys
 from array import array
 from itertools import accumulate
+from operator import add
 from typing import Iterator
 
 from .series import TruncSeries, _check_int, check_order, prefix_cached
@@ -81,15 +84,23 @@ def bg_rank(partition: tuple) -> int:
 
 
 def is_t_core(partition: tuple, t: int) -> bool:
-    """True when no cell of the diagram has hook length divisible by t."""
+    """True when no cell of the diagram has hook length divisible by t.
+
+    Tested by the abacus criterion (James and Kerber, *The Representation
+    Theory of the Symmetric Group*, 1981, 2.7): with k parts, the
+    beta-numbers b_i = lambda_i + (k - 1 - i) are distinct, and the hooks
+    of length h are the pairs of a b >= h in the set with b - h not in
+    it.  A hook length divisible by t implies one equal to t, so the
+    partition is a t-core exactly when b - t is in the set for every
+    b >= t in it.  O(parts) set lookups instead of a walk over the cells.
+    """
     if t < 2:
         raise ValueError(f"t must be at least 2, got {t}")
-    conj = conjugate(partition)
-    for i, row in enumerate(partition):
-        for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            if hook % t == 0:
-                return False
+    beta = list(map(add, partition, range(len(partition) - 1, -1, -1)))
+    present = set(beta)
+    for b in beta:
+        if b >= t and b - t not in present:
+            return False
     return True
 
 

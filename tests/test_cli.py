@@ -202,6 +202,28 @@ def test_oracle_detects_divergence(capsys, monkeypatch):
     assert "row n=9 differs" in out
 
 
+def test_the_oracle_tests_every_partition(capsys, monkeypatch):
+    # The enumeration stays brute force: one t-core test per partition.
+    import sevencores.partitions as partitions
+
+    real, calls = partitions.is_t_core, []
+
+    def counted(partition, t):
+        calls.append(partition)
+        return real(partition, t)
+
+    monkeypatch.setattr(partitions, "is_t_core", counted)
+    for n, p_n in ((10, 42), (20, 627)):
+        calls.clear()
+        partitions.rank_histogram(n, 7)
+        assert len(calls) == len(set(calls)) == p_n
+    calls.clear()
+    code, out = run(capsys, "oracle", "--max", "12")
+    assert (code, out) == (0, "12/12 rows identical\n")
+    # p(1) + ... + p(12)
+    assert len(calls) == 271
+
+
 def test_coeffs_pairs(capsys):
     code, out = run(capsys, "coeffs", "E(q^7)^7/E(q)", "--order", "8")
     assert code == 0

@@ -33,6 +33,7 @@ from sevencores.exprlang import (
     _degree,
     _kept,
     _plan,
+    _refuse,
     _root,
     check_bounds,
     evaluate,
@@ -40,6 +41,8 @@ from sevencores.exprlang import (
     to_text,
 )
 from sevencores import theta
+from sevencores.identities import REGISTRY
+from sevencores.inequalities import SERIES
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
 from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
@@ -231,17 +234,63 @@ def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
         run=lambda order: reached.append((node, order))))
     orders = []
     for text in texts:
-        limit = (text.checked[3].lattice or (MAX_ORDER,))[0]
+        limit = (text.checked.lattice or (MAX_ORDER,))[0]
         if limit < MAX_ORDER:
             with pytest.raises(ExprEvalError, match="it would be counted at order"):
                 evaluate(text, MAX_ORDER)
         orders.append(min(MAX_ORDER, limit))
         evaluate(text, orders[-1])
-    assert reached == [(text.checked[0], order) for text, order in zip(texts, orders)]
+    assert reached == [(text.checked.node, order) for text, order in zip(texts, orders)]
     # No lattice atom sits under a T2, so lattice(7)'s cap is the least.
     assert min(orders) == MAX_LATTICE_ORDER[7] == 6400
     # The largest is eq-3.28's T2(q^2*G): degree 9 at order 2 * MAX_ORDER.
-    assert max(text.checked[2] for text in texts) * MAX_ORDER == 360000
+    assert max(text.checked.doubled for text in texts) * MAX_ORDER == 360000
+
+
+_BOUNDED = [
+    "E(q)", "E(q)^10", "E(q)^11", "E(q)^11 + T2(E(q)^6)", "T2(T2(q))",
+    "E(q)^100*E(q)^100", "lattice(7)", "T2(lattice7(2))",
+    "lattice(3)*E(q)^40", "T2(lattice(5))^3",
+]
+
+
+@pytest.mark.parametrize("text", sorted(
+    {t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)}
+    | set(SERIES.values()) | set(_BOUNDED)
+))
+def test_most_is_the_largest_order_the_bounds_accept(text):
+    root = _root(parse(text))
+    _refuse(root, root.most)
+    with pytest.raises(ExprEvalError):
+        _refuse(root, root.most + 1)
+    assert check_bounds(Text(text), root.most) is root
+
+
+def test_a_bare_tree_keeps_its_degrees(monkeypatch):
+    """A parsed tree evaluated again, even as an equal fresh tree, walks
+    no degree: they are kept with its root plan.  A refused tree keeps
+    nothing and is refused again with the same message."""
+    from sevencores import exprlang
+
+    text = "psi(q)^3*E(q^2) + T2(phi(q)^2)"
+    evaluate(parse(text), 30)
+    walks = []
+    degree = exprlang._degree
+    monkeypatch.setattr(
+        exprlang, "_degree", lambda *args, **kw: walks.append(1) or degree(*args, **kw)
+    )
+    for order in (30, 50, 20):
+        assert evaluate(parse(text), order) == plain_walk(parse(text), order)
+        assert evaluate(text, order) == plain_walk(parse(text), order)
+    assert walks == []
+    for bad in ("E(q)^100^100", "E(q)^100*E(q)^100*E(q)^100"):
+        refusals = []
+        for _ in range(2):
+            with pytest.raises(ExprEvalError) as exc:
+                evaluate(parse(bad), 10)
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1]
+    assert walks
 
 
 def test_nested_t2_stops_before_building_past_twice_max_order():

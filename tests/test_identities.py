@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from catalog_oracle import theta_args_used
 
-from sevencores import exprlang
+from sevencores import exprlang, identities
+from sevencores.exprlang import ExprEvalError, check_bounds
 from sevencores.identities import (
     REGISTRY,
     IdentityRecord,
@@ -151,6 +152,24 @@ def test_verify_all_custom_subset():
 
 def test_verify_all_empty():
     assert verify_all(40, records=[]) == []
+
+
+def test_a_warm_verify_all_checks_each_side_by_one_comparison(monkeypatch):
+    verify_all(60)
+    calls = []
+    monkeypatch.setattr(
+        identities, "check_bounds", lambda *args: calls.append(args) or check_bounds(*args)
+    )
+    assert all(r.status == "pass" for r in verify_all(60))
+    assert calls == []
+    # One past a side's largest order, check_bounds builds the refusal
+    # before any record is built.
+    with pytest.raises(ExprEvalError, match=r"'lattice\(5\)': it would be counted at order 12801"):
+        verify_all(12801)
+    assert calls == [("lattice(5)", 12801)]
+    for bad, error in ((1.5, TypeError), (True, TypeError), (-1, ValueError)):
+        with pytest.raises(error, match="order must be"):
+            verify_all(bad)
 
 
 # Counts the series divisions of a cold verify --all in a fresh

@@ -4,6 +4,8 @@ The enumeration side is deliberately naive.  Its whole value is that it
 cannot share a bug with the generating-function code it checks.  The
 same goes for the lattice walk below: it visits every lattice point,
 and it is the slow oracle for the coordinate DP in ``partitions``.
+``hook_is_t_core`` is the hook-length definition itself, cell by cell:
+the slow oracle for the beta-number test in ``is_t_core``.
 Between the two sits ``_layers_oracle``, the coordinate DP with only
 the bound that the sum can still return to zero: fast enough to pin
 every layer of the bounded DP at order 1600.
@@ -38,6 +40,29 @@ from sevencores.series import TruncSeries
 from sevencores.theta import eta_quotient
 
 _ODD_BASE = (1, 0, 1, 0, 1, 0, 1)
+
+
+def hook_is_t_core(partition: tuple, t: int) -> bool:
+    """True when no cell of the diagram has hook length divisible by t,
+    by walking every cell."""
+    conj = conjugate(partition)
+    for i, row in enumerate(partition):
+        for j in range(row):
+            hook = (row - j) + (conj[j] - i) - 1
+            if hook % t == 0:
+                return False
+    return True
+
+
+@st.composite
+def partitions(draw, max_n: int = PARTITION_BOUND) -> tuple:
+    """A partition of some n <= max_n, as a descending tuple."""
+    left = draw(st.integers(min_value=0, max_value=max_n))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(min_value=1, max_value=left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
 
 
@@ -249,6 +274,25 @@ def test_two_cores_are_staircases():
         found = [lam for lam in enumerate_partitions(n) if is_t_core(lam, 2)]
         assert found == [want]
     assert not any(is_t_core(lam, 2) for lam in enumerate_partitions(5))
+
+
+def test_t_core_test_matches_the_hook_lengths():
+    for n in range(23):
+        for lam in enumerate_partitions(n):
+            for t in range(2, 12):
+                assert is_t_core(lam, t) == hook_is_t_core(lam, t), (lam, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partitions(), st.sampled_from((2, 3, 5, 7, 11)))
+def test_t_core_test_matches_the_hook_lengths_up_to_the_cap(lam, t):
+    assert is_t_core(lam, t) == hook_is_t_core(lam, t)
+
+
+def test_t_core_test_refuses_t_below_two():
+    for t in (1, 0, -7):
+        with pytest.raises(ValueError, match="t must be at least 2"):
+            is_t_core((3, 1), t)
 
 
 def test_seven_core_counts_head():
