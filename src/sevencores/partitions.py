@@ -87,7 +87,7 @@ def is_t_core(partition: tuple, t: int) -> bool:
     """True when no cell of the diagram has hook length divisible by t.
 
     Tested by the abacus criterion (James and Kerber, *The Representation
-    Theory of the Symmetric Group*, 1981, 2.7): with k parts, the
+    Theory of the Symmetric Group*, 1981, section 2.7): with k parts, the
     beta-numbers b_i = lambda_i + (k - 1 - i) are distinct, and the hooks
     of length h are the pairs of a b >= h in the set with b - h not in
     it.  A hook length divisible by t implies one equal to t, so the

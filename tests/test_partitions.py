@@ -4,11 +4,11 @@ The enumeration side is deliberately naive.  Its whole value is that it
 cannot share a bug with the generating-function code it checks.  The
 same goes for the lattice walk below: it visits every lattice point,
 and it is the slow oracle for the coordinate DP in ``partitions``.
-``hook_is_t_core`` is the hook-length definition itself, cell by cell:
-the slow oracle for the beta-number test in ``is_t_core``.
 Between the two sits ``_layers_oracle``, the coordinate DP with only
 the bound that the sum can still return to zero: fast enough to pin
-every layer of the bounded DP at order 1600.
+every layer of the bounded DP at order 1600.  ``hook_is_t_core`` is
+the hook-length definition itself, cell by cell: the slow oracle for
+the beta-number test in ``is_t_core``.
 """
 
 from functools import lru_cache
@@ -55,14 +55,16 @@ def hook_is_t_core(partition: tuple, t: int) -> bool:
 
 
 @st.composite
-def partitions(draw, max_n: int = PARTITION_BOUND) -> tuple:
-    """A partition of some n <= max_n, as a descending tuple."""
-    left = draw(st.integers(min_value=0, max_value=max_n))
+def partitions(draw) -> tuple:
+    """A partition of some n up to the enumeration cap, descending."""
+    left = draw(st.integers(min_value=0, max_value=PARTITION_BOUND))
     parts = []
     while left:
         parts.append(draw(st.integers(min_value=1, max_value=left)))
         left -= parts[-1]
     return tuple(sorted(parts, reverse=True))
+
+
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
 
 
