@@ -10,16 +10,16 @@ one coordinate at a time, and the infinite-product quotient.
 from sevencores.exprlang import evaluate
 from sevencores.partitions import (
     bg_rank,
-    core_rank_census,
     enumerate_partitions,
     is_t_core,
     lattice_rank_sum,
     lattice_sum,
+    rank_histogram,
 )
 
 TOP = 20
 
-census = core_rank_census(TOP, 7)
+census = [rank_histogram(n, 7) for n in range(TOP + 1)]
 quotient = evaluate("E(q^7)^7/E(q)", TOP)
 lattice = lattice_sum(7, TOP)
 

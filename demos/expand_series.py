@@ -3,7 +3,7 @@
 Everything is integer arithmetic on tuples; nothing here floats.
 """
 
-from sevencores.series import TruncSeries
+from sevencores.series import TruncSeries, dilate
 from sevencores.theta import euler_E
 
 N = 20
@@ -12,7 +12,7 @@ e = euler_E(1, N)
 print("Euler product E(q) up to q^20:")
 print(" ", e.coeffs)
 
-p = e.invert()
+p = TruncSeries.one(N).div(e)
 print("its reciprocal generates partition counts p(n):")
 print(" ", p.coeffs)
 
@@ -24,7 +24,7 @@ print("odd part of E: ", e.odd_part().coeffs[:10])
 print("q -> -q:       ", e.alternate().coeffs[:10])
 
 # substitution q -> q^4 keeps the caller's truncation order
-print("E(q^4) head:   ", e.compose_power(4).coeffs[:10])
+print("E(q^4) head:   ", dilate(e.coeffs, 4, N).coeffs[:10])
 
 # mismatch reporting, the workhorse of the verification layer
 other = p + TruncSeries.monomial(1, 7, N)

@@ -1,5 +1,6 @@
-"""Theta sums, their product forms, and the classical building blocks."""
+"""Theta sums, eta quotients, and classical relations among them."""
 
+from sevencores.exprlang import evaluate
 from sevencores.theta import (
     ThetaArgs,
     chi_neg,
@@ -8,26 +9,27 @@ from sevencores.theta import (
     jacobi_cube,
     phi,
     psi,
-    sigma,
+    sigma_at,
     theta_f,
-    triple_product,
 )
 
 N = 30
 
 # a two-variable theta section: f(q, q^13) shows up in 7-core dissections
-args = ThetaArgs(1, 1, 1, 13)
-by_sum = theta_f(args, N)
-by_product = triple_product(args, N)
-print("f(q, q^13) as a bilateral sum:  ", by_sum.coeffs[:16])
-print("f(q, q^13) as a triple product: ", by_product.coeffs[:16])
-assert by_sum == by_product
+section = theta_f(ThetaArgs(1, 1, 1, 13), N)
+print("f(q, q^13) as a bilateral sum:  ", section.coeffs[:16])
+
+# E(q) is the same sum at fixed arguments, written as an expression text
+assert evaluate("f(-q,-q^2)", N) == euler_E(1, N)
+print("f(-q, -q^2) == E(q) holds to order", N)
 
 # phi and psi are the square and triangular sums
 print("phi(q):", phi(1, 12).coeffs)
 print("psi(q):", psi(1, 12).coeffs)
 assert psi(1, N) ** 2 == psi(2, N) * phi(1, N)
 print("psi(q)^2 == psi(q^2) * phi(q) holds to order", N)
+assert evaluate("phi(q)", N) == evaluate("phi(q^4) + 2*q*psi(q^8)", N)
+print("phi(q) == phi(q^4) + 2q psi(q^8) holds to order", N)
 
 # chi is the odd-spaced product E(q)/E(q^2)
 print("chi(-q):", chi_neg(1, 8).coeffs)
@@ -40,4 +42,4 @@ print("E(q^7)^7/E(q):", g.coeffs)
 print("E(q)^3 matches its indexed sum:", jacobi_cube(N) == euler_E(1, N) ** 3)
 
 # sigma packs two theta products into one even-looking series
-print("sigma head:", sigma(8).coeffs)
+print("sigma head:", sigma_at(1, 8).coeffs)

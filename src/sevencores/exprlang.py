@@ -24,6 +24,7 @@ The six one-argument atoms (E, phi, psi, chi, sigma, omega) are one
 node, ``KAtom(name, k)``, and one table, ``_K_ATOMS``, which gives each
 name its builder in ``theta``; parsing, printing and evaluation all read
 that table.  The slices neg, even, odd and altq are rows of ``_SLICES``.
+``lattice(t)`` and ``lattice7(j)`` are one node, ``LatticeAtom(t, j)``.
 
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
@@ -114,12 +115,11 @@ class ThetaAtom(Node):
 
 @dataclass(frozen=True)
 class LatticeAtom(Node):
+    """The t-core series ``lattice(t)``, or with a rank class j the
+    7-core layer ``lattice7(j)`` (t = 7)."""
+
     t: int
-
-
-@dataclass(frozen=True)
-class Lattice7Atom(Node):
-    j: int
+    j: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,7 @@ class _Parser:
                     it.pos + 1, f"rank class must be -1, 0, 1, or 2, got {j}"
                 )
             end = self.expect(")").pos + 1
-            return Lattice7Atom(j, span=(start, end))
+            return LatticeAtom(7, j, span=(start, end))
         raise ExprSyntaxError(
             tok.pos + 1,
             f"unknown atom name {name!r}; known names: "
@@ -477,9 +477,7 @@ def to_text(node: Node) -> str:
         b = ("-" if node.sign_b < 0 else "") + _qtxt(node.s)
         return f"f({a},{b})"
     if isinstance(node, LatticeAtom):
-        return f"lattice({node.t})"
-    if isinstance(node, Lattice7Atom):
-        return f"lattice7({node.j})"
+        return f"lattice({node.t})" if node.j is None else f"lattice7({node.j})"
     if isinstance(node, Unary):
         if node.op == "neg":
             inner = to_text(node.child)
@@ -632,8 +630,8 @@ def _compile(node: Node) -> Plan:
         args = ThetaArgs(node.sign_a, node.r, node.sign_b, node.s)
         return Plan(lambda order: theta_f(args, order), None)
     if isinstance(node, LatticeAtom):
-        return Plan(lambda order: lattice_sum(node.t, order), None)
-    if isinstance(node, Lattice7Atom):
+        if node.j is None:
+            return Plan(lambda order: lattice_sum(node.t, order), None)
         return Plan(lambda order: lattice_rank_sum(node.j, order), None)
     if isinstance(node, Unary) and node.op == "T2":
         child = operands[0].run
@@ -706,8 +704,8 @@ def _lattice_limit(node: Node, scale: int = 1) -> Optional[tuple]:
     before a lattice leaf under it passes its MAX_LATTICE_ORDER, that
     leaf, and the factor its order is scaled by (2 per T2 above it).
     None when node has no lattice leaf."""
-    if isinstance(node, (LatticeAtom, Lattice7Atom)):
-        return MAX_LATTICE_ORDER[getattr(node, "t", 7)] // scale, node, scale
+    if isinstance(node, LatticeAtom):
+        return MAX_LATTICE_ORDER[node.t] // scale, node, scale
     if isinstance(node, Unary) and node.op == "T2":
         scale *= 2
     limits = [
@@ -820,11 +818,10 @@ def _refuse(root: Root, order: int) -> None:
         )
     if root.lattice is not None and order > root.lattice[0]:
         _, leaf, scale = root.lattice
-        t = getattr(leaf, "t", 7)
         raise ExprEvalError(
             to_text(leaf),
             f"it would be counted at order {order * scale},"
-            f" above the limit {MAX_LATTICE_ORDER[t]} for t = {t}",
+            f" above the limit {MAX_LATTICE_ORDER[leaf.t]} for t = {leaf.t}",
         )
 
 

@@ -345,10 +345,6 @@ _BY_ID = {rec.id: rec for rec in REGISTRY}
 assert len(_BY_ID) == len(REGISTRY), "registry ids must be unique"
 
 
-def registry_ids() -> tuple:
-    return tuple(rec.id for rec in REGISTRY)
-
-
 def get_record(identity_id: str) -> IdentityRecord:
     try:
         return _BY_ID[identity_id]

@@ -259,16 +259,3 @@ def run_claim(claim_id: str, order: int) -> ScanReport:
 def run_all(order: int, kind: Optional[str] = None) -> list:
     return [c.runner(order) for c in CLAIMS if kind is None or c.kind == kind]
 
-
-# -- named entry points -----------------------------------------------
-
-_THEOREM_1_1_IDS = (
-    "ineq-1.11", "ineq-1.12", "ineq-1.13", "ineq-1.14",
-    "prog-1.15-r1", "prog-1.15-r2", "prog-1.15-r6",
-    "prog-1.16-r2", "prog-1.16-r4", "prog-1.16-r5",
-)
-
-
-def check_theorem_1_1(order: int) -> list:
-    """The ten headline claims: four growth bounds, six index progressions."""
-    return [run_claim(i, order) for i in _THEOREM_1_1_IDS]

@@ -35,6 +35,7 @@ PARTITION_BOUND = 45
 
 def enumerate_partitions(n: int) -> Iterator[tuple]:
     """Yield all partitions of n as descending tuples."""
+    _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > PARTITION_BOUND:
@@ -60,15 +61,6 @@ def enumerate_partitions(n: int) -> Iterator[tuple]:
             part.append(cap)
             rem -= cap
         part.append(rem)
-
-
-def conjugate(partition: tuple) -> tuple:
-    """Transpose of the Young diagram, again as a descending tuple."""
-    if not partition:
-        return ()
-    return tuple(
-        sum(1 for p in partition if p > j) for j in range(partition[0])
-    )
 
 
 def bg_rank(partition: tuple) -> int:
@@ -104,11 +96,6 @@ def is_t_core(partition: tuple, t: int) -> bool:
     return True
 
 
-def count_cores(n: int, t: int) -> int:
-    """Number of t-core partitions of n, by brute force."""
-    return sum(rank_histogram(n, t).values())
-
-
 def rank_histogram(n: int, t: int) -> dict:
     """Rank class -> number of t-cores of n in it, by brute force."""
     out: dict[int, int] = {}
@@ -117,16 +104,6 @@ def rank_histogram(n: int, t: int) -> dict:
             j = bg_rank(p)
             out[j] = out.get(j, 0) + 1
     return out
-
-
-def count_cores_by_rank(n: int, t: int, j: int) -> int:
-    """Number of t-cores of n whose parity-alternating rank equals j."""
-    return rank_histogram(n, t).get(j, 0)
-
-
-def core_rank_census(max_n: int, t: int) -> list:
-    """Rows 0..max_n of rank_histogram."""
-    return [rank_histogram(n, t) for n in range(max_n + 1)]
 
 
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}

@@ -11,8 +11,8 @@ Every series the engine builds itself holds ints by construction, so
 it goes through ``TruncSeries._trusted``, which makes no pass over the
 coefficients; the builders in ``theta`` and ``partitions`` check their
 order (``check_order``) and signs on the way in.  The linear passes
-(``add``, ``sub``, ``neg``, ``scale``, ``shift``, ``compose_power``,
-``alternate``, ``even_part``, ``odd_part``, ``hecke_T2``) and the
+(``add``, ``sub``, ``neg``, ``scale``, ``shift``, ``alternate``,
+``even_part``, ``odd_part``, ``hecke_T2``) and the
 queries (``compare``, ``is_zero``, ``first_negative``) are slices of
 the coefficient tuple and ``map`` over ``operator`` functions, with no
 Python-level loop over single coefficients.
@@ -24,7 +24,7 @@ wide enough for a proven bound on the product's coefficients.  A product
 with few pairs of nonzero terms, such as that of two theta series, sums
 those pairs directly.
 
-Division and inversion have one kernel, ``_divide``, a recurrence over
+Division has one kernel, ``_divide``, a recurrence over
 the divisor's nonzero terms that builds the quotient BLOCK coefficients
 at a time.  The divisor terms at k >= BLOCK with coefficient +1 or -1,
 all but a few of an Euler product's, reach only earlier blocks, so they
@@ -393,27 +393,12 @@ class TruncSeries:
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
         return _in_stride(_product, a, b, n)
 
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse; requires constant term +1 or -1.
-
-        Keeping the unit constraint means every inverse stays in integer
-        coefficients, so no rational arithmetic ever appears.
-        """
-        a0 = self.coeffs[0]
-        if a0 not in (1, -1):
-            raise ValueError(
-                f"cannot invert series with constant term {a0}; "
-                "only +1 or -1 is supported"
-            )
-        return TruncSeries.one(self.order).div(self)
-
     def div(self, other: "TruncSeries") -> "TruncSeries":
         """Quotient self / other; the divisor needs constant term +1 or -1.
 
-        Computed by the blocked recurrence of ``_divide``, which is
-        bit-identical to mul(self, other.invert()) but skips the zero
-        terms of a sparse divisor.  Operands in q^g with g > 1 are
-        divided at order n // g (``_in_stride``).
+        Computed by the blocked recurrence of ``_divide``, which skips
+        the zero terms of a sparse divisor.  Operands in q^g with g > 1
+        are divided at order n // g (``_in_stride``).
         """
         b0 = other.coeffs[0]
         if b0 not in (1, -1):
@@ -441,13 +426,6 @@ class TruncSeries:
         return result
 
     # -- q-substitutions and dissections --------------------------------
-
-    def compose_power(self, k: int) -> "TruncSeries":
-        """Substitute q -> q^k, keeping the caller's order."""
-        _check_int("power", k)
-        if k < 1:
-            raise ValueError(f"power must be positive, got {k}")
-        return dilate(self.coeffs, k, self.order)
 
     def alternate(self) -> "TruncSeries":
         """Substitute q -> -q, negating odd-exponent coefficients."""
@@ -516,13 +494,15 @@ class TruncSeries:
 def prefix_cached(build):
     """Memoize build(*key, order), a prefix-stable series builder: each key
     keeps the value built at the highest order asked for so far, and serves
-    a lower order by truncating it (field by field for a tuple of series)."""
+    a lower order by truncating it (field by field for a tuple of series).
+    Each key holds its arguments' types too, so True or 2.0 never reads
+    the entry of 1 or 2: build checks its own arguments on a miss."""
     top = {}
     info = SimpleNamespace(hits=0, misses=0)
 
     @wraps(build)
     def cached(*args):
-        key, order = args[:-1], args[-1]
+        key, order = args[:-1] + tuple(map(type, args[:-1])), args[-1]
         if key in top and top[key][0] >= order:
             info.hits += 1
             value = top[key][1]

@@ -14,7 +14,6 @@ Entry 22):
 * ``psi(m, order)``          f(q^m, q^(3m)) = sum q^(m*n(n+1)/2)
 * ``chi_neg`` = E(q^m)/E(q^(2m)), and ``sigma_at`` / ``omega_at``, two
   bilinear combinations of phi and psi that recur in the catalog
-* ``pochhammer(...)``        finite q-product prefix, for ``triple_product``
 
 Each atom keeps the highest order built so far and serves lower orders
 by truncation (``prefix_cached``): every series here is prefix-stable.
@@ -26,38 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .series import TruncSeries, check_order, dilate, prefix_cached
+from .series import TruncSeries, _check_int, check_order, dilate, prefix_cached
 
 
 def _check_step(step: int) -> int:
+    _check_int("step", step)
     if step < 1:
         raise ValueError(f"step must be a positive int, got {step}")
     return step
-
-
-def pochhammer(sign: int, start: int, step: int, order: int) -> TruncSeries:
-    """Finite product prod_{j>=0} (1 - sign * q^(start + j*step)).
-
-    Only factors whose exponent fits under the order contribute, so the
-    product prefix is already exact at this truncation.
-    """
-    if type(sign) is not int or sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if start < 1:
-        raise ValueError(f"start must be at least 1, got {start}")
-    _check_step(step)
-    check_order(order)
-    cs = [0] * (order + 1)
-    cs[0] = 1
-    e = start
-    while e <= order:
-        # Multiply in place by (1 - sign*q^e), highest index first.
-        for m in range(order, e - 1, -1):
-            cm = cs[m - e]
-            if cm:
-                cs[m] -= sign * cm
-        e += step
-    return TruncSeries._trusted(order, tuple(cs))
 
 
 @dataclass(frozen=True)
@@ -73,6 +48,8 @@ class ThetaArgs:
         signs = (self.sign_a, self.sign_b)
         if any(type(x) is not int or x not in (1, -1) for x in signs):
             raise ValueError("signs must be +1 or -1")
+        _check_int("exponent r", self.r)
+        _check_int("exponent s", self.s)
         if self.r < 0 or self.s < 0:
             raise ValueError("exponents must be nonnegative")
         if self.r + self.s < 1:
@@ -127,32 +104,6 @@ def phi(step: int, order: int) -> TruncSeries:
 def psi(step: int, order: int) -> TruncSeries:
     """psi(q^step) = f(q^step, q^(3*step)) = sum_{n>=0} q^(step*n(n+1)/2)."""
     return _theta_sum(1, _check_step(step), 1, 3 * step, order)
-
-
-def triple_product(args: ThetaArgs, order: int) -> TruncSeries:
-    """Product form of theta_f, for r, s >= 1:
-
-    f(a, b) = (-a; ab) * (-b; ab) * (ab; ab)
-
-    with a = sign_a*q^r and b = sign_b*q^s.  Used as an independent
-    cross-check of the sum form.
-    """
-    if args.r < 1 or args.s < 1:
-        raise ValueError("product form needs r >= 1 and s >= 1")
-    m = args.r + args.s
-    if args.sign_a * args.sign_b == 1:
-        p1 = pochhammer(-args.sign_a, args.r, m, order)
-        p2 = pochhammer(-args.sign_b, args.s, m, order)
-        p3 = pochhammer(args.sign_a * args.sign_b, m, m, order)
-        return p1.mul(p2).mul(p3)
-    # Base ab = -q^m alternates sign, so split each symbol into its
-    # even-index and odd-index factors, both stepping by 2m.
-    out = pochhammer(-args.sign_a, args.r, 2 * m, order)
-    out = out.mul(pochhammer(args.sign_a, args.r + m, 2 * m, order))
-    out = out.mul(pochhammer(-args.sign_b, args.s, 2 * m, order))
-    out = out.mul(pochhammer(args.sign_b, args.s + m, 2 * m, order))
-    out = out.mul(pochhammer(-1, m, 2 * m, order))
-    return out.mul(pochhammer(1, 2 * m, 2 * m, order))
 
 
 def chi_neg(step: int, order: int) -> TruncSeries:
@@ -221,14 +172,6 @@ def omega_at(step: int, order: int) -> TruncSeries:
     head = psi(4 * step, order).mul(phi(14 * step, order))
     tail = psi(28 * step, order).mul(phi(2 * step, order))
     return head.add(tail.shift(3 * step))
-
-
-def sigma(order: int) -> TruncSeries:
-    return sigma_at(1, order)
-
-
-def omega(order: int) -> TruncSeries:
-    return omega_at(1, order)
 
 
 @prefix_cached

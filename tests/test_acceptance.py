@@ -9,13 +9,14 @@ import random
 import time
 
 from catalog_oracle import ORACLE, theta_args_used
+from test_inequalities import THEOREM_1_1
+from test_theta import triple_product
 
 import sevencores.cli as cli
 from sevencores.exprlang import (
     Binary,
     Const,
     KAtom,
-    Lattice7Atom,
     LatticeAtom,
     Power,
     QPow,
@@ -26,18 +27,9 @@ from sevencores.exprlang import (
     to_text,
 )
 from sevencores.identities import REGISTRY, verify, verify_all
-from sevencores.inequalities import (
-    check_theorem_1_1,
-    core_split,
-    run_all,
-    run_claim,
-)
-from sevencores.partitions import (
-    core_rank_census,
-    lattice_rank_sum,
-    lattice_sum,
-)
-from sevencores.theta import phi, psi, theta_f, triple_product
+from sevencores.inequalities import core_split, run_all, run_claim
+from sevencores.partitions import lattice_rank_sum, lattice_sum, rank_histogram
+from sevencores.theta import phi, psi, theta_f
 
 RANKS = (-1, 0, 1, 2)
 
@@ -62,7 +54,7 @@ def test_criterion_1_full_catalog_fast_and_stable(capsys):
 
 def test_criterion_2_brute_force_oracle_agreement():
     top = 40
-    census = core_rank_census(top, 7)
+    census = [rank_histogram(n, 7) for n in range(top + 1)]
     quotient = evaluate("E(q^7)^7/E(q)", top)
     lattice_total = lattice_sum(7, top)
     by_rank = {j: lattice_rank_sum(j, top) for j in RANKS}
@@ -86,7 +78,7 @@ def test_criterion_2_brute_force_oracle_agreement():
 
 
 def test_criterion_3_multiplicative_recursions_to_depth():
-    reports = check_theorem_1_1(2000)
+    reports = [run_claim(i, 2000) for i in THEOREM_1_1]
     assert len(reports) == 10
     assert all(r.status == "holds" for r in reports)
     for r in reports:
@@ -113,10 +105,9 @@ def test_criterion_4_theta_toolkit_checks():
         for n in range(42):
             if n % 2 != parity:
                 assert series[n] == 0
-    census = core_rank_census(40, 7)
     seen = set()
-    for row in census:
-        seen |= set(row)
+    for n in range(41):
+        seen |= set(rank_histogram(n, 7))
     assert seen == set(RANKS)
     print(
         f"criterion 4: pass (product form agrees for {len(theta_args)} "
@@ -164,7 +155,7 @@ def _random_tree(rng, depth):
             rng.choice((1, -1)), rng.randrange(1, 20),
         ),
         lambda: LatticeAtom(rng.choice((2, 3, 5, 7))),
-        lambda: Lattice7Atom(rng.choice(RANKS)),
+        lambda: LatticeAtom(7, rng.choice(RANKS)),
     )
     if depth <= 0 or rng.random() < 0.3:
         return rng.choice(leaves)()

@@ -22,7 +22,6 @@ from sevencores.exprlang import (
     MAX_EXPONENT,
     MAX_LATTICE_ORDER,
     ExprSyntaxError,
-    Lattice7Atom,
     LatticeAtom,
     Power,
     QPow,
@@ -45,7 +44,7 @@ from sevencores.identities import REGISTRY
 from sevencores.inequalities import SERIES
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
-from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma
+from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma_at
 
 
 def test_parse_quotient_power():
@@ -71,7 +70,7 @@ def test_parse_theta_and_named_atoms():
     assert parse("sigma(q)") == KAtom("sigma", 1)
     assert parse("omega(q^2)") == KAtom("omega", 2)
     assert parse("lattice(7)") == LatticeAtom(7)
-    assert parse("lattice7(-1)") == Lattice7Atom(-1)
+    assert parse("lattice7(-1)") == LatticeAtom(7, -1)
 
 
 def test_syntax_error_offset_is_one_based():
@@ -346,7 +345,7 @@ def test_eval_core_quotient():
 
 def test_eval_sigma_definition():
     text = "phi(q)*phi(q^7) + 4*q^2*psi(q^2)*psi(q^14)"
-    assert evaluate(text, 60) == sigma(60)
+    assert evaluate(text, 60) == sigma_at(1, 60)
 
 
 def test_eval_sigma_self_similarity():
@@ -461,8 +460,8 @@ def plain_walk(node, order):
         args = ThetaArgs(node.sign_a, node.r, node.sign_b, node.s)
         return _uncached(theta.theta_f)(args, order)
     if isinstance(node, LatticeAtom):
-        return lattice_sum(node.t, order)
-    if isinstance(node, Lattice7Atom):
+        if node.j is None:
+            return lattice_sum(node.t, order)
         return lattice_rank_sum(node.j, order)
     if isinstance(node, Unary) and node.op == "T2":
         if order > MAX_ORDER:
@@ -510,7 +509,7 @@ def random_tree(rng, depth):
             lambda: ThetaAtom(rng.choice((1, -1)), rng.randint(1, 5),
                               rng.choice((1, -1)), rng.randint(1, 5)),
             lambda: LatticeAtom(rng.choice((2, 3, 5, 7))),
-            lambda: Lattice7Atom(rng.choice((-1, 0, 1, 2))),
+            lambda: LatticeAtom(7, rng.choice((-1, 0, 1, 2))),
         ))()
     shape = rng.randrange(3)
     if shape == 0:
@@ -770,7 +769,7 @@ atoms = st.one_of(
     st.builds(KAtom, st.just("omega"), one_based),
     st.builds(ThetaAtom, pm, one_based, pm, one_based),
     st.builds(LatticeAtom, st.sampled_from((2, 3, 5, 7))),
-    st.builds(Lattice7Atom, st.sampled_from((-1, 0, 1, 2))),
+    st.builds(LatticeAtom, st.just(7), st.sampled_from((-1, 0, 1, 2))),
 )
 
 

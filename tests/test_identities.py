@@ -17,7 +17,6 @@ from sevencores.identities import (
     REGISTRY,
     IdentityRecord,
     get_record,
-    registry_ids,
     verify,
     verify_all,
 )
@@ -69,7 +68,7 @@ def test_a_record_parses_each_side_once(monkeypatch):
 
 def test_registry_well_formed():
     assert len(REGISTRY) == 46
-    ids = registry_ids()
+    ids = [rec.id for rec in REGISTRY]
     assert len(set(ids)) == len(ids)
     for rec in REGISTRY:
         assert rec.lhs_text and rec.rhs_text and rec.note
@@ -135,7 +134,7 @@ def test_verify_mismatch_past_the_head():
 
 def test_verify_all_order_and_status():
     reports = verify_all(60)
-    assert [r.id for r in reports] == list(registry_ids())
+    assert [r.id for r in reports] == [rec.id for rec in REGISTRY]
     assert all(r.status == "pass" for r in reports)
 
 

@@ -21,7 +21,6 @@ from sevencores.inequalities import (
     SERIES,
     LinearClaim,
     ScanReport,
-    check_theorem_1_1,
     claim_ids,
     core_split,
     run_all,
@@ -132,8 +131,16 @@ def test_b_vanishing_residues():
     assert r.status == "holds"
 
 
+#: The ten headline claims: four growth bounds, six index progressions.
+THEOREM_1_1 = (
+    "ineq-1.11", "ineq-1.12", "ineq-1.13", "ineq-1.14",
+    "prog-1.15-r1", "prog-1.15-r2", "prog-1.15-r6",
+    "prog-1.16-r2", "prog-1.16-r4", "prog-1.16-r5",
+)
+
+
 def test_theorem_bundle():
-    reports = check_theorem_1_1(600)
+    reports = [run_claim(i, 600) for i in THEOREM_1_1]
     assert len(reports) == 10
     assert all(r.status == "holds" for r in reports)
 

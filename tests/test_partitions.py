@@ -26,10 +26,6 @@ from sevencores.partitions import (
     _least_costs,
     _slot_bytes,
     bg_rank,
-    conjugate,
-    core_rank_census,
-    count_cores,
-    count_cores_by_rank,
     enumerate_partitions,
     is_t_core,
     lattice_rank_sum,
@@ -40,6 +36,15 @@ from sevencores.series import TruncSeries
 from sevencores.theta import eta_quotient
 
 _ODD_BASE = (1, 0, 1, 0, 1, 0, 1)
+
+
+def conjugate(partition: tuple) -> tuple:
+    """Transpose of the Young diagram, again as a descending tuple."""
+    if not partition:
+        return ()
+    return tuple(
+        sum(1 for p in partition if p > j) for j in range(partition[0])
+    )
 
 
 def hook_is_t_core(partition: tuple, t: int) -> bool:
@@ -244,6 +249,13 @@ def test_enumeration_bound():
         next(enumerate_partitions(-1))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_enumeration_refuses_an_n_that_is_not_an_int(n):
+    # 2.5 would never stop: its parts go negative and the list grows.
+    with pytest.raises(TypeError, match="n must be an int"):
+        next(enumerate_partitions(n))
+
+
 def test_parts_descend():
     for lam in enumerate_partitions(9):
         assert all(a >= b for a, b in zip(lam, lam[1:]))
@@ -299,24 +311,19 @@ def test_t_core_test_refuses_t_below_two():
 
 def test_seven_core_counts_head():
     want = (1, 1, 2, 3, 5, 7, 11, 8, 15)
-    assert tuple(count_cores(n, 7) for n in range(9)) == want
+    assert tuple(sum(rank_histogram(n, 7).values()) for n in range(9)) == want
 
 
 def test_rank_split_examples():
     assert rank_histogram(6, 7) == {0: 10, 2: 1}
     assert rank_histogram(3, 7) == {-1: 1, 1: 2}
     assert rank_histogram(0, 7) == {0: 1}
-    # single-class counts, including an empty class
-    assert count_cores_by_rank(6, 7, 2) == 1
-    assert count_cores_by_rank(3, 7, -1) == 1
-    assert count_cores_by_rank(6, 7, 1) == 0
 
 
 def test_census_rows_are_consistent():
-    rows = core_rank_census(10, 7)
-    assert len(rows) == 11
-    for n, row in enumerate(rows):
-        assert sum(row.values()) == count_cores(n, 7)
+    for n in range(11):
+        cores = [lam for lam in enumerate_partitions(n) if is_t_core(lam, 7)]
+        assert sum(rank_histogram(n, 7).values()) == len(cores)
 
 
 def test_rank_residue_class_sizes():
@@ -370,7 +377,7 @@ def test_lattice_counts_cores_directly():
 
 
 def test_rank_sums_match_census():
-    rows = core_rank_census(12, 7)
+    rows = [rank_histogram(n, 7) for n in range(13)]
     series = {j: lattice_rank_sum(j, 12) for j in (-1, 0, 1, 2)}
     for n in range(13):
         for j in (-1, 0, 1, 2):

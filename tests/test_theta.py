@@ -1,4 +1,8 @@
-"""Theta building blocks: products against sums, eta forms, frozen heads."""
+"""Theta building blocks: sums against their oracles, eta forms, frozen heads.
+
+The Jacobi triple product, a second construction of f(a, b) from finite
+q-products, lives here as an oracle of ``theta_f`` and ``chi_neg``.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +12,7 @@ from catalog_oracle import catalog_texts, children, eta
 
 from sevencores.exprlang import _is_product, _plan, parse
 from sevencores.inequalities import SERIES
-from sevencores.series import TruncSeries
+from sevencores.series import TruncSeries, dilate
 from sevencores.theta import (
     ThetaArgs,
     _eta_quotient,
@@ -16,15 +20,11 @@ from sevencores.theta import (
     eta_quotient,
     euler_E,
     jacobi_cube,
-    omega,
     omega_at,
     phi,
-    pochhammer,
     psi,
-    sigma,
     sigma_at,
     theta_f,
-    triple_product,
 )
 
 
@@ -33,7 +33,41 @@ def test_euler_pentagonal_head():
 
 
 def test_euler_step_spreads():
-    assert euler_E(3, 9) == euler_E(1, 9).compose_power(3)
+    assert euler_E(3, 9) == dilate(euler_E(1, 9).coeffs, 3, 9)
+
+
+def pochhammer(sign, start, step, order):
+    """prod_{j>=0} (1 - sign * q^(start + j*step)) to q^order.  Only the
+    factors whose exponent fits under the order contribute, so the
+    product prefix is already exact at this truncation."""
+    cs = [1] + [0] * order
+    for e in range(start, order + 1, step):
+        # Multiply in place by (1 - sign*q^e), highest index first.
+        for m in range(order, e - 1, -1):
+            cm = cs[m - e]
+            if cm:
+                cs[m] -= sign * cm
+    return TruncSeries(order, cs)
+
+
+def triple_product(args, order):
+    """f(a, b) = (-a; ab) * (-b; ab) * (ab; ab), with a = sign_a*q^r
+    and b = sign_b*q^s for r, s >= 1."""
+    sa, r, sb, s = args.sign_a, args.r, args.sign_b, args.s
+    m = r + s
+    if sa * sb == 1:
+        factors = ((-sa, r, m), (-sb, s, m), (1, m, m))
+    else:
+        # Base ab = -q^m alternates sign, so split each symbol into its
+        # even-index and odd-index factors, both stepping by 2m.
+        factors = (
+            (-sa, r, 2 * m), (sa, r + m, 2 * m), (-sb, s, 2 * m),
+            (sb, s + m, 2 * m), (-1, m, 2 * m), (1, 2 * m, 2 * m),
+        )
+    out = TruncSeries.one(order)
+    for sign, start, step in factors:
+        out = out.mul(pochhammer(sign, start, step, order))
+    return out
 
 
 def test_pochhammer_single_factor():
@@ -46,15 +80,6 @@ def test_pochhammer_single_factor():
     assert pochhammer(-1, 1, 1, 4).coeffs == (1, 1, 1, 2, 2)
 
 
-def test_pochhammer_validation():
-    with pytest.raises(ValueError):
-        pochhammer(2, 1, 1, 5)
-    with pytest.raises(ValueError):
-        pochhammer(1, 0, 1, 5)
-    with pytest.raises(ValueError):
-        pochhammer(1, 1, 0, 5)
-
-
 def test_theta_args_validation():
     with pytest.raises(ValueError):
         ThetaArgs(2, 1, 1, 1)
@@ -63,6 +88,11 @@ def test_theta_args_validation():
     with pytest.raises(ValueError):
         ThetaArgs(1, 0, 1, 0)
     ThetaArgs(1, 0, 1, 1)  # one-sided is fine
+    for bad in (1.5, 2.0, True, "1"):
+        with pytest.raises(TypeError, match="exponent r must be an int"):
+            ThetaArgs(1, bad, 1, 2)
+        with pytest.raises(TypeError, match="exponent s must be an int"):
+            ThetaArgs(1, 2, 1, bad)
 
 
 def test_phi_is_square_sum():
@@ -143,10 +173,17 @@ def test_theta_atoms_match_their_sums_at_6000(step):
         assert atom.__wrapped__(step, 6000) == oracle(step, 6000)
 
 
-@pytest.mark.parametrize("atom", (euler_E, phi, psi, sigma_at, omega_at))
+@pytest.mark.parametrize("atom", (euler_E, phi, psi, chi_neg, sigma_at, omega_at))
 def test_step_must_be_positive(atom):
     for step in (0, -2):
         with pytest.raises(ValueError, match="step must be a positive int"):
+            atom(step, 10)
+    # A step equal to a cached int step, as True and 2.0 are, is refused
+    # too: it never reads that step's cache entry.
+    atom(1, 10)
+    atom(2, 10)
+    for step in (True, 2.0, "a"):
+        with pytest.raises(TypeError, match="step must be an int"):
             atom(step, 10)
 
 
@@ -165,8 +202,8 @@ def test_chi_is_odd_pochhammer():
 
 
 def test_sigma_omega_heads():
-    assert sigma(6).coeffs == (1, 2, 4, 0, 6, 0, 0)
-    assert omega(6).coeffs == (1, 0, 0, 1, 1, 2, 0)
+    assert sigma_at(1, 6).coeffs == (1, 2, 4, 0, 6, 0, 0)
+    assert omega_at(1, 6).coeffs == (1, 0, 0, 1, 1, 2, 0)
 
 
 def test_jacobi_cube_matches_cube():
@@ -187,9 +224,7 @@ def test_eta_quotient_empty_is_one():
 
 BUILDERS = {
     "euler_E": lambda n: euler_E(1, n),
-    "pochhammer": lambda n: pochhammer(1, 1, 1, n),
     "theta_f": lambda n: theta_f(ThetaArgs(1, 1, 1, 1), n),
-    "triple_product": lambda n: triple_product(ThetaArgs(1, 1, 1, 1), n),
     "phi": lambda n: phi(1, n),
     "psi": lambda n: psi(1, n),
     "chi_neg": lambda n: chi_neg(1, n),
@@ -219,8 +254,6 @@ def test_an_order_that_is_not_an_int_is_a_type_error(build):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0, True])
 def test_a_sign_that_is_not_an_int_is_refused(sign):
-    with pytest.raises(ValueError, match="sign must be"):
-        pochhammer(sign, 1, 1, 5)
     with pytest.raises(ValueError, match="signs must be"):
         ThetaArgs(sign, 1, 1, 1)
     with pytest.raises(ValueError, match="signs must be"):
