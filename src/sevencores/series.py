@@ -495,14 +495,16 @@ def prefix_cached(build):
     """Memoize build(*key, order), a prefix-stable series builder: each key
     keeps the value built at the highest order asked for so far, and serves
     a lower order by truncating it (field by field for a tuple of series).
-    Each key holds its arguments' types too, so True or 2.0 never reads
-    the entry of 1 or 2: build checks its own arguments on a miss."""
+    The key also holds the first argument's type, so a step of True or
+    2.0 never reads the entry of 1 or 2: build checks its own arguments
+    on a miss.  No builder here takes more than one argument before the
+    order."""
     top = {}
     info = SimpleNamespace(hits=0, misses=0)
 
     @wraps(build)
     def cached(*args):
-        key, order = args[:-1] + tuple(map(type, args[:-1])), args[-1]
+        key, order = (type(args[0]),) + args[:-1], args[-1]
         if key in top and top[key][0] >= order:
             info.hits += 1
             value = top[key][1]
