@@ -17,12 +17,18 @@ queries (``compare``, ``is_zero``, ``first_negative``) are slices of
 the coefficient tuple and ``map`` over ``operator`` functions, with no
 Python-level loop over single coefficients.
 
-Multiplication has one entry point, ``TruncSeries.mul``.  A dense
-product is one big-int multiply by Kronecker substitution: each operand
-is packed into a single int with one byte-aligned slot per coefficient,
-wide enough for a proven bound on the product's coefficients.  A product
-with few pairs of nonzero terms, such as that of two theta series, sums
-those pairs directly.
+Multiplication has one entry point, ``TruncSeries.mul``, which takes
+one of three ways (``_product``).  A product with few pairs of nonzero
+terms, at most PAIRS_PER_SLOT per output coefficient, such as that of
+two theta series, sums those pairs directly.  Any other product works on
+the Kronecker packing (``_kronecker``): the denser operand is packed into
+a single int with one byte-aligned slot per coefficient, wide enough for
+a proven bound on the product's coefficients.  When the sparser operand
+has at most SHIFTS_PER_SLOT * (n + 1)^0.585 nonzero terms, the packed
+product is the sum of one shifted copy of the packed int per term, each
+a linear pass; otherwise the sparser operand is packed too and the two
+ints are multiplied once, which CPython does by Karatsuba in about
+(n + 1)^1.585 digit steps.  Both give the same integer.
 
 Division has one kernel, ``_divide``, a recurrence over
 the divisor's nonzero terms that builds the quotient BLOCK coefficients
@@ -49,7 +55,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import wraps
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from math import gcd, isqrt
 from operator import add, lt, mul, ne, neg, sub
 from types import SimpleNamespace
@@ -62,9 +68,20 @@ from typing import Iterable, NamedTuple, Optional
 MAX_ORDER = 20000
 
 #: A product whose nonzero pairs number at most this many per output
-#: coefficient is summed pair by pair; any denser one goes through the
-#: big-int multiply.
+#: coefficient is summed pair by pair; any denser one works on the
+#: Kronecker packing (see SHIFTS_PER_SLOT).
 PAIRS_PER_SLOT = 8
+
+#: A product on the Kronecker packing whose sparser operand has at most
+#: this many times (n + 1)^0.585 nonzero terms sums one shifted copy of
+#: the denser operand's packed int per term; any other multiplies the two
+#: packed ints.  A shift and an add cost about n digit steps each and
+#: Karatsuba about n^1.585, so the sum wins below some multiple of
+#: n^0.585.  For random sparse operands times E(q)^5 at orders 400,
+#: 1500 and 6000 (2-core Xeon, CPython 3.11), the sum took 0.3 to 0.9
+#: of the multiply's time up to twice n^0.585 and broke even near 2.5
+#: times it; 1.5 keeps a margin below that.
+SHIFTS_PER_SLOT = 1.5
 
 #: Division builds its quotient this many coefficients at a time (see
 #: ``_divide``).  Per-call timings of the scan divisions at order 6000
@@ -91,26 +108,37 @@ def _pair_product(a: tuple, b: tuple, n: int) -> list:
     return out
 
 
-def _kronecker(a: tuple, b: tuple, n: int) -> list:
-    """Coefficients 0..n of a*b by one big-int multiply.
+def _kronecker(a: tuple, b: tuple, n: int, shifted: bool) -> list:
+    """Coefficients 0..n of a*b on the Kronecker packing, for a the
+    sparser operand.
 
-    Each series is packed into one int, coefficient k in the k-th slot
-    of ``width`` bytes, so the integer product holds the coefficients of
-    the series product slot by slot.  The width comes from the bound
-    |c_k| <= min(sum|a| * max|b|, sum|b| * max|a|) plus a sign bit, so
-    every c_k and every input coefficient lies in [-h, h) with
-    h = 2^(8*width - 1).  Adding h to every slot makes each one a
-    nonnegative digit below 2^(8*width), so no slot borrows from the
-    next; XOR with h moves between that biased digit and the slot's
-    two's complement, which is the form ``array`` and ``to_bytes`` read
-    and write.  A width of at most 8 bytes is rounded up to the next
-    ``array`` itemsize (1, 2, 4 or 8), which packs and unpacks at C
-    speed; only wider slots take ``to_bytes`` coefficient by coefficient.
+    b is packed into one int, coefficient k in the k-th slot of
+    ``width`` bytes, so the packed product holds the coefficients of the
+    series product slot by slot.  When ``shifted``, that product is the
+    sum of a[i] times the packed b shifted up by i slots, over the
+    nonzero terms of a, and a is never packed; otherwise a is packed the
+    same way and the two ints are multiplied once.  The width comes from
+    the bound |c_k| <= sum|a| * max|b| (shifted; the sum runs over a's
+    nonzero terms, and max|b| is max(b) or -min(b), so neither operand
+    takes an abs pass) or min(sum|a| * max|b|, sum|b| * max|a|)
+    (multiplied), plus a sign bit, so every c_k and every packed
+    coefficient lies in [-h, h) with h = 2^(8*width - 1).  Adding h to
+    every slot makes each one a nonnegative digit below 2^(8*width), so
+    no slot borrows from the next; XOR with h moves between that biased
+    digit and the slot's two's complement, which is the form ``array``
+    and ``to_bytes`` read and write.  A width of at most 8 bytes is
+    rounded up to the next ``array`` itemsize (1, 2, 4 or 8), which
+    packs and unpacks at C speed; only wider slots take ``to_bytes``
+    coefficient by coefficient.
     """
-    sum_a, sum_b = sum(map(abs, a)), sum(map(abs, b))
-    if not sum_a or not sum_b:
+    if shifted:
+        terms = list(compress(range(n + 1), a))
+        bound = sum(map(abs, compress(a, a))) * max(max(b), -min(b))
+    else:
+        sum_a, sum_b = sum(map(abs, a)), sum(map(abs, b))
+        bound = min(sum_a * max(map(abs, b)), sum_b * max(map(abs, a)))
+    if not bound:
         return [0] * (n + 1)
-    bound = min(sum_a * max(map(abs, b)), sum_b * max(map(abs, a)))
     width = (bound.bit_length() + 8) // 8
     width = next((w for w in _TYPECODES if w >= width), width)
     size = width * (n + 1)
@@ -129,8 +157,22 @@ def _kronecker(a: tuple, b: tuple, n: int) -> list:
             raw = b"".join(c.to_bytes(width, "little", signed=True) for c in cs)
         return (int.from_bytes(raw, "little") ^ bias) - bias
 
+    packed = pack(b)
+    if shifted:
+        # Most terms of a theta or Euler series are +1 or -1, and adding
+        # or subtracting the shifted int spares a multiply by one.
+        product, slot = 0, 8 * width
+        for i in terms:
+            if a[i] == 1:
+                product += packed << slot * i
+            elif a[i] == -1:
+                product -= packed << slot * i
+            else:
+                product += a[i] * (packed << slot * i)
+    else:
+        product = pack(a) * packed
     # Bits past slot n hold the truncated terms; the mask drops them.
-    digits = (pack(a) * pack(b) + bias) & ((1 << (8 * size)) - 1)
+    digits = (product + bias) & ((1 << (8 * size)) - 1)
     raw = (digits ^ bias).to_bytes(size, "little")
     if code:
         slots = array(code, raw)
@@ -189,11 +231,16 @@ def _divide(a: tuple, b: tuple, n: int) -> list:
 
 def _product(a: tuple, b: tuple, n: int) -> list:
     """Coefficients 0..n of a*b: pair by pair when the nonzero pairs
-    number at most PAIRS_PER_SLOT per output coefficient, else by one
-    big-int multiply."""
-    pairs = (n + 1 - a.count(0)) * (n + 1 - b.count(0))
-    kernel = _pair_product if pairs <= PAIRS_PER_SLOT * (n + 1) else _kronecker
-    return kernel(a, b, n)
+    number at most PAIRS_PER_SLOT per output coefficient, else on the
+    Kronecker packing, by a sum of shifts when the sparser operand has
+    at most SHIFTS_PER_SLOT * (n + 1)^0.585 nonzero terms and by one
+    big-int multiply otherwise."""
+    terms_a, terms_b = n + 1 - a.count(0), n + 1 - b.count(0)
+    if terms_a * terms_b <= PAIRS_PER_SLOT * (n + 1):
+        return _pair_product(a, b, n)
+    if terms_b < terms_a:
+        a, b, terms_a = b, a, terms_b
+    return _kronecker(a, b, n, terms_a <= SHIFTS_PER_SLOT * (n + 1) ** 0.585)
 
 
 def stride(coeffs: tuple) -> int:
@@ -204,7 +251,7 @@ def stride(coeffs: tuple) -> int:
     of k for which every d-th coefficient holds all the nonzero ones:
     each test is a slice and a count, with no pass over every exponent.
     """
-    k = next(compress(count(1), coeffs[1:]), 0)
+    k = next(compress(count(1), islice(coeffs, 1, None)), 0)
     if k < 2:
         return k
     nonzero = len(coeffs) - coeffs.count(0)
@@ -228,8 +275,11 @@ def dilate(coeffs, g: int, order: int) -> "TruncSeries":
 def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
     """kernel(a, b, n) for coefficient tuples a, b of length n + 1.  When
     both are series in q^g with g > 1, the kernel runs on every g-th
-    coefficient at order n // g and the result is spread back."""
-    g = gcd(stride(a), stride(b))
+    coefficient at order n // g and the result is spread back.  When a
+    has stride 1 the gcd is 1, and b's stride is not looked for."""
+    g = stride(a)
+    if g != 1:
+        g = gcd(g, stride(b))
     if g < 2:
         return TruncSeries._trusted(n, tuple(kernel(a, b, n)))
     return dilate(kernel(a[::g], b[::g], n // g), g, n)
@@ -383,10 +433,15 @@ class TruncSeries:
     def mul(self, other: "TruncSeries") -> "TruncSeries":
         """Product, truncated to the smaller order.
 
-        Dense products go through one big-int multiply (Kronecker
-        substitution, see ``_kronecker``); products with few nonzero
-        pairs loop over those pairs (``_product``).  Both give the exact
-        coefficients.  Operands in q^g with g > 1 are multiplied at
+        ``_product`` takes one of three ways, each exact: a product
+        with at most PAIRS_PER_SLOT nonzero pairs per coefficient loops
+        over those pairs; any other packs the denser operand into one
+        int (Kronecker substitution, see ``_kronecker``) and either
+        sums one shifted copy of it per nonzero term of the sparser
+        operand, when those number at most SHIFTS_PER_SLOT times
+        (n + 1)^0.585, or packs both and multiplies them once.  A shift
+        costs about n digit steps and CPython's Karatsuba multiply
+        about n^1.585.  Operands in q^g with g > 1 are multiplied at
         order n // g (``_in_stride``).
         """
         n = min(self.order, other.order)

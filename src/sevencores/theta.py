@@ -119,9 +119,14 @@ def eta_quotient(factors, order: int) -> TruncSeries:
     by q -> q^g.  So E(q^14)^7/E(q^2) is E(q^7)^7/E(q) at half the
     order.  Cached by ``prefix_cached`` under the sorted reduced
     (step, exp) pairs with a nonzero exp, so equal mappings, and
-    mappings equal up to such a dilation, share one entry.
+    mappings equal up to such a dilation, share one entry.  Every step
+    and exponent is checked first, so a step of True or 2.0 raises the
+    atoms' TypeError instead of reading the entry of 1 or 2.
     """
     check_order(order)
+    for step, exp in factors.items():
+        _check_step(step)
+        _check_int("exponent", exp)
     pairs = sorted((step, exp) for step, exp in factors.items() if exp)
     g = gcd(*(step for step, _ in pairs)) or 1
     reduced = tuple((step // g, exp) for step, exp in pairs)

@@ -1,7 +1,8 @@
 """Core truncated-series arithmetic, checked against hand-counted values.
 
-The schoolbook double loop below is the oracle for both product kernels
-in ``series``: the pair loop and the Kronecker big-int multiply.  The
+The schoolbook double loop below is the oracle for the three ways of a
+product in ``series``: the pair loop, and on the Kronecker packing the
+sum of shifts and the big-int multiply.  The
 coefficient-by-coefficient recurrence is the oracle for the blocked
 division, and the gcd over every exponent for ``stride``.
 """
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sevencores import series
 from sevencores.exprlang import evaluate
 from sevencores.forms import FFF7, G, W, CoreSplit, core_split
 from sevencores.partitions import _flip_layers, lattice_rank_sum, lattice_sum
@@ -333,13 +335,22 @@ def signed_series(draw, max_order=39):
 
 
 def kernels_agree(x, y):
-    """Assert that mul and both kernels give the schoolbook product."""
+    """Assert that mul and each of its three ways, forced, give the
+    schoolbook product: the pair loop, and the sum of shifts and the
+    big-int multiply on the Kronecker packing.  The sum of shifts runs
+    with either operand as the one summed over."""
     want = schoolbook_mul(x, y)
     n = want.order
     a, b = x.coeffs[: n + 1], y.coeffs[: n + 1]
     assert x * y == want
-    for kernel in (_kronecker, _pair_product):
-        assert TruncSeries(n, kernel(a, b, n)) == want, kernel.__name__
+    ways = {
+        "pairs": _pair_product(a, b, n),
+        "multiply": _kronecker(a, b, n, False),
+        "shifts": _kronecker(a, b, n, True),
+        "shifts over b": _kronecker(b, a, n, True),
+    }
+    for way, got in ways.items():
+        assert TruncSeries(n, got) == want, way
     return want
 
 
@@ -347,6 +358,30 @@ def kernels_agree(x, y):
 @given(signed_series(), signed_series())
 def test_kernels_match_schoolbook(x, y):
     kernels_agree(x, y)
+
+
+@st.composite
+def sparse_series(draw, max_order=300):
+    """A series with a few terms of coefficient +1, -1, +2 or -2, as a
+    theta or Euler series has, at an order up to max_order."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    terms = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=order),
+        st.sampled_from((1, -1, 2, -2)),
+        max_size=12,
+    ))
+    cs = [0] * (order + 1)
+    for k, c in terms.items():
+        cs[k] = c
+    return TruncSeries(order, cs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_series(), st.lists(big_coeff_st, min_size=1, max_size=301),
+       st.booleans())
+def test_kernels_on_a_sparse_operand(x, dense, swap):
+    y = TruncSeries(len(dense) - 1, dense)
+    kernels_agree(*((y, x) if swap else (x, y)))
 
 
 @pytest.mark.parametrize("order", [0, 1, 7])
@@ -385,6 +420,42 @@ def test_kernels_at_order_6000():
     assert max(map(abs, w.coeffs)).bit_length() == 126
     product = kernels_agree(w, omega_at(2, 6000))
     assert max(map(abs, product.coeffs)).bit_length() <= 12
+
+
+def test_both_packed_ways_agree_at_order_6000():
+    """psi(q)*(phi(q)^2 - phi(q^7)^2) and E(q)*E(q)^2 are the same
+    series by the sum of shifts and by the multiply, and E(q)*E(q)^2 is
+    Jacobi's E(q)^3."""
+    n = 6000
+    e = euler_E(1, n)
+    pairs = ((psi(1, n), phi(1, n).pow(2) - phi(7, n).pow(2)), (e, e.pow(2)))
+    for x, y in pairs:
+        shifts = _kronecker(x.coeffs, y.coeffs, n, True)
+        assert shifts == _kronecker(x.coeffs, y.coeffs, n, False)
+        assert tuple(shifts) == (x * y).coeffs
+    assert e * e.pow(2) == jacobi_cube(n)
+
+
+def test_products_at_order_6000_take_the_way_their_terms_pick(monkeypatch):
+    """At order 6000, psi(q) (110 terms) times psi(q) sums pairs, psi(q)
+    times the dense phi(q)^2 - phi(q^7)^2 sums shifts, and two dense
+    series multiply."""
+    n = 6000
+    sparse = psi(1, n)
+    dense = phi(1, n).pow(2) - phi(7, n).pow(2)
+    ways = []
+    pairs, kronecker = series._pair_product, series._kronecker
+    monkeypatch.setattr(
+        series, "_pair_product",
+        lambda a, b, n: ways.append("pairs") or pairs(a, b, n),
+    )
+    monkeypatch.setattr(
+        series, "_kronecker",
+        lambda a, b, n, shifted: ways.append("shifts" if shifted else "multiply")
+        or kronecker(a, b, n, shifted),
+    )
+    sparse * sparse, sparse * dense, dense * sparse, dense * dense
+    assert ways == ["pairs", "shifts", "shifts", "multiply"]
 
 
 # -- series in q^g ------------------------------------------------------

@@ -187,6 +187,22 @@ def test_step_must_be_positive(atom):
             atom(step, 10)
 
 
+def test_eta_quotient_checks_every_step_and_exponent():
+    # After the int steps 1 and 2 are cached, a step of True or 2.0 is
+    # refused as the atoms refuse it, and so is a zero exponent of the
+    # wrong type, which the quotient would otherwise skip.
+    eta_quotient({1: 1, 2: -1}, 10)
+    for factors in ({True: 1}, {2.0: 1}, {1: 1, 2.0: -1}, {"a": 1}):
+        with pytest.raises(TypeError, match="step must be an int"):
+            eta_quotient(factors, 10)
+    for factors in ({1: 1.0}, {1: True}, {2: 0.0}):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            eta_quotient(factors, 10)
+    for factors in ({0: 1}, {-2: 0}):
+        with pytest.raises(ValueError, match="step must be a positive int"):
+            eta_quotient(factors, 10)
+
+
 def test_phi_psi_eta_forms():
     assert phi(1, 40) == eta_quotient({2: 5, 4: -2, 1: -2}, 40)
     assert psi(1, 40) == eta_quotient({2: 2, 1: -1}, 40)
