@@ -44,16 +44,19 @@ evaluation error.
 Each distinct tree is compiled once, on its first evaluation, into a
 plan (``_compile``): a tree of closures of the order in which every
 fold, every divide-last choice and every product's cache key is fixed.
-A run does series work and the checks that need a series only.  A whole
-tree that is a sum, difference, slice, T2 or fold keeps its value
-(``_root``), so evaluating it again at its order or below is a lookup.
+A run does series work and the checks that need a series only.  The
+checked, compiled whole tree is its ``Root``, kept by ``_root`` under
+the tree and under each text that parses to it, so a text is parsed and
+its bounds walked once per process.  A whole tree that is a sum,
+difference, slice, T2 or fold keeps its value, so evaluating it again
+at its order or below is a lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
-from operator import itemgetter, methodcaller
+from functools import cache, partial
+from operator import add, itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from . import theta
@@ -206,7 +209,7 @@ MAX_DEPTH = 100
 #: MAX_ORDER takes ~5 s, and E(q)^1000000 at order 2000 ran over a minute.
 MAX_EXPONENT = 100
 
-#: Largest degree of an evaluated tree (``_degree``): two factors at the
+#: Largest degree of an evaluated tree (``_bounds``): two factors at the
 #: exponent limit, such as E(q)^100 * E(q)^100.  The catalog's largest
 #: is 12.  Unbounded, thirty factors E(q)^100 at order 2000 ran ~9 s on
 #: a 2-core Xeon, and twenty factors psi(q)^100 ~30 s.
@@ -526,9 +529,8 @@ class Plan(NamedTuple):
 
 class Root(NamedTuple):
     """A whole tree, checked and compiled (``_root``): run(order)
-    evaluates it; degree and doubled are ``_degree``'s, without and with
-    each T2 doubling its argument's; lattice is ``_lattice_limit``'s
-    triple; most is the largest order ``check_bounds`` accepts."""
+    evaluates it; degree, doubled and lattice are ``_bounds``'s; most is
+    the largest order ``check_bounds`` accepts."""
 
     run: Callable[[int], TruncSeries]
     node: Node
@@ -665,53 +667,89 @@ _plan = cache(_compile)
 
 
 @cache
-def _root(node: Node) -> Root:
-    """node as a whole tree: its bounds and a run that keeps its value
-    (``_kept``) when it is a sum, difference, slice, T2 or fold, whose
-    run builds a series or normalises the fold's factors again.  Atoms
-    and the products that do not fold are cached already.  Inner sums
-    are not kept: keeping them cost more memory and saved less time than
-    keeping roots only.
+def _root(expr) -> Root:
+    """expr, a text or a tree, as a whole checked tree: its bounds and a
+    run that keeps its value (``_kept``) when it is a sum, difference,
+    slice, T2 or fold, whose run builds a series or normalises the fold's
+    factors again.  Atoms and the products that do not fold are cached
+    already.  Inner sums are not kept: keeping them cost more memory and
+    saved less time than keeping roots only.  A text is parsed once, and
+    its Root is its tree's, the same object; a tree never equals a text,
+    so the two kinds of key never collide.
 
     Refuses a tree whose ^ exponents multiply past MAX_EXPONENT on some
-    root-to-leaf path (``_degree`` raises that), or whose degree passes
-    MAX_DEGREE.  The walks recurse once per level, and parsed trees are
+    root-to-leaf path (``_bounds`` raises that), or whose degree passes
+    MAX_DEGREE.  The walk recurses once per level, and parsed trees are
     at most MAX_DEPTH levels tall.  The cost (``_refuse``) never falls as
     the order grows; when degree * 2 * MAX_ORDER is at most MAX_COST it
     stays at most MAX_COST up to MAX_COST // degree (doubled is never
     below degree), else up to MAX_COST // doubled."""
-    degree = _degree(node)
+    if isinstance(expr, str):
+        return _root(parse(expr))
+    degree, doubled, lattice = _bounds(expr)
     if degree > MAX_DEGREE:
         raise ExprEvalError(
-            to_text(node), f"its degree {degree} is above the limit {MAX_DEGREE}"
+            to_text(expr), f"its degree {degree} is above the limit {MAX_DEGREE}"
         )
-    doubled = _degree(node, t2=2)
-    plan = _plan(node)
-    if _is_product(node):
+    plan = _plan(expr)
+    if _is_product(expr):
         keep = plan.fold is not None
     else:
-        keep = isinstance(node, (Unary, Binary))
+        keep = isinstance(expr, (Unary, Binary))
     run = partial(_kept, plan.run) if keep else plan.run
-    lattice = _lattice_limit(node)
     most = MAX_COST // (degree if degree * 2 * MAX_ORDER <= MAX_COST else doubled)
     if lattice is not None:
         most = min(most, lattice[0])
-    return Root(run, node, degree, doubled, lattice, most)
+    return Root(run, expr, degree, doubled, lattice, most)
 
 
-def _lattice_limit(node: Node, scale: int = 1) -> Optional[tuple]:
-    """(limit, leaf, scale): the largest order node can be evaluated at
-    before a lattice leaf under it passes its MAX_LATTICE_ORDER, that
-    leaf, and the factor its order is scaled by (2 per T2 above it).
-    None when node has no lattice leaf."""
+def _bounds(
+    node: Node, product: int = 1, outer: Optional[Power] = None, scale: int = 1
+) -> tuple:
+    """(degree, doubled, lattice) of node, in one walk.
+
+    degree is 1 per leaf, added across * and /, times max(e, 1) across
+    ^ e, and the largest operand's across +, - and the unary operations:
+    at most this many atom factors are multiplied into any one term.
+    doubled is the same with each T2 doubling its argument's, as it
+    doubles the order it is built at.  lattice is (limit, leaf, scale):
+    the largest order node can be evaluated at before a lattice leaf
+    under it passes its MAX_LATTICE_ORDER, that leaf (the leftmost of
+    equal limits), and the factor its order is scaled by (2 per T2 above
+    it); None when node has no lattice leaf.
+
+    product is that of the exponents on the path down to node, and outer
+    the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
+    outer.  An exponent 0 counts as 1, because its base is still
+    evaluated.  Right operands go first: of two such paths, the
+    rightmost is reported."""
     if isinstance(node, LatticeAtom):
-        return MAX_LATTICE_ORDER[node.t] // scale, node, scale
-    if isinstance(node, Unary) and node.op == "T2":
-        scale *= 2
-    limits = [
-        _lattice_limit(getattr(node, c), scale) for c in _OPERANDS.get(type(node), ())
-    ]
-    return min(filter(None, limits), key=itemgetter(0), default=None)
+        return 1, 1, (MAX_LATTICE_ORDER[node.t] // scale, node, scale)
+    if isinstance(node, Power):
+        e = max(node.exponent, 1)
+        product *= e
+        outer = node if outer is None else outer
+        if product > MAX_EXPONENT:
+            raise ExprEvalError(
+                to_text(outer),
+                f"its exponents multiply to {product} on one path,"
+                f" above the limit {MAX_EXPONENT}",
+            )
+        degree, doubled, lattice = _bounds(node.base, product, outer, scale)
+        return degree * e, doubled * e, lattice
+    if isinstance(node, Unary):
+        t2 = 2 if node.op == "T2" else 1
+        degree, doubled, lattice = _bounds(node.child, product, outer, scale * t2)
+        return degree, doubled * t2, lattice
+    if isinstance(node, Binary):
+        right = _bounds(node.right, product, outer, scale)
+        left = _bounds(node.left, product, outer, scale)
+        join = add if node.op in ("*", "/") else max
+        lattice = min(
+            filter(None, (left[2], right[2])), key=itemgetter(0), default=None
+        )
+        return join(left[0], right[0]), join(left[1], right[1]), lattice
+    return 1, 1, None
 
 
 def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
@@ -759,52 +797,6 @@ def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
     return quotient
 
 
-def _degree(node: Node, product: int = 1, outer: Optional[Power] = None, t2=1) -> int:
-    """1 per leaf, added across * and /, times max(e, 1) across ^ e, and
-    the largest operand's across +, - and the unary operations: at most
-    this many atom factors are multiplied into any one term.  With t2=2,
-    a T2 doubles its argument's, as it doubles the order it is built at.
-
-    product is that of the exponents on the path down to node, and outer
-    the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
-    outer.  An exponent 0 counts as 1, because its base is still
-    evaluated.  Right operands go first: of two such paths, the
-    rightmost is reported."""
-    if isinstance(node, Power):
-        e = max(node.exponent, 1)
-        product *= e
-        outer = node if outer is None else outer
-        if product > MAX_EXPONENT:
-            raise ExprEvalError(
-                to_text(outer),
-                f"its exponents multiply to {product} on one path,"
-                f" above the limit {MAX_EXPONENT}",
-            )
-        return _degree(node.base, product, outer, t2) * e
-    if isinstance(node, Unary):
-        child = _degree(node.child, product, outer, t2)
-        return child * t2 if node.op == "T2" else child
-    if isinstance(node, Binary):
-        right = _degree(node.right, product, outer, t2)
-        left = _degree(node.left, product, outer, t2)
-        return left + right if node.op in ("*", "/") else max(left, right)
-    return 1
-
-
-def _checked(expr) -> Root:
-    """expr's ``_root``, parsing it first if it is text."""
-    return _root(parse(expr) if isinstance(expr, str) else expr)
-
-
-class Text(str):
-    """Expression text whose tree is parsed, checked and compiled on its
-    first evaluation and kept, as its ``Root``, so ``evaluate`` never
-    parses, walks or hashes it again.  For texts evaluated many times,
-    such as the catalog's."""
-
-    checked = cached_property(_checked)
-
-
 def _refuse(root: Root, order: int) -> None:
     """Raise the refusal of order past root's cost or lattice bound.  The
     cost is the degree times the evaluation order: each T2 doubles the
@@ -826,11 +818,11 @@ def _refuse(root: Root, order: int) -> None:
 
 
 def check_bounds(expr, order: int) -> Root:
-    """Parse expr (if given text), check the exponent, degree, cost and
-    lattice bounds at order, and return its ``Root``; build nothing.
-    Once the tree is checked, an order is one comparison with
-    ``Root.most``, and ``_refuse`` words a refusal."""
-    root = expr.checked if isinstance(expr, Text) else _checked(expr)
+    """Check the exponent, degree, cost and lattice bounds of expr, a
+    text or a tree, at order, and return its ``Root``; build nothing.
+    Once ``_root`` has checked it, an order is one cache lookup and one
+    comparison with ``Root.most``, and ``_refuse`` words a refusal."""
+    root = _root(expr)
     check_order(order)
     if order > root.most:
         _refuse(root, order)

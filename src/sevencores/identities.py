@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .exprlang import Text, check_bounds, evaluate
+from .exprlang import check_bounds, evaluate
 from .forms import FFF1, FFF7, G, G2, Q, RANK_2, RANK_M1, RANK_M1_QUOTIENT, W
 from .series import TruncSeries
 
@@ -29,11 +29,6 @@ class IdentityRecord:
     note: str
     lhs_text: str
     rhs_text: str
-
-    def __post_init__(self):
-        # Each side is parsed once, on its first evaluation.
-        object.__setattr__(self, "lhs_text", Text(self.lhs_text))
-        object.__setattr__(self, "rhs_text", Text(self.rhs_text))
 
     def lhs(self, order: int) -> TruncSeries:
         return evaluate(self.lhs_text, order)
@@ -380,15 +375,12 @@ def verify_all(
 ) -> list:
     """Verify a collection of records (default: the whole catalog, in
     registry order) and return the reports in that same order.  Every
-    side's bounds are checked at order before any record is built, so a
-    refused order raises ``ExprEvalError`` at once: an int order is one
-    comparison with the largest order the side accepts, and
-    ``check_bounds`` builds the refusal."""
+    side's bounds are checked at order (``check_bounds``) before any
+    record is built, so a refused order raises at once."""
     recs: Sequence[IdentityRecord] = (
         tuple(records) if records is not None else REGISTRY
     )
     for rec in recs:
         for text in (rec.lhs_text, rec.rhs_text):
-            if type(order) is not int or order > text.checked.most:
-                check_bounds(text, order)
+            check_bounds(text, order)
     return [verify(rec, order) for rec in recs]

@@ -30,7 +30,7 @@ from itertools import compress, count, cycle, repeat
 from operator import add, lt, mul, ne
 from typing import Callable, Optional
 
-from .exprlang import Text, evaluate
+from .exprlang import evaluate
 from .forms import FFF7, G, G2, RANK_2, RANK_M1, SPLIT, W
 from .forms import core_split  # noqa: F401  (cli and perfbench read it here)
 
@@ -55,9 +55,8 @@ class ScanReport:
 
 
 #: Every series a claim names, as expression text: the fields of
-#: ``core_split``, then the other series.  Each text is parsed once, on
-#: its first evaluation.
-SERIES: dict = {name: Text(text) for name, text in {
+#: ``core_split``, then the other series.
+SERIES: dict = {
     **SPLIT,
     "sigma4*fff7": f"sigma(q^4)*({FFF7})",
     "2*rank_m1": f"2*{RANK_M1}",
@@ -75,7 +74,7 @@ SERIES: dict = {name: Text(text) for name, text in {
             "psi(q)*(phi(q)^2 - psi(q^7)^2)",
         )
     },
-}.items()}
+}
 
 
 @dataclass(frozen=True)

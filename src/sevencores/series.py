@@ -118,25 +118,19 @@ def _kronecker(a: tuple, b: tuple, n: int, shifted: bool) -> list:
     sum of a[i] times the packed b shifted up by i slots, over the
     nonzero terms of a, and a is never packed; otherwise a is packed the
     same way and the two ints are multiplied once.  The width comes from
-    the bound |c_k| <= sum|a| * max|b| (shifted; the sum runs over a's
-    nonzero terms, and max|b| is max(b) or -min(b), so neither operand
-    takes an abs pass) or min(sum|a| * max|b|, sum|b| * max|a|)
-    (multiplied), plus a sign bit, so every c_k and every packed
-    coefficient lies in [-h, h) with h = 2^(8*width - 1).  Adding h to
-    every slot makes each one a nonnegative digit below 2^(8*width), so
-    no slot borrows from the next; XOR with h moves between that biased
-    digit and the slot's two's complement, which is the form ``array``
-    and ``to_bytes`` read and write.  A width of at most 8 bytes is
-    rounded up to the next ``array`` itemsize (1, 2, 4 or 8), which
-    packs and unpacks at C speed; only wider slots take ``to_bytes``
-    coefficient by coefficient.
+    the bound |c_k| <= sum|a| * max|b|, for both ways, plus a sign bit,
+    so every c_k and every packed coefficient lies in [-h, h) with
+    h = 2^(8*width - 1).  The sum runs over a's nonzero terms, and max|b|
+    is max(b) or -min(b), so b takes no abs pass.  Adding h to every slot
+    makes each one a nonnegative digit below 2^(8*width), so no slot
+    borrows from the next; XOR with h moves between that biased digit
+    and the slot's two's complement, which is the form ``array`` and
+    ``to_bytes`` read and write.  A width of at most 8 bytes is rounded
+    up to the next ``array`` itemsize (1, 2, 4 or 8), which packs and
+    unpacks at C speed; only wider slots take ``to_bytes`` coefficient
+    by coefficient.
     """
-    if shifted:
-        terms = list(compress(range(n + 1), a))
-        bound = sum(map(abs, compress(a, a))) * max(max(b), -min(b))
-    else:
-        sum_a, sum_b = sum(map(abs, a)), sum(map(abs, b))
-        bound = min(sum_a * max(map(abs, b)), sum_b * max(map(abs, a)))
+    bound = sum(map(abs, compress(a, a))) * max(max(b), -min(b))
     if not bound:
         return [0] * (n + 1)
     width = (bound.bit_length() + 8) // 8
@@ -162,7 +156,7 @@ def _kronecker(a: tuple, b: tuple, n: int, shifted: bool) -> list:
         # Most terms of a theta or Euler series are +1 or -1, and adding
         # or subtracting the shifted int spares a multiply by one.
         product, slot = 0, 8 * width
-        for i in terms:
+        for i in compress(range(n + 1), a):
             if a[i] == 1:
                 product += packed << slot * i
             elif a[i] == -1:

@@ -27,9 +27,8 @@ from sevencores.exprlang import (
     QPow,
     ThetaAtom,
     Unary,
-    Text,
     _K_ATOMS,
-    _degree,
+    _bounds,
     _kept,
     _plan,
     _refuse,
@@ -39,7 +38,7 @@ from sevencores.exprlang import (
     parse,
     to_text,
 )
-from sevencores import theta
+from sevencores import exprlang, theta
 from sevencores.identities import REGISTRY
 from sevencores.inequalities import SERIES
 from sevencores.partitions import lattice_rank_sum, lattice_sum
@@ -185,9 +184,9 @@ def test_exponents_multiply_along_a_path():
 
 
 def test_degree_adds_across_products_and_multiplies_across_powers():
-    assert _degree(parse("psi(q)*(phi(q)^2 - q^3) + T2(E(q)^0)")) == 3
-    assert _degree(parse("-(E(q)/psi(q))^3")) == 6
-    assert _degree(parse("E(q)^100 * E(q)^100")) == MAX_DEGREE
+    assert _bounds(parse("psi(q)*(phi(q)^2 - q^3) + T2(E(q)^0)"))[0] == 3
+    assert _bounds(parse("-(E(q)/psi(q))^3"))[0] == 6
+    assert _bounds(parse("E(q)^100 * E(q)^100"))[0] == MAX_DEGREE
     for text in ("E(q)^100 * E(q)^100 * q", "1 + psi(q)^50*phi(q)^51*(q + E(q)^100)"):
         with pytest.raises(
             ExprEvalError, match=f"degree 201 is above the limit {MAX_DEGREE}"
@@ -215,35 +214,40 @@ def test_cost_is_degree_times_evaluation_order():
         evaluate("T2(T2(E(q)^5*E(q^2)^5))", MAX_ORDER // 2 + 1)
 
 
-def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch):
-    """evaluate at MAX_ORDER, or at the largest order its lattice atoms
-    admit, with every root plan's run replaced by one that builds
-    nothing, so every bound is checked on each text's degrees and no
-    text is built.  The texts are fresh copies, whose plans are not kept
-    yet."""
-    from sevencores import exprlang
-    from sevencores.identities import REGISTRY
-    from sevencores.inequalities import SERIES
+@pytest.fixture
+def fresh_roots():
+    """An empty root cache for the test, emptied again after it: a Root
+    built through a stubbed ``_root`` is kept under its text, and would
+    otherwise serve every later evaluation of that text."""
+    clear = exprlang._root.cache_clear
+    clear()
+    yield
+    clear()
 
+
+def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch, fresh_roots):
+    """evaluate at MAX_ORDER, or at the largest order its lattice atoms
+    admit, with every root's run replaced by one that builds nothing, so
+    every bound is checked on each text's degrees and no text is built."""
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
-    texts = [Text(t) for t in texts + list(SERIES.values())]
+    texts += SERIES.values()
     reached = []
     root = exprlang._root
-    monkeypatch.setattr(exprlang, "_root", lambda node: root(node)._replace(
-        run=lambda order: reached.append((node, order))))
+    monkeypatch.setattr(exprlang, "_root", lambda expr: root(expr)._replace(
+        run=lambda order: reached.append((expr, order))))
     orders = []
     for text in texts:
-        limit = (text.checked.lattice or (MAX_ORDER,))[0]
+        limit = (root(text).lattice or (MAX_ORDER,))[0]
         if limit < MAX_ORDER:
             with pytest.raises(ExprEvalError, match="it would be counted at order"):
                 evaluate(text, MAX_ORDER)
         orders.append(min(MAX_ORDER, limit))
         evaluate(text, orders[-1])
-    assert reached == [(text.checked.node, order) for text, order in zip(texts, orders)]
+    assert reached == list(zip(texts, orders))
     # No lattice atom sits under a T2, so lattice(7)'s cap is the least.
     assert min(orders) == MAX_LATTICE_ORDER[7] == 6400
     # The largest is eq-3.28's T2(q^2*G): degree 9 at order 2 * MAX_ORDER.
-    assert max(text.checked.doubled for text in texts) * MAX_ORDER == 360000
+    assert max(root(text).doubled for text in texts) * MAX_ORDER == 360000
 
 
 _BOUNDED = [
@@ -262,21 +266,19 @@ def test_most_is_the_largest_order_the_bounds_accept(text):
     _refuse(root, root.most)
     with pytest.raises(ExprEvalError):
         _refuse(root, root.most + 1)
-    assert check_bounds(Text(text), root.most) is root
+    assert check_bounds(text, root.most) is root
 
 
 def test_a_bare_tree_keeps_its_degrees(monkeypatch):
     """A parsed tree evaluated again, even as an equal fresh tree, walks
     no degree: they are kept with its root plan.  A refused tree keeps
     nothing and is refused again with the same message."""
-    from sevencores import exprlang
-
     text = "psi(q)^3*E(q^2) + T2(phi(q)^2)"
     evaluate(parse(text), 30)
     walks = []
-    degree = exprlang._degree
+    bounds = exprlang._bounds
     monkeypatch.setattr(
-        exprlang, "_degree", lambda *args, **kw: walks.append(1) or degree(*args, **kw)
+        exprlang, "_bounds", lambda *args, **kw: walks.append(1) or bounds(*args, **kw)
     )
     for order in (30, 50, 20):
         assert evaluate(parse(text), order) == plain_walk(parse(text), order)
@@ -333,7 +335,7 @@ def test_atoms_are_built_through_the_theta_module(monkeypatch):
 
     monkeypatch.setattr(theta, "phi", counted)
     assert evaluate("phi(q^3)", 20) == real(3, 20)
-    assert evaluate(Text("phi(q^3)"), 20) == real(3, 20)
+    assert evaluate(parse("phi(q^3)"), 20) == real(3, 20)
     assert evaluate("phi(q^3)", 10) == real(3, 10)
     assert calls == [(3, 20), (3, 20), (3, 10)]
 
@@ -369,8 +371,6 @@ def test_eval_lattice_atoms():
      ("T2(lattice(2)) - lattice(5)", 12800, "lattice(5)")],
 )
 def test_a_lattice_atom_is_refused_past_its_order_cap(monkeypatch, text, limit, leaf):
-    from sevencores import exprlang
-
     assert check_bounds(text, limit).run is _root(parse(text)).run
     if leaf is None:
         return
@@ -531,7 +531,7 @@ def test_the_evaluator_matches_its_uncompiled_uncached_oracle(seed, order, other
     truncation where a cache already holds a higher order."""
     node = random_tree(random.Random(seed), 4)
     try:
-        assume(_degree(node) <= MAX_DEGREE)
+        assume(_bounds(node)[0] <= MAX_DEGREE)
     except ExprEvalError:  # exponents multiply past MAX_EXPONENT
         assume(False)
     for n in (order, other):
@@ -545,7 +545,7 @@ def test_a_kept_root_matches_the_oracle_at_falling_and_rising_orders(seed):
     rebuilt for a higher one: each order agrees with plain_walk."""
     node = random_tree(random.Random(seed), 4)
     try:
-        assume(_degree(node) <= MAX_DEGREE)
+        assume(_bounds(node)[0] <= MAX_DEGREE)
     except ExprEvalError:  # exponents multiply past MAX_EXPONENT
         assume(False)
     for n in (60, 20, 90, 45):
@@ -684,8 +684,6 @@ def test_a_divisor_that_folds_is_divided_factor_by_factor(monkeypatch):
     """W * omega(q^3) never builds W, and psi(q^3)/(E(q^4)*E(q^28))
     divides by each Euler factor, not by their dense product.  (Nodes no
     other test evaluates, so the node cache holds neither.)"""
-    from sevencores import exprlang
-
     built = []
 
     def logged(factors, order):

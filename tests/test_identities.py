@@ -60,10 +60,12 @@ def test_a_record_parses_each_side_once(monkeypatch):
     parsed = []
     parse = exprlang.parse
     monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
-    rec = IdentityRecord("twice", "evaluated twice", "E(q^2)^2/E(q)", "lattice(2)")
+    # Texts no other test evaluates, so the root cache holds neither.
+    lhs, rhs = "psi(q)^2 - q^11", "phi(q)*psi(q^2) - q^11"
+    rec = IdentityRecord("twice", "evaluated twice", lhs, rhs)
     for order in (30, 60):
         assert rec.lhs(order) == rec.rhs(order)
-    assert sorted(parsed) == ["E(q^2)^2/E(q)", "lattice(2)"]
+    assert sorted(parsed) == sorted([lhs, rhs])
 
 
 def test_registry_well_formed():
@@ -154,21 +156,30 @@ def test_verify_all_empty():
 
 
 def test_a_warm_verify_all_checks_each_side_by_one_comparison(monkeypatch):
+    """Each side goes through check_bounds once, which for a checked text
+    is one cache lookup and one comparison."""
     verify_all(60)
     calls = []
     monkeypatch.setattr(
         identities, "check_bounds", lambda *args: calls.append(args) or check_bounds(*args)
     )
     assert all(r.status == "pass" for r in verify_all(60))
-    assert calls == []
-    # One past a side's largest order, check_bounds builds the refusal
-    # before any record is built.
+    sides = [text for rec in REGISTRY for text in (rec.lhs_text, rec.rhs_text)]
+    assert calls == [(text, 60) for text in sides]
+    # One past a side's largest order, check_bounds refuses it before any
+    # record is built.
+    calls.clear()
+    built = []
+    monkeypatch.setattr(identities, "verify", lambda *args: built.append(args))
     with pytest.raises(ExprEvalError, match=r"'lattice\(5\)': it would be counted at order 12801"):
         verify_all(12801)
-    assert calls == [("lattice(5)", 12801)]
+    assert calls[-1] == ("lattice(5)", 12801)
+    assert calls == [(text, 12801) for text in sides[: len(calls)]]
+    assert built == []
     for bad, error in ((1.5, TypeError), (True, TypeError), (-1, ValueError)):
         with pytest.raises(error, match="order must be"):
             verify_all(bad)
+    assert built == []
 
 
 # Counts the series divisions of a cold verify --all in a fresh

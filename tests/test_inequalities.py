@@ -6,7 +6,11 @@ take each column as a slice of the series, and a differential test
 checks them against it.
 """
 
+import os
+import subprocess
+import sys
 from itertools import repeat
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sevencores import exprlang, inequalities
+from sevencores.forms import G
+from sevencores.identities import get_record
 from sevencores.inequalities import (
     CLAIMS,
     DEFAULT_DEPTH,
@@ -182,6 +188,35 @@ def test_a_second_scan_parses_nothing(monkeypatch):
     monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
     run_all(100)
     assert parsed == []
+
+
+# Counts the parses of the 7-core text G in a fresh interpreter, where
+# the root cache starts empty: core_split, the claims' SERIES and the
+# identity catalog each evaluate it at two orders.
+PARSES_OF_G = """
+from sevencores import exprlang
+from sevencores.forms import G
+from sevencores.identities import get_record
+from sevencores.inequalities import SERIES, core_split
+parse, parsed = exprlang.parse, []
+exprlang.parse = lambda text: parsed.append(text) or parse(text)
+for order in (40, 80):
+    core_split(order)
+    exprlang.evaluate(SERIES["a7"], order)
+    get_record("eq-1.3-t7").rhs(order)
+print(parsed.count(G))
+"""
+
+
+def test_one_text_is_parsed_once_per_process():
+    assert SERIES["a7"] == get_record("eq-1.3-t7").rhs_text == G
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", PARSES_OF_G],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    assert out == "1\n"
 
 
 def test_run_all_kinds():
