@@ -17,7 +17,7 @@ import signal
 import sys
 from functools import cache, partial
 
-from .exprlang import ExprEvalError, ExprSyntaxError, evaluate
+from .exprlang import ExprEvalError, ExprSyntaxError, check_bounds
 from .identities import get_record, verify, verify_all
 from .inequalities import (
     DEFAULT_DEPTH,
@@ -56,16 +56,17 @@ def _resolve_order(parser, flag_value, fallback):
 
 def _cmd_coeffs(args, parser):
     order = _resolve_order(parser, args.order, 200)
-    try:
-        series = evaluate(args.expr, order)
-    except (ExprSyntaxError, ExprEvalError) as exc:
-        parser.error(str(exc))
     lo = args.from_ if args.from_ is not None else 0
     hi = args.to if args.to is not None else order
-    if not 0 <= lo <= hi <= order:
-        parser.error(
-            f"need 0 <= from <= to <= order, got from={lo} to={hi} order={order}"
-        )
+    try:
+        root = check_bounds(args.expr, order)
+        if not 0 <= lo <= hi <= order:
+            parser.error(
+                f"need 0 <= from <= to <= order, got from={lo} to={hi} order={order}"
+            )
+        series = root.run(order)
+    except (ExprSyntaxError, ExprEvalError) as exc:
+        parser.error(str(exc))
     for n in range(lo, hi + 1):
         print(n, series[n])
     return 0

@@ -33,13 +33,14 @@ a stack overflow in the parser, the printer or the evaluator.  So is an
 integer literal too long for ``int`` (Python refuses more than 4300
 digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
 refuses, before it builds anything, a tree whose exponents multiply past
-MAX_EXPONENT along one root-to-leaf path (E(q)^100^100), whose degree
-passes MAX_DEGREE (three E(q)^100 factors), whose degree times order
-passes MAX_COST (E(q)^100 * E(q)^100 at order 20000), or whose lattice
-atom would be counted past its dimension's MAX_LATTICE_ORDER (lattice(7)
-at order 20000); ``check_bounds`` is that refusal alone.  Each T2 doubles
-the order its argument is evaluated at; past 2 * MAX_ORDER that is an
-evaluation error.
+MAX_EXPONENT along one root-to-leaf path (E(q)^100^100) or whose degree
+passes MAX_DEGREE (three E(q)^100 factors), and an order past a cap: a
+T2 evaluates its argument at twice the order, and caps that at
+2 * MAX_ORDER (T2(T2(q)) at order 10001), and a lattice atom caps its
+order at MAX_LATTICE_ORDER (lattice(7) at 20000).  Within the caps, the
+degree times the order, each T2 doubling both, must stay within
+MAX_COST (E(q)^100 * E(q)^100 at order 2001).  ``check_bounds`` is that
+refusal alone, and the one place an order is refused.
 
 Each distinct tree is compiled once, on its first evaluation, into a
 plan (``_compile``): a tree of closures of the order in which every
@@ -221,11 +222,12 @@ MAX_DEGREE = 2 * MAX_EXPONENT
 MAX_COST = MAX_DEGREE * 2000
 
 #: Largest order at which a lattice atom is counted, by its dimension t
-#: (``lattice7`` counts t = 7); a T2 above the atom doubles its order.
-#: ``partitions._flip_layers`` grows faster than its order: on a 2-core
-#: Xeon, t = 3 at order 40000 took 2.0 s, t = 5 at 12800 1.9 s and t = 7
-#: at 6400 1.5 s (3.4 s at 9600).  t = 2 took 0.01 s at 40000, so only
-#: T2's 2 * MAX_ORDER bounds it, as it bounds t = 3.
+#: (``lattice7`` counts t = 7): an order cap, as a T2's is (``_bounds``),
+#: and a T2 above the atom doubles its order.  ``partitions._flip_layers``
+#: grows faster than its order: on a 2-core Xeon, t = 3 at order 40000
+#: took 2.0 s, t = 5 at 12800 1.9 s and t = 7 at 6400 1.5 s (3.4 s at
+#: 9600).  t = 2 took 0.01 s at 40000, so t = 2 and t = 3 are capped at
+#: 2 * MAX_ORDER, the most a T2 lets a leaf reach.
 MAX_LATTICE_ORDER = {2: 2 * MAX_ORDER, 3: 2 * MAX_ORDER, 5: 12800, 7: 6400}
 
 
@@ -235,20 +237,20 @@ def _too_deep(offset: int) -> ExprSyntaxError:
     )
 
 
+#: The fields of each node type that hold its operands.
+_OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
+
+
 def _check_height(root: Node) -> None:
-    """Reject trees taller than MAX_DEPTH, which printing and evaluation
-    would otherwise recurse through; walked without recursion."""
+    """Reject trees taller than MAX_DEPTH, which hashing, printing and
+    evaluation would otherwise recurse through; walked without recursion."""
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
         if depth > MAX_DEPTH:
             raise _too_deep(node.span[0] + 1)
-        if isinstance(node, Unary):
-            stack.append((node.child, depth + 1))
-        elif isinstance(node, Binary):
-            stack += ((node.left, depth + 1), (node.right, depth + 1))
-        elif isinstance(node, Power):
-            stack.append((node.base, depth + 1))
+        for c in _OPERANDS.get(type(node), ()):
+            stack.append((getattr(node, c), depth + 1))
 
 
 class _Parser:
@@ -529,14 +531,13 @@ class Plan(NamedTuple):
 
 class Root(NamedTuple):
     """A whole tree, checked and compiled (``_root``): run(order)
-    evaluates it; degree, doubled and lattice are ``_bounds``'s; most is
-    the largest order ``check_bounds`` accepts."""
+    evaluates it; doubled and cap are ``_bounds``'s; most is the largest
+    order ``check_bounds`` accepts."""
 
     run: Callable[[int], TruncSeries]
     node: Node
-    degree: int
     doubled: int
-    lattice: Optional[tuple]
+    cap: Optional[tuple]
     most: int
 
 
@@ -603,14 +604,10 @@ def _kept(build, order: int) -> TruncSeries:
     return build(order)
 
 
-#: The fields of each node type that hold its operands.
-_OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
-
-
 def _compile(node: Node) -> Plan:
     """node's plan, from its operands' plans: the one walk that folds each
     node and decides how it is evaluated.  A run does the series work and
-    the checks that need a series: the non-unit divisor and the T2 order.
+    the one check that needs a series, a divisor's constant term.
     Builders are looked up on ``theta`` and this module at each run."""
     operands = [_plan(getattr(node, c)) for c in _OPERANDS.get(type(node), ())]
     fold = _fold(node, operands)
@@ -636,18 +633,9 @@ def _compile(node: Node) -> Plan:
             return Plan(lambda order: lattice_sum(node.t, order), None)
         return Plan(lambda order: lattice_rank_sum(node.j, order), None)
     if isinstance(node, Unary) and node.op == "T2":
+        # The halving action reads coefficients up to twice the order.
         child = operands[0].run
-
-        def t2(order):
-            # The halving action reads coefficients up to twice the order.
-            if order > MAX_ORDER:
-                raise ExprEvalError(
-                    to_text(node),
-                    f"T2 would evaluate its argument past order {2 * MAX_ORDER}",
-                )
-            return hecke_T2(child(2 * order))
-
-        return Plan(t2, None)
+        return Plan(lambda order: hecke_T2(child(2 * order)), None)
     if isinstance(node, Unary) and node.op in _SLICES:
         child, method = operands[0].run, methodcaller(_SLICES[node.op])
         return Plan(lambda order: method(child(order)), None)
@@ -677,16 +665,15 @@ def _root(expr) -> Root:
     its Root is its tree's, the same object; a tree never equals a text,
     so the two kinds of key never collide.
 
-    Refuses a tree whose ^ exponents multiply past MAX_EXPONENT on some
-    root-to-leaf path (``_bounds`` raises that), or whose degree passes
-    MAX_DEGREE.  The walk recurses once per level, and parsed trees are
-    at most MAX_DEPTH levels tall.  The cost (``_refuse``) never falls as
-    the order grows; when degree * 2 * MAX_ORDER is at most MAX_COST it
-    stays at most MAX_COST up to MAX_COST // degree (doubled is never
-    below degree), else up to MAX_COST // doubled."""
+    Refuses a tree taller than MAX_DEPTH, before ``_bounds`` recurses
+    once per level, one whose ^ exponents multiply past MAX_EXPONENT on
+    some root-to-leaf path (``_bounds`` raises that), or one whose degree
+    passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
+    the least cap and up to MAX_COST // doubled."""
     if isinstance(expr, str):
         return _root(parse(expr))
-    degree, doubled, lattice = _bounds(expr)
+    _check_height(expr)
+    degree, doubled, cap = _bounds(expr)
     if degree > MAX_DEGREE:
         raise ExprEvalError(
             to_text(expr), f"its degree {degree} is above the limit {MAX_DEGREE}"
@@ -697,26 +684,24 @@ def _root(expr) -> Root:
     else:
         keep = isinstance(expr, (Unary, Binary))
     run = partial(_kept, plan.run) if keep else plan.run
-    most = MAX_COST // (degree if degree * 2 * MAX_ORDER <= MAX_COST else doubled)
-    if lattice is not None:
-        most = min(most, lattice[0])
-    return Root(run, expr, degree, doubled, lattice, most)
+    most = MAX_COST // doubled if cap is None else min(MAX_COST // doubled, cap[0])
+    return Root(run, expr, doubled, cap, most)
 
 
 def _bounds(
     node: Node, product: int = 1, outer: Optional[Power] = None, scale: int = 1
 ) -> tuple:
-    """(degree, doubled, lattice) of node, in one walk.
+    """(degree, doubled, cap) of node, in one walk.
 
     degree is 1 per leaf, added across * and /, times max(e, 1) across
     ^ e, and the largest operand's across +, - and the unary operations:
     at most this many atom factors are multiplied into any one term.
     doubled is the same with each T2 doubling its argument's, as it
-    doubles the order it is built at.  lattice is (limit, leaf, scale):
-    the largest order node can be evaluated at before a lattice leaf
-    under it passes its MAX_LATTICE_ORDER, that leaf (the leftmost of
-    equal limits), and the factor its order is scaled by (2 per T2 above
-    it); None when node has no lattice leaf.
+    doubles the order it is built at.  cap is (limit, node, scale), the
+    least order cap under node: a T2 reached at scale s (2 per T2 above
+    it) caps node's order at MAX_ORDER // s, and a lattice leaf at
+    MAX_LATTICE_ORDER[t] // s.  Of equal limits the leftmost is kept, and
+    a cap below a T2 before the T2's own; None when node has neither.
 
     product is that of the exponents on the path down to node, and outer
     the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
@@ -725,6 +710,9 @@ def _bounds(
     rightmost is reported."""
     if isinstance(node, LatticeAtom):
         return 1, 1, (MAX_LATTICE_ORDER[node.t] // scale, node, scale)
+    if isinstance(node, Unary) and node.op == "T2":
+        degree, doubled, cap = _bounds(node.child, product, outer, 2 * scale)
+        return degree, 2 * doubled, _least(cap, (MAX_ORDER // scale, node, scale))
     if isinstance(node, Power):
         e = max(node.exponent, 1)
         product *= e
@@ -735,21 +723,22 @@ def _bounds(
                 f"its exponents multiply to {product} on one path,"
                 f" above the limit {MAX_EXPONENT}",
             )
-        degree, doubled, lattice = _bounds(node.base, product, outer, scale)
-        return degree * e, doubled * e, lattice
+        degree, doubled, cap = _bounds(node.base, product, outer, scale)
+        return degree * e, doubled * e, cap
     if isinstance(node, Unary):
-        t2 = 2 if node.op == "T2" else 1
-        degree, doubled, lattice = _bounds(node.child, product, outer, scale * t2)
-        return degree, doubled * t2, lattice
+        return _bounds(node.child, product, outer, scale)
     if isinstance(node, Binary):
         right = _bounds(node.right, product, outer, scale)
         left = _bounds(node.left, product, outer, scale)
         join = add if node.op in ("*", "/") else max
-        lattice = min(
-            filter(None, (left[2], right[2])), key=itemgetter(0), default=None
-        )
-        return join(left[0], right[0]), join(left[1], right[1]), lattice
+        cap = _least(left[2], right[2])
+        return join(left[0], right[0]), join(left[1], right[1]), cap
     return 1, 1, None
+
+
+def _least(*caps) -> Optional[tuple]:
+    """The cap of least limit, the first of equal ones; None for none."""
+    return min(filter(None, caps), key=itemgetter(0), default=None)
 
 
 def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
@@ -798,31 +787,40 @@ def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
 
 
 def _refuse(root: Root, order: int) -> None:
-    """Raise the refusal of order past root's cost or lattice bound.  The
-    cost is the degree times the evaluation order: each T2 doubles the
-    order below it, but a plan builds nothing under a T2 past
-    2 * MAX_ORDER."""
-    cost = min(root.doubled * order, root.degree * max(order, 2 * MAX_ORDER))
+    """Raise the refusal of order past root's bounds: a broken cap first,
+    quoting its lattice leaf or T2, then a cost, doubled * order, past
+    MAX_COST.  Within the caps a leaf under a T2 is built at most at
+    2 * MAX_ORDER, so the cost counts no order that is not built."""
+    if root.cap is not None and order > root.cap[0]:
+        _, node, scale = root.cap
+        if isinstance(node, LatticeAtom):
+            raise ExprEvalError(
+                to_text(node),
+                f"it would be counted at order {order * scale},"
+                f" above the limit {MAX_LATTICE_ORDER[node.t]} for t = {node.t}",
+            )
+        raise ExprEvalError(
+            to_text(node), f"T2 would evaluate its argument past order {2 * MAX_ORDER}"
+        )
+    cost = root.doubled * order
     if cost > MAX_COST:
         raise ExprEvalError(
             to_text(root.node),
             f"its degree times evaluation order is {cost}, above the limit {MAX_COST}",
         )
-    if root.lattice is not None and order > root.lattice[0]:
-        _, leaf, scale = root.lattice
-        raise ExprEvalError(
-            to_text(leaf),
-            f"it would be counted at order {order * scale},"
-            f" above the limit {MAX_LATTICE_ORDER[leaf.t]} for t = {leaf.t}",
-        )
 
 
 def check_bounds(expr, order: int) -> Root:
-    """Check the exponent, degree, cost and lattice bounds of expr, a
+    """Check the height, exponent, degree, cap and cost bounds of expr, a
     text or a tree, at order, and return its ``Root``; build nothing.
-    Once ``_root`` has checked it, an order is one cache lookup and one
-    comparison with ``Root.most``, and ``_refuse`` words a refusal."""
-    root = _root(expr)
+    This is the only place an order is refused.  Once ``_root`` has
+    checked it, an order is one cache lookup and one comparison with
+    ``Root.most``, and ``_refuse`` words a refusal."""
+    try:
+        root = _root(expr)
+    except RecursionError:  # the cache hashes a tree too tall to reach _root's check
+        _check_height(expr)
+        raise
     check_order(order)
     if order > root.most:
         _refuse(root, order)

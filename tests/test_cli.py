@@ -315,6 +315,26 @@ def test_coeffs_hostile_input_is_usage_error(capsys, expr, message):
     assert "Traceback" not in captured.err
 
 
+def test_coeffs_checks_its_window_before_it_builds(capsys):
+    from sevencores.exprlang import _kept
+
+    before = _kept.cache_info()
+    bad_window = ["--from", "5", "--to", "3"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "E(q)^100*E(q)^100", "--order", "2000", *bad_window])
+    assert exc.value.code == 2
+    assert "need 0 <= from <= to <= order" in capsys.readouterr().err
+    assert _kept.cache_info() == before
+    # A syntax or bound error is still reported ahead of a bad window.
+    for expr, order, message in (("E(q", "2000", "syntax error"),
+                                 ("lattice(7)", "20000", "counted at order"),
+                                 ("E(q)^100*E(q)^100*q", "2000", "degree 201")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["coeffs", expr, "--order", order, *bad_window])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_compounded_exponents_are_usage_error(capsys):
     # Each ^ is within the limit, but together they ask for E(q)^10000;
     # evaluate refuses before it builds anything.

@@ -208,8 +208,8 @@ def test_cost_is_degree_times_evaluation_order():
         ) as exc:
             evaluate(text, order)
         assert exc.value.expression == to_text(parse(text))
-    # No leaf is built past 2 * MAX_ORDER, so degree 10 under two T2s
-    # costs at most 10 * 2 * MAX_ORDER, and the T2 check stops it.
+    # Past the inner T2's cap, MAX_ORDER // 2, the cap refuses the order
+    # before its cost, 40 * 10001, is weighed.
     with pytest.raises(ExprEvalError, match="T2 would evaluate"):
         evaluate("T2(T2(E(q)^5*E(q^2)^5))", MAX_ORDER // 2 + 1)
 
@@ -226,8 +226,8 @@ def fresh_roots():
 
 
 def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch, fresh_roots):
-    """evaluate at MAX_ORDER, or at the largest order its lattice atoms
-    admit, with every root's run replaced by one that builds nothing, so
+    """evaluate at MAX_ORDER, or at the largest order its caps admit,
+    with every root's run replaced by one that builds nothing, so
     every bound is checked on each text's degrees and no text is built."""
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
     texts += SERIES.values()
@@ -237,7 +237,7 @@ def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch, fresh_ro
         run=lambda order: reached.append((expr, order))))
     orders = []
     for text in texts:
-        limit = (root(text).lattice or (MAX_ORDER,))[0]
+        limit = (root(text).cap or (MAX_ORDER,))[0]
         if limit < MAX_ORDER:
             with pytest.raises(ExprEvalError, match="it would be counted at order"):
                 evaluate(text, MAX_ORDER)
@@ -257,16 +257,110 @@ _BOUNDED = [
 ]
 
 
+class StandIn:
+    """A series stand-in: every operation on it returns it, and its
+    constant term is 1, so any plan runs through it building nothing."""
+
+    coeffs = (1,)
+
+    def __getattr__(self, name):
+        return lambda *args: self
+
+
+@pytest.fixture
+def stand_in_plans(monkeypatch, fresh_roots):
+    """Plans compiled afresh whose leaves, eta quotients and T2 actions
+    build nothing and return one StandIn, with nothing kept.  The list
+    yielded records each leaf's node, or eta quotient's factors, with
+    the order it is asked for."""
+    stand_in, reached = StandIn(), []
+    compile_ = exprlang._compile
+
+    def plan(node):
+        compiled = compile_(node)
+        if type(node) in exprlang._OPERANDS:
+            return compiled
+        return compiled._replace(
+            run=lambda order: reached.append((node, order)) or stand_in)
+
+    monkeypatch.setattr(exprlang, "_plan", plan)
+    monkeypatch.setattr(exprlang, "_kept", lambda build, order: build(order))
+    monkeypatch.setattr(exprlang, "hecke_T2", lambda series: series)
+    monkeypatch.setattr(exprlang, "divide_by_euler", lambda series, below: series)
+    monkeypatch.setattr(exprlang, "eta_quotient", lambda factors, order:
+                        reached.append((factors, order)) or stand_in)
+    yield reached
+
+
 @pytest.mark.parametrize("text", sorted(
     {t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)}
     | set(SERIES.values()) | set(_BOUNDED)
 ))
-def test_most_is_the_largest_order_the_bounds_accept(text):
+def test_most_is_the_largest_order_the_bounds_accept(text, stand_in_plans):
     root = _root(parse(text))
     _refuse(root, root.most)
     with pytest.raises(ExprEvalError):
         _refuse(root, root.most + 1)
     assert check_bounds(text, root.most) is root
+    # Its plan runs at most with no refusal, and builds no leaf past
+    # 2 * MAX_ORDER under a T2, nor a lattice leaf past its cap.
+    assert type(evaluate(text, root.most)) is StandIn
+    assert stand_in_plans
+    for leaf, order in stand_in_plans:
+        assert order <= max(root.most, 2 * MAX_ORDER)
+        if isinstance(leaf, LatticeAtom):
+            assert order <= MAX_LATTICE_ORDER[leaf.t]
+
+
+def refusal(check, text, order):
+    """The ExprEvalError text of check(text, order), or None."""
+    try:
+        check(text, order)
+    except ExprEvalError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_check_bounds_accepts_exactly_the_t2_orders_evaluate_completes(depth):
+    """Each T2 caps the order, as a lattice leaf does: T2 nested depth
+    deep is refused by check_bounds, before anything is built, exactly
+    where evaluate would otherwise build past 2 * MAX_ORDER."""
+    nested = "T2(" * depth + "E(q)" + ")" * depth
+    caps = [MAX_ORDER >> above for above in range(depth)]
+    for text in (nested, "psi(q)^9 + " + nested):
+        for order in sorted({cap + step for cap in caps for step in (0, 1)}):
+            want = refusal(check_bounds, text, order)
+            assert refusal(evaluate, text, order) == want
+            assert (want is None) == (order <= caps[-1])
+
+
+def test_a_t2_refusal_builds_nothing():
+    """A T2 past its cap is refused before psi(q)^9, on its left, is
+    built or looked up."""
+    before = theta.psi.cache_info(), _kept.cache_info()
+    with pytest.raises(ExprEvalError, match="T2 would evaluate") as exc:
+        evaluate("psi(q)^9 + T2(T2(E(q)))", 15000)
+    assert exc.value.expression == "T2(E(q))"
+    assert (theta.psi.cache_info(), _kept.cache_info()) == before
+
+
+def sum_chain(height):
+    """1 + 1 + ... + 1, a bare tree height levels tall."""
+    node = Const(1)
+    for _ in range(height - 1):
+        node = Binary("+", node, Const(1))
+    return node
+
+
+@pytest.mark.parametrize("height", [MAX_DEPTH + 1, 150, 3000])
+def test_a_bare_tree_is_held_to_the_height_limit(height):
+    """A tree built without parsing is refused past MAX_DEPTH as its
+    printed text is, not evaluated or left to overflow the stack."""
+    for check in (check_bounds, evaluate):
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            check(sum_chain(height), 3)
+    assert evaluate(sum_chain(MAX_DEPTH), 3).coeffs == (MAX_DEPTH, 0, 0, 0)
 
 
 def test_a_bare_tree_keeps_its_degrees(monkeypatch):
