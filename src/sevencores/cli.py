@@ -18,14 +18,9 @@ import sys
 from functools import cache, partial
 
 from .exprlang import ExprEvalError, ExprSyntaxError, check_bounds
+from .forms import core_split
 from .identities import get_record, verify, verify_all
-from .inequalities import (
-    DEFAULT_DEPTH,
-    claim_ids,
-    core_split,
-    run_all,
-    run_claim,
-)
+from .inequalities import DEFAULT_DEPTH, run_all, run_claim
 from .partitions import PARTITION_BOUND, rank_histogram
 from .series import MAX_ORDER
 
@@ -138,12 +133,10 @@ def _cmd_scan(args, parser):
         )
     order = _resolve_order(parser, args.order, DEFAULT_DEPTH)
     if args.claim is not None:
-        if args.claim not in claim_ids():
-            parser.error(
-                f"unknown claim id {args.claim!r}; known ids: "
-                + ", ".join(sorted(claim_ids()))
-            )
-        reports = [run_claim(args.claim, order)]
+        try:
+            reports = [run_claim(args.claim, order)]
+        except KeyError as exc:
+            parser.error(str(exc.args[0]))
     else:
         reports = run_all(order, "conjecture" if args.conjectures else "theorem")
     reports = sorted(reports, key=lambda r: r.claim)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .exprlang import check_bounds, evaluate
-from .forms import FFF1, FFF7, G, G2, Q, RANK_2, RANK_M1, RANK_M1_QUOTIENT, W
+from .forms import CUBE_PAIR, FFF1, FFF7, G, G2, Q, RANK_0, RANK_1, RANK_2
+from .forms import RANK_M1, RANK_M1_QUOTIENT, W, W_OMEGA
 from .series import TruncSeries
 
 
@@ -79,13 +80,13 @@ REGISTRY: tuple = (
     IdentityRecord(
         "eq-1.17",
         "odd-index core counts minus the rank -1 layer, factored form",
-        f"odd({G}) - {RANK_M1}",
+        RANK_1,
         f"q*({Q})*(sigma(q^4) + q^2*psi(q^2)*psi(q^14))",
     ),
     IdentityRecord(
         "eq-1.18",
         "even-index core counts minus the rank 2 layer, expanded form",
-        f"even({G}) - {RANK_2}",
+        RANK_0,
         "omega(q^2)*(psi(q^4)^2*phi(q^14)^2 + q^6*psi(q^28)^2*phi(q^2)^2"
         f" + q^2*{Q})"
         " + q^2*psi(q^4)*psi(q^14)^2*phi(q^14)^3"
@@ -150,13 +151,13 @@ REGISTRY: tuple = (
         "eq-1.35",
         "rank 0 layer isolated from the even part",
         "lattice7(0)",
-        f"even({G}) - {RANK_2}",
+        RANK_0,
     ),
     IdentityRecord(
         "eq-1.36",
         "rank 1 layer isolated from the odd part",
         "lattice7(1)",
-        f"odd({G}) - {RANK_M1}",
+        RANK_1,
     ),
     IdentityRecord(
         "eq-3.1",
@@ -247,7 +248,7 @@ REGISTRY: tuple = (
         "eq-3.28",
         "coefficient-halving action on the shifted 7-core series",
         f"T2(q^2*{G})",
-        f"5*q^2*{G} + q*E(q)^3*E(q^7)^3",
+        f"5*q^2*{G} + q*{CUBE_PAIR}",
     ),
     IdentityRecord(
         "eq-4.4",
@@ -259,12 +260,12 @@ REGISTRY: tuple = (
         "eq-4.5",
         "even part regrouped through the omega-sigma product",
         f"even({G})",
-        f"2*q^2*{G2} + 6*{RANK_2} + ({W})*omega(q^2)*sigma(q^4)",
+        f"2*q^2*{G2} + 6*{RANK_2} + {W_OMEGA}*sigma(q^4)",
     ),
     IdentityRecord(
         "eq-4.8",
         "omega-weighted eta quotient as two quadruple theta products",
-        f"({W})*omega(q^2)",
+        W_OMEGA,
         "f(q^4,q^24)*f(q^12,q^16)^3 + q^6*f(q^10,q^18)*f(q^2,q^26)^3",
     ),
     IdentityRecord(
@@ -277,12 +278,12 @@ REGISTRY: tuple = (
         "eq-4.15",
         "even-index slice tying a(4n), a(2n-1), and cube coefficients",
         f"even(T2({G}) - 4*{G2})",
-        f"even(5*q*{G} + E(q)^3*E(q^7)^3)",
+        f"even(5*q*{G} + {CUBE_PAIR})",
     ),
     IdentityRecord(
         "eq-4.18",
         "nonnegativity witness combining the cube pair with sigma and omega",
-        f"3*q*{G} + E(q)^3*E(q^7)^3",
+        f"3*q*{G} + {CUBE_PAIR}",
         f"10*q^3*{G2} + sigma(q^2)*omega(q)*E(q^7)^4/(E(q^2)*E(q^14))",
     ),
     IdentityRecord(

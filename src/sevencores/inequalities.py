@@ -4,8 +4,8 @@ Every claim is one row of a table: a linear relation
 
     sum of coef * S[a*n + b] over the lhs terms   REL   the same over the rhs
 
-for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is a
-series named in ``SERIES``, which maps each name to an expression text.
+for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is an
+expression text, most often a closed form from ``forms``.
 Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
 from the order: it ends at the largest n whose every index a*n + b is at
 most the order.  Every claim scans its full range; nothing is sampled.
@@ -14,8 +14,10 @@ series, filtered by ``mod7`` and scaled by its coefficient at C speed.
 A row is checked when it is built: it needs at least one term, every
 term needs a >= 1 and a first index a*n0 + b >= 0 (so no slice wraps
 around to the top of a series), the relation must be "ge" or "eq",
-the ``mod7`` residues must lie in 0..6 and every name must be in
-``SERIES``; otherwise it raises ``ValueError``.
+and the ``mod7`` residues must lie in 0..6; otherwise it raises
+``ValueError``.  A text that does not parse or evaluate fails when the
+row is scanned, with ``ExprSyntaxError`` or ``ExprEvalError`` (both
+``ValueError``).
 A ``ScanReport`` records the range, the outcome, the first violation if
 one exists, and the first few instances so that spot values are visible
 in the output.  A claim whose range holds no instance at this order
@@ -31,8 +33,8 @@ from operator import add, lt, mul, ne
 from typing import Callable, Optional
 
 from .exprlang import evaluate
-from .forms import FFF7, G, G2, RANK_2, RANK_M1, SPLIT, W
-from .forms import core_split  # noqa: F401  (cli and perfbench read it here)
+from .forms import CUBE_PAIR, FFF7, G, G2, RANK_0, RANK_1, RANK_2, RANK_M1, W_OMEGA
+from .forms import core_split  # noqa: F401  (perfbench reads it here)
 
 #: How many leading instances each report keeps for display.
 SAMPLE_COUNT = 3
@@ -54,32 +56,10 @@ class ScanReport:
     samples: tuple
 
 
-#: Every series a claim names, as expression text: the fields of
-#: ``core_split``, then the other series.
-SERIES: dict = {
-    **SPLIT,
-    "sigma4*fff7": f"sigma(q^4)*({FFF7})",
-    "2*rank_m1": f"2*{RANK_M1}",
-    "6*rank_2": f"6*{RANK_2}",
-    "2q^2*G2": f"2*q^2*{G2}",
-    "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)": f"({W})*omega(q^2)",
-    "a7-2q^2*G2": f"{G} - 2*q^2*{G2}",
-    "odd(a7)-3*rank_m1": f"odd({G}) - 3*{RANK_M1}",
-    **{
-        text: text
-        for text in (
-            "psi(q)*(psi(q)^2 - psi(q^7)^2)",
-            "psi(q)*(phi(q)^2 - phi(q^7)^2)",
-            "phi(q)*(psi(q)^2 - psi(q^7)^2)",
-            "psi(q)*(phi(q)^2 - psi(q^7)^2)",
-        )
-    },
-}
-
-
 @dataclass(frozen=True)
 class LinearClaim:
-    """One table row.  A term (coef, name, a, b) stands for coef*S[a*n + b].
+    """One table row.  A term (coef, text, a, b) stands for coef*S[a*n + b],
+    where S is the series that the expression text evaluates to.
 
     ``mod7``, when not empty, keeps only the n whose residue mod 7 is in it.
     """
@@ -102,12 +82,10 @@ class LinearClaim:
             )
         if not set(self.mod7) <= set(range(7)):
             raise ValueError(f"{self.id}: mod7 residues must lie in 0..6")
-        for _, name, a, b in self.lhs + self.rhs:
-            if name not in SERIES:
-                raise ValueError(f"{self.id}: no series named {name!r}")
+        for _, text, a, b in self.lhs + self.rhs:
             if a < 1 or a * self.n0 + b < 0:
                 raise ValueError(
-                    f"{self.id}: term {name}[{a}*n + {b}] needs a >= 1 and "
+                    f"{self.id}: term {text}[{a}*n + {b}] needs a >= 1 and "
                     f"a*n0 + b >= 0 (n0 = {self.n0})"
                 )
 
@@ -121,13 +99,13 @@ class LinearClaim:
             # keep[i] says whether n0 + i is scanned; it repeats every 7 n.
             keep = [(n0 + i) % 7 in self.mod7 for i in range(7)]
             ns = list(compress(ns, cycle(keep)))
-        names = {name for _, name, _, _ in terms}
-        coeffs = {name: evaluate(SERIES[name], order).coeffs for name in names}
+        texts = {text for _, text, _, _ in terms}
+        coeffs = {text: evaluate(text, order).coeffs for text in texts}
 
-        def column(c, name, a, b):
+        def column(c, text, a, b):
             # S[a*n + b] for n = n0 .. hi, as one slice of S.
             start = a * n0 + b
-            col = coeffs[name][start : start + a * size : a]
+            col = coeffs[text][start : start + a * size : a]
             if self.mod7:
                 col = compress(col, cycle(keep))
             return col if c == 1 else map(mul, repeat(c), col)
@@ -160,18 +138,18 @@ def _positive(claim, kind, series, description=None):
 
 _TABLE = (
     LinearClaim("ineq-1.11", "theorem", "a7(2n+2) >= 2*a7(n)",
-                ((1, "a7", 2, 2),), ((2, "a7", 1, 0),)),
+                ((1, G, 2, 2),), ((2, G, 1, 0),)),
     LinearClaim("ineq-1.12", "theorem", "a7(4n+6) >= 10*a7(n)",
-                ((1, "a7", 4, 6),), ((10, "a7", 1, 0),)),
+                ((1, G, 4, 6),), ((10, G, 1, 0),)),
     LinearClaim("ineq-1.13", "theorem", "a7_0(n) >= 9*a7_2(n)",
-                ((1, "a7_0", 1, 0),), ((9, "a7_2", 1, 0),)),
+                ((1, RANK_0, 1, 0),), ((9, RANK_2, 1, 0),)),
     LinearClaim("ineq-1.14", "theorem", "a7_1(n) >= 2*a7_m1(n)",
-                ((1, "a7_1", 1, 0),), ((2, "a7_m1", 1, 0),)),
+                ((1, RANK_1, 1, 0),), ((2, RANK_M1, 1, 0),)),
     *(
         LinearClaim(
             f"prog-1.15-r{r}", "theorem",
             f"a7(28n+{4 * r}) = 5*a7(14n+{2 * r - 1})",
-            ((1, "a7", 28, 4 * r),), ((5, "a7", 14, 2 * r - 1),), "eq",
+            ((1, G, 28, 4 * r),), ((5, G, 14, 2 * r - 1),), "eq",
         )
         for r in (1, 2, 6)
     ),
@@ -179,28 +157,30 @@ _TABLE = (
         LinearClaim(
             f"prog-1.16-r{r}", "theorem",
             f"a7(28n+{4 * r + 2}) + 4*a7(7n+{r - 1}) = 5*a7(14n+{2 * r})",
-            ((1, "a7", 28, 4 * r + 2), (4, "a7", 7, r - 1)),
-            ((5, "a7", 14, 2 * r),), "eq",
+            ((1, G, 28, 4 * r + 2), (4, G, 7, r - 1)),
+            ((5, G, 14, 2 * r),), "eq",
         )
         for r in (2, 4, 5)
     ),
     LinearClaim("cor-4.1", "theorem", "3*a7(n-1) + b(n) >= 0 for n >= 1",
-                ((3, "a7", 1, -1), (1, "b", 1, 0)), n0=1),
+                ((3, G, 1, -1), (1, CUBE_PAIR, 1, 0)), n0=1),
     LinearClaim("vanish-b", "theorem", "b(n) = 0 when n mod 7 is 2, 4, or 5",
-                ((1, "b", 1, 0),), relation="eq", mod7=(2, 4, 5)),
+                ((1, CUBE_PAIR, 1, 0),), relation="eq", mod7=(2, 4, 5)),
     *(
         _positive(
             f"pos-1.23-{i}", "theorem", series,
             f"summand {i} of the four-term split has nonnegative coefficients",
         )
         for i, series in enumerate(
-            ("sigma4*fff7", "2*rank_m1", "6*rank_2", "2q^2*G2"), 1
+            (f"sigma(q^4)*({FFF7})", f"2*{RANK_M1}", f"6*{RANK_2}",
+             f"2*q^2*{G2}"), 1
         )
     ),
-    _positive("pos-4.6", "theorem", "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2)"),
-    _positive("pos-4.7", "theorem", "a7-2q^2*G2",
+    _positive("pos-4.6", "theorem", W_OMEGA,
+              "E(q^14)^4/(E(q^4)E(q^28)) * omega(q^2) has nonnegative coefficients"),
+    _positive("pos-4.7", "theorem", f"{G} - 2*q^2*{G2}",
               "a7(n) >= 2*a7((n-2)/2) summed as a series"),
-    _positive("pos-4.12", "theorem", "odd(a7)-3*rank_m1",
+    _positive("pos-4.12", "theorem", f"odd({G}) - 3*{RANK_M1}",
               "odd part minus three rank -1 layers stays nonnegative"),
     _positive("conj-6.1", "conjecture", "psi(q)*(psi(q)^2 - psi(q^7)^2)"),
     _positive("conj-6.2", "conjecture", "psi(q)*(phi(q)^2 - phi(q^7)^2)"),
@@ -208,18 +188,18 @@ _TABLE = (
     _positive("conj-6.4", "conjecture", "psi(q)*(phi(q)^2 - psi(q^7)^2)"),
     LinearClaim("conj-sharp-double", "conjecture",
                 "a7(2n+2) >= 3*a7(n) for n >= 1",
-                ((1, "a7", 2, 2),), ((3, "a7", 1, 0),), n0=1),
+                ((1, G, 2, 2),), ((3, G, 1, 0),), n0=1),
     LinearClaim("conj-sharp-quad15", "conjecture",
                 "a7(4n+6) >= 15*a7(n) for n >= 1",
-                ((1, "a7", 4, 6),), ((15, "a7", 1, 0),), n0=1),
+                ((1, G, 4, 6),), ((15, G, 1, 0),), n0=1),
     LinearClaim("conj-sharp-quad11", "conjecture",
                 "a7(4n+6) >= 11*a7(n) for n >= 0",
-                ((1, "a7", 4, 6),), ((11, "a7", 1, 0),)),
+                ((1, G, 4, 6),), ((11, G, 1, 0),)),
     *(
         LinearClaim(
             f"prog-ext-r{r}", "conjecture",
             f"a7(196n+{4 * r}) = 5*a7(98n+{2 * r - 1})",
-            ((1, "a7", 196, 4 * r),), ((5, "a7", 98, 2 * r - 1),), "eq",
+            ((1, G, 196, 4 * r),), ((5, G, 98, 2 * r - 1),), "eq",
         )
         for r in (10, 17, 45)
     ),
@@ -238,10 +218,6 @@ CLAIMS: tuple = tuple(ClaimRecord(c.id, c.kind, c) for c in _TABLE)
 
 _CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
 assert len(_CLAIMS_BY_ID) == len(CLAIMS), "claim ids must be unique"
-
-
-def claim_ids(kind: Optional[str] = None) -> tuple:
-    return tuple(c.id for c in CLAIMS if kind is None or c.kind == kind)
 
 
 def run_claim(claim_id: str, order: int) -> ScanReport:

@@ -7,11 +7,12 @@ give identical coefficients.  Their eta quotients multiply the
 numerator and the denominator out and divide once, so they share no
 code with the folded ``eta_quotient`` route or its cache.
 
-The helpers at the end walk the parsed catalog texts.
+The helpers at the end walk the parsed catalog and scan texts.
 """
 
 from sevencores.exprlang import Binary, Power, ThetaAtom, Unary, parse
 from sevencores.identities import REGISTRY
+from sevencores.inequalities import CLAIMS
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import TruncSeries, hecke_T2
 from sevencores.theta import (
@@ -405,6 +406,15 @@ def subtrees(root):
 def catalog_texts():
     """Both texts of every catalog record."""
     return [text for rec in REGISTRY for text in (rec.lhs_text, rec.rhs_text)]
+
+
+def scan_texts():
+    """Every text a claim term evaluates, once each, in table order."""
+    return list(dict.fromkeys(
+        text
+        for rec in CLAIMS
+        for _, text, _, _ in rec.runner.lhs + rec.runner.rhs
+    ))
 
 
 def theta_args_used():

@@ -256,19 +256,23 @@ def test_coeffs_usage_names_the_from_option_by_its_flag(capsys):
     assert "[--from FROM]" in capsys.readouterr().out
 
 
+USAGE_ERRORS = [
+    (["coeffs", "altq(q)/q", "--order", "3"], "cannot evaluate 'q': division needs"),
+    (["coeffs"], "the following arguments are required: expr"),
+    (["verify"], "give exactly one of"),
+    (["verify", "eq-9.99"], "unknown identity id 'eq-9.99'; known ids: "),
+    (["scan"], "give exactly one of"),
+    (["table", "a7", "--max", "-1"], "--max must be nonnegative"),
+    (["oracle", "--max", "0"], "--max must be at least 1"),
+    (["scan", "no-such-claim"], "unknown claim id 'no-such-claim'; known ids: "),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["coeffs", "altq(q)/q", "--order", "3"],
-        ["coeffs"],
-        ["verify"],
-        ["verify", "eq-9.99"],
-        ["scan"],
-        ["table", "a7", "--max", "-1"],
-        ["oracle", "--max", "0"],
-    ],
+    "argv, message", USAGE_ERRORS,
+    ids=[f"argv{i}" for i in range(len(USAGE_ERRORS))],
 )
-def test_usage_errors_print_the_subcommand_usage(capsys, argv):
+def test_usage_errors_print_the_subcommand_usage(capsys, argv, message):
     """A handler's own check and argparse's both print the usage of the
     subcommand that was given, not the top-level usage."""
     with pytest.raises(SystemExit) as exc:
@@ -277,7 +281,7 @@ def test_usage_errors_print_the_subcommand_usage(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"usage: sevencores {argv[0]} [-h]")
-    assert f"\nsevencores {argv[0]}: error: " in captured.err
+    assert f"\nsevencores {argv[0]}: error: {message}" in captured.err
 
 
 def test_coeffs_syntax_error_is_usage_error(capsys):

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from catalog_oracle import scan_texts
+
 from sevencores.exprlang import (
     Binary,
     Const,
@@ -40,7 +42,6 @@ from sevencores.exprlang import (
 )
 from sevencores import exprlang, theta
 from sevencores.identities import REGISTRY
-from sevencores.inequalities import SERIES
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
 from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma_at
@@ -230,7 +231,7 @@ def test_every_catalog_and_scan_text_passes_the_cost_bound(monkeypatch, fresh_ro
     with every root's run replaced by one that builds nothing, so
     every bound is checked on each text's degrees and no text is built."""
     texts = [t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)]
-    texts += SERIES.values()
+    texts += scan_texts()
     reached = []
     root = exprlang._root
     monkeypatch.setattr(exprlang, "_root", lambda expr: root(expr)._replace(
@@ -294,7 +295,7 @@ def stand_in_plans(monkeypatch, fresh_roots):
 
 @pytest.mark.parametrize("text", sorted(
     {t for rec in REGISTRY for t in (rec.lhs_text, rec.rhs_text)}
-    | set(SERIES.values()) | set(_BOUNDED)
+    | set(scan_texts()) | set(_BOUNDED)
 ))
 def test_most_is_the_largest_order_the_bounds_accept(text, stand_in_plans):
     root = _root(parse(text))

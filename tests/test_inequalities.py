@@ -17,17 +17,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sevencores import exprlang, inequalities
-from sevencores.forms import G
+from catalog_oracle import catalog_texts, scan_texts
+
+from sevencores import exprlang, forms, inequalities
+from sevencores.exprlang import ExprSyntaxError
+from sevencores.forms import CUBE_PAIR, G
 from sevencores.identities import get_record
 from sevencores.inequalities import (
     CLAIMS,
     DEFAULT_DEPTH,
     SAMPLE_COUNT,
-    SERIES,
     LinearClaim,
     ScanReport,
-    claim_ids,
     core_split,
     run_all,
     run_claim,
@@ -39,10 +40,8 @@ def oracle_scan(claim: LinearClaim, order: int) -> ScanReport:
     """The report of ``claim`` at this order, one n at a time."""
     terms = claim.lhs + claim.rhs
     hi = min((order - b) // a for _, _, a, b in terms)
-    names = {name for _, name, _, _ in terms}
-    coeffs = {
-        name: inequalities.evaluate(SERIES[name], order).coeffs for name in names
-    }
+    texts = {text for _, text, _, _ in terms}
+    coeffs = {text: inequalities.evaluate(text, order).coeffs for text in texts}
     ns = [
         n for n in range(claim.n0, hi + 1)
         if not claim.mod7 or n % 7 in claim.mod7
@@ -50,8 +49,8 @@ def oracle_scan(claim: LinearClaim, order: int) -> ScanReport:
 
     def side(terms):
         columns = [
-            [c * coeffs[name][a * n + b] for n in ns]
-            for c, name, a, b in terms
+            [c * coeffs[text][a * n + b] for n in ns]
+            for c, text, a, b in terms
         ]
         return map(sum, zip(*columns)) if columns else repeat(0)
 
@@ -92,9 +91,8 @@ def test_registry_partition():
     kinds = {c.kind for c in CLAIMS}
     assert kinds == {"theorem", "conjecture"}
     assert len(CLAIMS) == 29
-    assert len(claim_ids("theorem")) == 19
-    assert len(claim_ids("conjecture")) == 10
-    assert set(claim_ids()) == set(claim_ids("theorem")) | set(claim_ids("conjecture"))
+    assert sum(c.kind == "theorem" for c in CLAIMS) == 19
+    assert sum(c.kind == "conjecture" for c in CLAIMS) == 10
 
 
 def test_run_claim_unknown():
@@ -157,25 +155,23 @@ def test_referee_progressions_need_depth():
     assert all(r.status == "holds" for r in reports)
 
 
-def euler_positivity(monkeypatch):
-    """The row 1*E(q)[n] >= 0, over a series no claim names."""
-    monkeypatch.setitem(SERIES, "E(q)", "E(q)")
-    return LinearClaim(
-        "synthetic-negative", "theorem", "euler product coefficients",
-        ((1, "E(q)", 1, 0),),
-    )
+#: The row 1*E(q)[n] >= 0, over a series no claim scans.
+EULER_POSITIVITY = LinearClaim(
+    "synthetic-negative", "theorem", "euler product coefficients",
+    ((1, "E(q)", 1, 0),),
+)
 
 
-def test_positivity_violation_reports_witness(monkeypatch):
+def test_positivity_violation_reports_witness():
     # Euler product itself goes negative at q^1
-    r = euler_positivity(monkeypatch)(50)
+    r = EULER_POSITIVITY(50)
     assert r.status == "violated"
     assert r.violation == (1, -1, 0)
     assert r.claim == "synthetic-negative"
 
 
-def test_violation_stops_sampling_early(monkeypatch):
-    r = euler_positivity(monkeypatch)(50)
+def test_violation_stops_sampling_early():
+    r = EULER_POSITIVITY(50)
     # only exponent 0 passes before the failure at exponent 1
     assert len(r.samples) <= SAMPLE_COUNT
     assert r.samples == ((0, 1, 0), (1, -1, 0))
@@ -191,25 +187,28 @@ def test_a_second_scan_parses_nothing(monkeypatch):
 
 
 # Counts the parses of the 7-core text G in a fresh interpreter, where
-# the root cache starts empty: core_split, the claims' SERIES and the
+# the root cache starts empty: core_split, a claim over G and the
 # identity catalog each evaluate it at two orders.
 PARSES_OF_G = """
 from sevencores import exprlang
 from sevencores.forms import G
 from sevencores.identities import get_record
-from sevencores.inequalities import SERIES, core_split
+from sevencores.inequalities import core_split, run_claim
 parse, parsed = exprlang.parse, []
 exprlang.parse = lambda text: parsed.append(text) or parse(text)
 for order in (40, 80):
     core_split(order)
-    exprlang.evaluate(SERIES["a7"], order)
+    run_claim("ineq-1.11", order)
     get_record("eq-1.3-t7").rhs(order)
 print(parsed.count(G))
 """
 
 
 def test_one_text_is_parsed_once_per_process():
-    assert SERIES["a7"] == get_record("eq-1.3-t7").rhs_text == G
+    ineq_1_11 = CLAIMS[0].runner
+    assert ineq_1_11.id == "ineq-1.11"
+    assert {text for _, text, _, _ in ineq_1_11.lhs + ineq_1_11.rhs} == {G}
+    assert get_record("eq-1.3-t7").rhs_text == G
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", PARSES_OF_G],
@@ -246,7 +245,7 @@ def test_table_row_derives_its_range():
     # a7(n) >= a7(n+1) needs a7 up to n+1, so n stops at order-1
     claim = LinearClaim(
         "zz-decreasing", "conjecture", "a7(n) >= a7(n+1)",
-        ((1, "a7", 1, 0),), ((1, "a7", 1, 1),),
+        ((1, G, 1, 0),), ((1, G, 1, 1),),
     )
     r = claim(50)
     assert r.n_range == (0, 49)
@@ -339,23 +338,24 @@ def test_table_rows_match_the_oracle():
             )
 
 
-NAMES = ("s0", "s1", "s2")
+#: Stand-in texts: the random rows evaluate each to a drawn series.
+TEXTS = ("s0", "s1", "s2")
 
 
 @st.composite
 def scan_cases(draw):
-    """The fields of a valid random row over the series s0..s2, the
-    series themselves and an order; small orders and large offsets give
-    empty ranges."""
+    """The fields of a valid random row over the texts s0..s2, the
+    series they stand for and an order; small orders and large offsets
+    give empty ranges."""
     order = draw(st.integers(min_value=0, max_value=300))
     low, high = draw(st.sampled_from(((-3, 3), (-1, 20), (0, 9))))
     values = st.integers(min_value=low, max_value=high)
     series = {}
-    for name in NAMES:
+    for text in TEXTS:
         cs = draw(st.lists(values, min_size=order + 1, max_size=order + 1))
         # Only every gap-th coefficient may be nonzero.
         gap = draw(st.sampled_from((1, 1, 2, 5, 13)))
-        series[name] = TruncSeries(
+        series[text] = TruncSeries(
             order, [c if k % gap == 0 else 0 for k, c in enumerate(cs)]
         )
     n0 = draw(st.integers(min_value=0, max_value=5))
@@ -367,7 +367,7 @@ def scan_cases(draw):
         top = draw(st.sampled_from((3, 30)))  # small steps give long ranges
         a = draw(st.integers(min_value=1, max_value=top))
         b = draw(st.integers(min_value=-a * n0, max_value=40))
-        return (coef, draw(st.sampled_from(NAMES)), a, b)
+        return (coef, draw(st.sampled_from(TEXTS)), a, b)
 
     lhs = tuple(draw(st.lists(term(), min_size=1, max_size=3)))
     # A mirrored rhs sums to the lhs, so the row holds unless one more
@@ -389,8 +389,8 @@ def scan_cases(draw):
 def test_random_rows_match_the_oracle(case):
     fields, series, order = case
     with mock.patch.object(
-        inequalities, "evaluate", lambda name, n: series[name].truncate(n)
-    ), mock.patch.dict(SERIES, {name: name for name in NAMES}):
+        inequalities, "evaluate", lambda text, n: series[text].truncate(n)
+    ):
         claim = LinearClaim("random", "conjecture", "a random row", *fields)
         assert claim(order) == oracle_scan(claim, order)
 
@@ -402,27 +402,43 @@ def row(*terms, **fields):
 def test_rows_are_validated_when_built():
     # a7[-1] would read the top coefficient of a7.
     with pytest.raises(ValueError, match="a\\*n0 \\+ b >= 0"):
-        row((1, "a7", 1, -1))
+        row((1, G, 1, -1))
     with pytest.raises(ValueError, match="a >= 1"):
-        row((1, "a7", 0, 3))
+        row((1, G, 0, 3))
     with pytest.raises(ValueError, match="a >= 1"):
-        row((1, "a7", -2, 3))
+        row((1, G, -2, 3))
     with pytest.raises(ValueError, match="n0 = 1"):
-        row((1, "a7", 2, 2), (1, "b", 3, -4), n0=1)
+        row((1, G, 2, 2), (1, CUBE_PAIR, 3, -4), n0=1)
     with pytest.raises(ValueError, match="relation"):
-        row((1, "a7", 1, 0), relation="le")
+        row((1, G, 1, 0), relation="le")
     with pytest.raises(ValueError, match="mod7"):
-        row((1, "a7", 1, 0), mod7=(0, 7))
+        row((1, G, 1, 0), mod7=(0, 7))
     with pytest.raises(ValueError, match="mod7"):
-        row((1, "a7", 1, 0), mod7=(-1,))
-    with pytest.raises(ValueError, match="no series named 'a8'"):
-        row((1, "a8", 1, 0))
+        row((1, G, 1, 0), mod7=(-1,))
     with pytest.raises(ValueError, match="at least one term"):
         row()
 
 
 def test_valid_edge_rows_are_accepted():
     # cor-4.1 reads a7(n - 1) from n0 = 1, so its first index is 0.
-    assert row((3, "a7", 1, -1), n0=1)(10).samples[0] == (1, 3, 0)
-    assert row((1, "b", 1, 0), relation="eq", mod7=tuple(range(7)))(0).status == "violated"
-    assert row(rhs=((1, "a7", 1, 0),))(5).violation == (0, 0, 1)
+    assert row((3, G, 1, -1), n0=1)(10).samples[0] == (1, 3, 0)
+    b_row = row((1, CUBE_PAIR, 1, 0), relation="eq", mod7=tuple(range(7)))
+    assert b_row(0).status == "violated"
+    assert row(rhs=((1, G, 1, 0),))(5).violation == (0, 0, 1)
+
+
+def test_a_bad_text_fails_when_scanned():
+    claim = row((1, "E(q^7", 1, 0))
+    with pytest.raises(ExprSyntaxError):
+        claim(10)
+
+
+def test_shared_texts_are_forms_constants():
+    # A whole text that the catalog and the claims both evaluate is one
+    # closed form, so it is written once, in forms.
+    constants = {
+        v for k, v in vars(forms).items() if k.isupper() and isinstance(v, str)
+    }
+    shared = set(catalog_texts()) & set(scan_texts())
+    assert {G, forms.RANK_0, forms.RANK_1, forms.W_OMEGA} <= shared
+    assert shared <= constants

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalog_oracle import catalog_texts, children, eta
+from catalog_oracle import catalog_texts, children, eta, scan_texts
 
 from sevencores.exprlang import _is_product, _plan, parse
-from sevencores.inequalities import SERIES
 from sevencores.series import TruncSeries, dilate
 from sevencores.theta import (
     ThetaArgs,
@@ -290,10 +289,10 @@ def folded_factors(text):
     return found
 
 
-# Every factor dict that the catalog and SERIES texts fold into, once.
+# Every factor dict that the catalog and scan texts fold into, once.
 CATALOG_FACTORS = tuple({
     str(factors): factors
-    for text in catalog_texts() + list(SERIES.values())
+    for text in catalog_texts() + scan_texts()
     for factors in folded_factors(text)
 }.values())
 
