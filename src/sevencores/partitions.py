@@ -2,12 +2,14 @@
 
 Two independent views of the same counts live here.
 
-* Direct enumeration: walk every partition of n, keep the t-cores, and
-  classify them by the parity-alternating rank.  Exponential in n, so it
-  is capped.  Every partition is visited and tested on its own by the
-  abacus criterion on its beta-numbers, which the tests pin against the
-  hook-length definition; nothing is shared with the series or lattice
-  code, so the enumeration is the oracle for everything built on them.
+* Direct enumeration: walk every partition of n (ZS1, in reverse
+  lexicographic order), keep the t-cores, and classify them by the
+  parity-alternating rank.  Exponential in n, so it is capped.  Every
+  partition is visited and tested on its own by the abacus criterion on
+  its beta-numbers, which the tests pin against the hook-length
+  definition, as they pin ZS1 against a plain generator; nothing is
+  shared with the series or lattice code, so the enumeration is the
+  oracle for everything built on them.
 * Lattice counting: t-cores of n correspond to integer vectors
   n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i)
   (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
@@ -34,7 +36,11 @@ PARTITION_BOUND = 45
 
 
 def enumerate_partitions(n: int) -> Iterator[tuple]:
-    """Yield all partitions of n as descending tuples."""
+    """Yield all partitions of n as descending tuples, in reverse
+    lexicographic order, by ZS1 (Zoghbi and Stojmenovic, "Fast
+    algorithms for generating integer partitions", Int. J. Comput.
+    Math. 70, 1998): (n,), (n - 1, 1), (n - 2, 2), ..., (1,) * n.
+    """
     _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -45,22 +51,30 @@ def enumerate_partitions(n: int) -> Iterator[tuple]:
     if n == 0:
         yield ()
         return
-    part = [n]
-    while True:
-        yield tuple(part)
-        ones = 0
-        while part and part[-1] == 1:
-            part.pop()
-            ones += 1
-        if not part:
-            return
-        part[-1] -= 1
-        rem = ones + 1
-        cap = part[-1]
-        while rem > cap:
-            part.append(cap)
-            rem -= cap
-        part.append(rem)
+    # x[:m + 1] is the partition, x[h] its last part above 1, and every
+    # slot after h a 1 that stays in place: a 2 at h becomes two ones, a
+    # larger part drops by one and is copied over the ones it freed.
+    x = [n] + [1] * (n - 1)
+    m = h = 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            r = x[h] - 1
+            rem = m - h + 1
+            x[h] = r
+            while rem > r:
+                h += 1
+                x[h] = r
+                rem -= r
+            m = h + 1
+            if rem > 1:
+                h += 1
+                x[h] = rem
+        yield tuple(x[: m + 1])
 
 
 def bg_rank(partition: tuple) -> int:
@@ -84,14 +98,15 @@ def is_t_core(partition: tuple, t: int) -> bool:
     of length h are the pairs of a b >= h in the set with b - h not in
     it.  A hook length divisible by t implies one equal to t, so the
     partition is a t-core exactly when b - t is in the set for every
-    b >= t in it.  O(parts) set lookups instead of a walk over the cells.
+    b >= t in it.  Each b - t is sought in the beta list itself: nearly
+    every partition fails at the first b, so a set would cost more.
     """
-    if t < 2:
+    if type(t) is not int or t < 2:
+        _check_int("t", t)
         raise ValueError(f"t must be at least 2, got {t}")
     beta = list(map(add, partition, range(len(partition) - 1, -1, -1)))
-    present = set(beta)
     for b in beta:
-        if b >= t and b - t not in present:
+        if b >= t and b - t not in beta:
             return False
     return True
 

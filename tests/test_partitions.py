@@ -8,9 +8,12 @@ Between the two sits ``_layers_oracle``, the coordinate DP with only
 the bound that the sum can still return to zero: fast enough to pin
 every layer of the bounded DP at order 1600.  ``hook_is_t_core`` is
 the hook-length definition itself, cell by cell: the slow oracle for
-the beta-number test in ``is_t_core``.
+the beta-number test in ``is_t_core``.  ``plain_partitions`` pops the
+trailing ones and rebuilds the tail at every step: the slow oracle for
+ZS1 in ``enumerate_partitions``.
 """
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from math import isqrt
@@ -45,6 +48,45 @@ def conjugate(partition: tuple) -> tuple:
     return tuple(
         sum(1 for p in partition if p > j) for j in range(partition[0])
     )
+
+
+def plain_partitions(n: int):
+    """Partitions of n as descending tuples, in reverse lexicographic order,
+    by popping every trailing one and re-appending the tail."""
+    if n == 0:
+        yield ()
+        return
+    part = [n]
+    while True:
+        yield tuple(part)
+        ones = 0
+        while part and part[-1] == 1:
+            part.pop()
+            ones += 1
+        if not part:
+            return
+        part[-1] -= 1
+        rem = ones + 1
+        cap = part[-1]
+        while rem > cap:
+            part.append(cap)
+            rem -= cap
+        part.append(rem)
+
+
+def pentagonal_counts(top: int) -> list:
+    """p(0..top) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for n in range(1, top + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= n:
+                    total += sign * p[n - g]
+            k += 1
+        p.append(total)
+    return p
 
 
 def hook_is_t_core(partition: tuple, t: int) -> bool:
@@ -256,6 +298,29 @@ def test_enumeration_refuses_an_n_that_is_not_an_int(n):
         next(enumerate_partitions(n))
 
 
+def test_enumeration_matches_the_plain_generator():
+    # Same partitions in the same order, not just the same set.
+    for n in range(31):
+        assert list(enumerate_partitions(n)) == list(plain_partitions(n)), n
+
+
+def test_enumeration_counts_are_the_partition_numbers():
+    want = pentagonal_counts(PARTITION_BOUND)
+    assert want[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert want[45] == 89134
+    for n in range(PARTITION_BOUND + 1):
+        assert sum(1 for _ in enumerate_partitions(n)) == want[n], n
+
+
+def test_rank_histogram_matches_the_slow_oracles():
+    for n in range(19):
+        for t in range(2, 10):
+            want = Counter(
+                bg_rank(lam) for lam in plain_partitions(n) if hook_is_t_core(lam, t)
+            )
+            assert rank_histogram(n, t) == want, (n, t)
+
+
 def test_parts_descend():
     for lam in enumerate_partitions(9):
         assert all(a >= b for a, b in zip(lam, lam[1:]))
@@ -307,6 +372,14 @@ def test_t_core_test_refuses_t_below_two():
     for t in (1, 0, -7):
         with pytest.raises(ValueError, match="t must be at least 2"):
             is_t_core((3, 1), t)
+
+
+@pytest.mark.parametrize("t", [2.5, "7", True])
+def test_t_core_test_refuses_a_t_that_is_not_an_int(t):
+    with pytest.raises(TypeError, match="t must be an int"):
+        is_t_core((3, 1), t)
+    with pytest.raises(TypeError, match="t must be an int"):
+        rank_histogram(5, t)
 
 
 def test_seven_core_counts_head():
