@@ -11,7 +11,6 @@ and reuses it; ``build_parser`` returns a fresh one.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -20,11 +19,13 @@ from functools import cache, partial
 from .exprlang import ExprEvalError, ExprSyntaxError, check_bounds
 from .forms import core_split
 from .identities import get_record, verify, verify_all
-from .inequalities import DEFAULT_DEPTH, run_all, run_claim
 from .partitions import PARTITION_BOUND, rank_histogram
 from .series import MAX_ORDER
 
 ENV_ORDER = "SEVENCORES_ORDER"
+
+#: Default scan depth of ``scan``.
+DEFAULT_DEPTH = 2000
 
 
 def _check_bound(parser, name, value):
@@ -68,6 +69,7 @@ def _cmd_coeffs(args, parser):
 
 
 def _report_json(r):
+    import json  # only --format jsonlike loads it
     fields = {
         "id": r.id,
         "note": r.note,
@@ -132,13 +134,15 @@ def _cmd_scan(args, parser):
             "give exactly one of: a claim id, --conjectures, or --theorems"
         )
     order = _resolve_order(parser, args.order, DEFAULT_DEPTH)
+    from . import inequalities  # only scan loads the claim table
     if args.claim is not None:
         try:
-            reports = [run_claim(args.claim, order)]
+            reports = [inequalities.run_claim(args.claim, order)]
         except KeyError as exc:
             parser.error(str(exc.args[0]))
     else:
-        reports = run_all(order, "conjecture" if args.conjectures else "theorem")
+        kind = "conjecture" if args.conjectures else "theorem"
+        reports = inequalities.run_all(order, kind)
     reports = sorted(reports, key=lambda r: r.claim)
     for r in reports:
         print(_scan_row(r))

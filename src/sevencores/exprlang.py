@@ -55,7 +55,6 @@ at its order or below is a lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import add, itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
@@ -85,64 +84,120 @@ class ExprEvalError(ValueError):
 
 # -- AST ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class Node:
-    span: tuple = field(default=(0, 0), compare=False, repr=False, kw_only=True)
+    """An expression tree node.  Nodes of one type with equal fields are
+    equal and hash equal, through ``_key``, the fields' tuple built with
+    the node; ``span``, the node's (start, end) in its text, takes no
+    part.  Assigning to an attribute raises AttributeError."""
+
+    __slots__ = ("span", "_key")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
 class Const(Node):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int, *, span=(0, 0)):
+        _set(self, "value", value)
+        _set(self, "_key", (value,))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class QPow(Node):
-    k: int
+    __slots__ = ("k",)
+
+    def __init__(self, k: int, *, span=(0, 0)):
+        _set(self, "k", k)
+        _set(self, "_key", (k,))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class KAtom(Node):
     """The one-argument atom name (a key of _K_ATOMS) at q^k; for chi
     the argument is -q^k, its sign part of the atom."""
 
-    name: str
-    k: int
+    __slots__ = ("name", "k")
+
+    def __init__(self, name: str, k: int, *, span=(0, 0)):
+        _set(self, "name", name)
+        _set(self, "k", k)
+        _set(self, "_key", (name, k))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class ThetaAtom(Node):
-    sign_a: int
-    r: int
-    sign_b: int
-    s: int
+    __slots__ = ("sign_a", "r", "sign_b", "s")
+
+    def __init__(self, sign_a: int, r: int, sign_b: int, s: int, *, span=(0, 0)):
+        _set(self, "sign_a", sign_a)
+        _set(self, "r", r)
+        _set(self, "sign_b", sign_b)
+        _set(self, "s", s)
+        _set(self, "_key", (sign_a, r, sign_b, s))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class LatticeAtom(Node):
     """The t-core series ``lattice(t)``, or with a rank class j the
     7-core layer ``lattice7(j)`` (t = 7)."""
 
-    t: int
-    j: Optional[int] = None
+    __slots__ = ("t", "j")
+
+    def __init__(self, t: int, j: Optional[int] = None, *, span=(0, 0)):
+        _set(self, "t", t)
+        _set(self, "j", j)
+        _set(self, "_key", (t, j))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Unary(Node):
-    op: str  # "T2" or a key of _SLICES
-    child: Node
+    __slots__ = ("op", "child")  # op: "T2" or a key of _SLICES
+
+    def __init__(self, op: str, child: Node, *, span=(0, 0)):
+        _set(self, "op", op)
+        _set(self, "child", child)
+        _set(self, "_key", (op, child))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Binary(Node):
-    op: str  # "+" | "-" | "*" | "/"
-    left: Node
-    right: Node
+    __slots__ = ("op", "left", "right")  # op: "+" | "-" | "*" | "/"
+
+    def __init__(self, op: str, left: Node, right: Node, *, span=(0, 0)):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_key", (op, left, right))
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Power(Node):
-    base: Node
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: Node, exponent: int, *, span=(0, 0)):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_key", (base, exponent))
+        _set(self, "span", span)
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -654,6 +709,11 @@ def _compile(node: Node) -> Plan:
 _plan = cache(_compile)
 
 
+#: The tree ``_root`` last parsed from a text.  ``parse`` has walked its
+#: height, so ``_root`` does not walk it again; any other tree is walked.
+_parsed = None
+
+
 @cache
 def _root(expr) -> Root:
     """expr, a text or a tree, as a whole checked tree: its bounds and a
@@ -661,18 +721,21 @@ def _root(expr) -> Root:
     slice, T2 or fold, whose run builds a series or normalises the fold's
     factors again.  Atoms and the products that do not fold are cached
     already.  Inner sums are not kept: keeping them cost more memory and
-    saved less time than keeping roots only.  A text is parsed once, and
-    its Root is its tree's, the same object; a tree never equals a text,
-    so the two kinds of key never collide.
+    saved less time than keeping roots only.  A text is parsed and walked
+    once, and its Root is its tree's, the same object; a tree never
+    equals a text, so the two kinds of key never collide.
 
     Refuses a tree taller than MAX_DEPTH, before ``_bounds`` recurses
     once per level, one whose ^ exponents multiply past MAX_EXPONENT on
     some root-to-leaf path (``_bounds`` raises that), or one whose degree
     passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
     the least cap and up to MAX_COST // doubled."""
+    global _parsed
     if isinstance(expr, str):
-        return _root(parse(expr))
-    _check_height(expr)
+        _parsed = parse(expr)
+        return _root(_parsed)
+    if expr is not _parsed:
+        _check_height(expr)
     degree, doubled, cap = _bounds(expr)
     if degree > MAX_DEGREE:
         raise ExprEvalError(

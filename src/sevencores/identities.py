@@ -13,8 +13,7 @@ each record says what the identity does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exprlang import check_bounds, evaluate
 from .forms import CUBE_PAIR, FFF1, FFF7, G, G2, Q, RANK_0, RANK_1, RANK_2
@@ -22,8 +21,7 @@ from .forms import RANK_M1, RANK_M1_QUOTIENT, W, W_OMEGA
 from .series import TruncSeries
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One catalog entry: the expression texts of its two sides."""
 
     id: str
@@ -38,8 +36,7 @@ class IdentityRecord:
         return evaluate(self.rhs_text, order)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of expanding both sides of one identity to a given order."""
 
     id: str

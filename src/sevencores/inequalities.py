@@ -39,9 +39,6 @@ from .forms import core_split  # noqa: F401  (perfbench reads it here)
 #: How many leading instances each report keeps for display.
 SAMPLE_COUNT = 3
 
-#: Default scan depth for the command-line scanners.
-DEFAULT_DEPTH = 2000
-
 
 @dataclass(frozen=True)
 class ScanReport:

@@ -22,8 +22,8 @@ chi_neg is the ``eta_quotient`` {m: 1, 2m: -1} and shares its cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .series import TruncSeries, _check_int, check_order, dilate, prefix_cached
 
@@ -35,25 +35,23 @@ def _check_step(step: int) -> int:
     return step
 
 
-@dataclass(frozen=True)
-class ThetaArgs:
+class ThetaArgs(
+    NamedTuple("ThetaArgs", [("sign_a", int), ("r", int), ("sign_b", int), ("s", int)])
+):
     """Arguments of the two-variable theta f(sign_a*q^r, sign_b*q^s)."""
 
-    sign_a: int
-    r: int
-    sign_b: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        signs = (self.sign_a, self.sign_b)
-        if any(type(x) is not int or x not in (1, -1) for x in signs):
+    def __new__(cls, sign_a: int, r: int, sign_b: int, s: int):
+        if any(type(x) is not int or x not in (1, -1) for x in (sign_a, sign_b)):
             raise ValueError("signs must be +1 or -1")
-        _check_int("exponent r", self.r)
-        _check_int("exponent s", self.s)
-        if self.r < 0 or self.s < 0:
+        _check_int("exponent r", r)
+        _check_int("exponent s", s)
+        if r < 0 or s < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.r + self.s < 1:
+        if r + s < 1:
             raise ValueError("need r + s >= 1 for the sum to converge")
+        return super().__new__(cls, sign_a, r, sign_b, s)
 
 
 def _tri(n: int) -> int:

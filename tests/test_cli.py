@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import sevencores.cli as cli
+from sevencores import inequalities
 from sevencores.inequalities import ScanReport
 
 
@@ -129,7 +130,7 @@ def test_scan_conjecture_counterexample_exit_code(capsys, monkeypatch):
         violation=(17, -4, 0),
         samples=((0, 1, 0),),
     )
-    monkeypatch.setattr(cli, "run_all", lambda order, kind=None: [fake])
+    monkeypatch.setattr(inequalities, "run_all", lambda order, kind=None: [fake])
     code, out = run(capsys, "scan", "--conjectures", "--order", "40")
     assert code == 3
     assert "counterexample at n=17" in out
@@ -141,7 +142,7 @@ def test_scan_theorem_violation_beats_conjecture_exit(capsys, monkeypatch):
         ScanReport("a-conj", "conjecture", "x", (0, 9), "violated", (3, -1, 0), ()),
         ScanReport("b-thm", "theorem", "y", (0, 9), "violated", (5, 0, 1), ()),
     ]
-    monkeypatch.setattr(cli, "run_claim", lambda claim, order: rows.pop())
+    monkeypatch.setattr(inequalities, "run_claim", lambda claim, order: rows.pop())
     # single-claim path reuses the same exit logic
     code, out = run(capsys, "scan", "ineq-1.11", "--order", "9")
     assert code == 1
@@ -607,3 +608,41 @@ def test_a_warm_verify_builds_no_series_and_no_parser():
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout
     assert out == "0 1\n"
+
+
+# Prints which of the modules a start-up can do without are loaded after
+# one call, in a fresh interpreter, since this session has loaded them
+# all.  -S keeps start-up hooks in site-packages from loading any first.
+LOADED_AFTER = """
+import contextlib, io, sys
+from sevencores import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    {call}
+print(*(m for m in {modules!r} if m in sys.modules))
+"""
+LATE = ("dataclasses", "inspect", "json", "sevencores.inequalities")
+
+
+@pytest.mark.parametrize(
+    "call, loaded",
+    [
+        ("cli.build_parser()", ()),
+        ('cli.main(["verify", "eq-3.2", "--order", "20", "--format", "jsonlike"])',
+         ("json",)),
+        ('cli.main(["scan", "ineq-1.11", "--order", "50"])',
+         ("sevencores.inequalities",)),
+    ],
+    ids=["parser", "verify-jsonlike", "scan"],
+)
+def test_start_up_loads_the_claim_table_and_json_late(call, loaded):
+    """Only scan loads the claim table, and with it dataclasses and
+    inspect; only --format jsonlike loads json."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", LOADED_AFTER.format(call=call, modules=LATE)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split()
+    assert set(loaded) <= set(out)
+    if "sevencores.inequalities" not in loaded:
+        assert out == list(loaded)

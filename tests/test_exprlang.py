@@ -73,6 +73,25 @@ def test_parse_theta_and_named_atoms():
     assert parse("lattice7(-1)") == LatticeAtom(7, -1)
 
 
+def test_nodes_compare_by_type_and_fields_without_their_span():
+    assert QPow(3) != Const(3) and Const(3) != QPow(3)
+    assert Unary("even", QPow(1)) != Unary("odd", QPow(1))
+    tight, spaced = parse("E(q^7)^7/E(q)"), parse("  E( q^7 ) ^ 7 /  E(q) ")
+    assert tight.span != spaced.span
+    assert tight == spaced and hash(tight) == hash(spaced)
+    assert repr(KAtom("E", 7)) == "KAtom(name='E', k=7)"
+
+
+@pytest.mark.parametrize("field", ["k", "span", "other"])
+def test_a_node_cannot_change(field):
+    node = parse("q^2")
+    with pytest.raises(AttributeError):
+        setattr(node, field, 3)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    assert node == QPow(2) and node.span == (0, 3)
+
+
 def test_syntax_error_offset_is_one_based():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("E(q^7")

@@ -68,6 +68,12 @@ def test_a_record_parses_each_side_once(monkeypatch):
     assert sorted(parsed) == sorted([lhs, rhs])
 
 
+def test_a_record_builds_by_keyword():
+    rec = IdentityRecord(id="kw", note="by keyword", lhs_text="q", rhs_text="q^1")
+    assert (rec.id, rec.note, rec.lhs_text, rec.rhs_text) == ("kw", "by keyword", "q", "q^1")
+    assert verify(rec, 10).status == "pass"
+
+
 def test_registry_well_formed():
     assert len(REGISTRY) == 46
     ids = [rec.id for rec in REGISTRY]

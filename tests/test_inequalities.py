@@ -19,13 +19,12 @@ from hypothesis import strategies as st
 
 from catalog_oracle import catalog_texts, scan_texts
 
-from sevencores import exprlang, forms, inequalities
+from sevencores import cli, exprlang, forms, inequalities
 from sevencores.exprlang import ExprSyntaxError
 from sevencores.forms import CUBE_PAIR, G
 from sevencores.identities import get_record
 from sevencores.inequalities import (
     CLAIMS,
-    DEFAULT_DEPTH,
     SAMPLE_COUNT,
     LinearClaim,
     ScanReport,
@@ -228,7 +227,7 @@ def test_run_all_kinds():
 
 
 def test_default_depth_constant():
-    assert DEFAULT_DEPTH == 2000
+    assert cli.DEFAULT_DEPTH == 2000
 
 
 def test_empty_range_is_not_holds():
