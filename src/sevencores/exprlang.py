@@ -90,10 +90,9 @@ _set = object.__setattr__
 class Node:
     """An expression tree node.  Nodes of one type with equal fields are
     equal and hash equal, through ``_key``, the fields' tuple built with
-    the node; ``span``, the node's (start, end) in its text, takes no
-    part.  Assigning to an attribute raises AttributeError."""
+    the node; ``span``, its (start, end) in its text, takes no part."""
 
-    __slots__ = ("span", "_key")
+    __slots__ = ("span", "_key", "_walked")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,6 +106,9 @@ class Node:
         raise AttributeError(f"{type(self).__name__}.{name} cannot change")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle build the node again
+        return partial(type(self), span=self.span), self._key
 
     def __repr__(self):
         fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -298,7 +300,10 @@ _OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
 
 def _check_height(root: Node) -> None:
     """Reject trees taller than MAX_DEPTH, which hashing, printing and
-    evaluation would otherwise recurse through; walked without recursion."""
+    evaluation would otherwise recurse through; walked without recursion,
+    once per tree: a root that passes is marked ``_walked``."""
+    if getattr(root, "_walked", False):
+        return
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
@@ -306,6 +311,8 @@ def _check_height(root: Node) -> None:
             raise _too_deep(node.span[0] + 1)
         for c in _OPERANDS.get(type(node), ()):
             stack.append((getattr(node, c), depth + 1))
+    if isinstance(root, Node):  # anything else fails to compile, a TypeError
+        _set(root, "_walked", True)
 
 
 class _Parser:
@@ -709,11 +716,6 @@ def _compile(node: Node) -> Plan:
 _plan = cache(_compile)
 
 
-#: The tree ``_root`` last parsed from a text.  ``parse`` has walked its
-#: height, so ``_root`` does not walk it again; any other tree is walked.
-_parsed = None
-
-
 @cache
 def _root(expr) -> Root:
     """expr, a text or a tree, as a whole checked tree: its bounds and a
@@ -730,12 +732,9 @@ def _root(expr) -> Root:
     some root-to-leaf path (``_bounds`` raises that), or one whose degree
     passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
     the least cap and up to MAX_COST // doubled."""
-    global _parsed
     if isinstance(expr, str):
-        _parsed = parse(expr)
-        return _root(_parsed)
-    if expr is not _parsed:
-        _check_height(expr)
+        return _root(parse(expr))
+    _check_height(expr)
     degree, doubled, cap = _bounds(expr)
     if degree > MAX_DEGREE:
         raise ExprEvalError(

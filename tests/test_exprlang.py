@@ -4,6 +4,8 @@ The round-trip property is structural: print an AST, reparse, and demand
 the identical tree, not merely equal series.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -80,6 +82,9 @@ def test_nodes_compare_by_type_and_fields_without_their_span():
     assert tight.span != spaced.span
     assert tight == spaced and hash(tight) == hash(spaced)
     assert repr(KAtom("E", 7)) == "KAtom(name='E', k=7)"
+    copies = copy.copy(spaced), copy.deepcopy(spaced), pickle.loads(pickle.dumps(spaced))
+    for again in copies:
+        assert again == spaced and again.span == spaced.span
 
 
 @pytest.mark.parametrize("field", ["k", "span", "other"])
@@ -842,6 +847,37 @@ def test_equal_subtrees_share_one_cache_entry():
     again = _kept.cache_info()
     assert (again.hits, again.misses) == (after.hits + 1, after.misses)
     assert _root(parse(text)).run is not _plan(parse(text)).run
+
+
+def test_each_tree_is_walked_for_its_height_once(monkeypatch, fresh_roots):
+    """parse walks a text's tree, and _root does not walk it again; _root
+    walks a tree a caller builds, once.  A walk looks each node's type up
+    in _OPERANDS, and so does compiling, so the plans are compiled first."""
+    text = "psi(q^3)^2 - 5*q^13"  # six nodes
+    evaluate(text, 20)
+    evaluate(Binary("+", QPow(1), Const(1)), 20)
+    exprlang._root.cache_clear()
+    looked = []
+
+    class Operands(dict):
+        def get(self, kind, default=None):
+            looked.append(kind)
+            return super().get(kind, default)
+
+    monkeypatch.setattr(exprlang, "_OPERANDS", Operands(exprlang._OPERANDS))
+    for order in (20, 30):
+        evaluate(text, order)
+    assert len(looked) == 6
+    looked.clear()
+    for order in (20, 30):
+        evaluate(Binary("+", QPow(1), Const(1)), order)
+    assert looked == [Binary, Const, QPow]
+
+
+@pytest.mark.parametrize("value", [5, None, ("q",)])
+def test_a_value_that_is_not_a_node_is_refused(value):
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(value, 3)
 
 
 def test_eval_accepts_parsed_node():

@@ -70,7 +70,7 @@ def test_a_record_parses_each_side_once(monkeypatch):
 
 def test_a_record_builds_by_keyword():
     rec = IdentityRecord(id="kw", note="by keyword", lhs_text="q", rhs_text="q^1")
-    assert (rec.id, rec.note, rec.lhs_text, rec.rhs_text) == ("kw", "by keyword", "q", "q^1")
+    assert rec == ("kw", "by keyword", "q", "q^1") and rec.note == "by keyword"
     assert verify(rec, 10).status == "pass"
 
 
