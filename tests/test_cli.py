@@ -635,8 +635,8 @@ LATE = ("dataclasses", "inspect", "json", "sevencores.inequalities")
     ids=["parser", "verify-jsonlike", "scan"],
 )
 def test_start_up_loads_the_claim_table_and_json_late(call, loaded):
-    """Only scan loads the claim table, and with it dataclasses and
-    inspect; only --format jsonlike loads json."""
+    """Only scan loads the claim table, and with it dataclasses; only
+    --format jsonlike loads json."""
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-S", "-c", LOADED_AFTER.format(call=call, modules=LATE)],
