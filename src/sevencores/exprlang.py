@@ -25,6 +25,8 @@ node, ``KAtom(name, k)``, and one table, ``_K_ATOMS``, which gives each
 name its builder in ``theta``; parsing, printing and evaluation all read
 that table.  The slices neg, even, odd and altq are rows of ``_SLICES``.
 ``lattice(t)`` and ``lattice7(j)`` are one node, ``LatticeAtom(t, j)``.
+Each node is its type and one tuple of fields: a node type declares
+only its field names, and ``Node`` is the one constructor.
 
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
@@ -39,8 +41,10 @@ T2 evaluates its argument at twice the order, and caps that at
 2 * MAX_ORDER (T2(T2(q)) at order 10001), and a lattice atom caps its
 order at MAX_LATTICE_ORDER (lattice(7) at 20000).  Within the caps, the
 degree times the order, each T2 doubling both, must stay within
-MAX_COST (E(q)^100 * E(q)^100 at order 2001).  ``check_bounds`` is that
-refusal alone, and the one place an order is refused.
+MAX_COST (E(q)^100 * E(q)^100 at order 2001).  A tree built without
+parsing is held to MAX_DEPTH as well, and refused when it holds an atom
+that no text writes, such as LatticeAtom(5, 1).  ``check_bounds`` is
+that refusal alone, and the one place an order is refused.
 
 Each distinct tree is compiled once, on its first evaluation, into a
 plan (``_compile``): a tree of closures of the order in which every
@@ -60,7 +64,7 @@ from operator import add, itemgetter, methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from . import theta
-from .partitions import lattice_rank_sum, lattice_sum
+from .partitions import _RANK_FLIPS, lattice_rank_sum, lattice_sum
 from .series import MAX_ORDER, TruncSeries, check_order, hecke_T2, prefix_cached
 from .theta import ThetaArgs, divide_by_euler, eta_quotient, theta_f
 
@@ -88,11 +92,27 @@ _set = object.__setattr__
 
 
 class Node:
-    """An expression tree node.  Nodes of one type with equal fields are
-    equal and hash equal, through ``_key``, the fields' tuple built with
-    the node; ``span``, its (start, end) in its text, takes no part."""
+    """An expression tree node: its type and ``_key``, the tuple of its
+    fields, whose names a node type declares once (``class Const(Node,
+    fields=("value",))``), each read as an attribute.  Nodes of one type
+    with equal fields are equal and hash equal; ``span``, the node's
+    (start, end) in its text, takes no part."""
 
-    __slots__ = ("span", "_key", "_walked")
+    __slots__ = ("_key", "span")
+
+    def __init_subclass__(cls, fields):
+        cls._fields = fields
+        for i, name in enumerate(fields):
+            setattr(cls, name, property(lambda node, i=i: node._key[i]))
+
+    def __init__(self, *fields, span=(0, 0)):
+        if len(fields) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields"
+                f" ({', '.join(self._fields)}); {len(fields)} given"
+            )
+        _set(self, "_key", fields)
+        _set(self, "span", span)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -111,95 +131,49 @@ class Node:
         return partial(type(self), span=self.span), self._key
 
     def __repr__(self):
-        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = map("{}={!r}".format, self._fields, self._key)
         return f"{type(self).__name__}({', '.join(fields)})"
 
 
-class Const(Node):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int, *, span=(0, 0)):
-        _set(self, "value", value)
-        _set(self, "_key", (value,))
-        _set(self, "span", span)
+class Const(Node, fields=("value",)):
+    __slots__ = ()
 
 
-class QPow(Node):
-    __slots__ = ("k",)
-
-    def __init__(self, k: int, *, span=(0, 0)):
-        _set(self, "k", k)
-        _set(self, "_key", (k,))
-        _set(self, "span", span)
+class QPow(Node, fields=("k",)):
+    __slots__ = ()
 
 
-class KAtom(Node):
+class KAtom(Node, fields=("name", "k")):
     """The one-argument atom name (a key of _K_ATOMS) at q^k; for chi
     the argument is -q^k, its sign part of the atom."""
 
-    __slots__ = ("name", "k")
-
-    def __init__(self, name: str, k: int, *, span=(0, 0)):
-        _set(self, "name", name)
-        _set(self, "k", k)
-        _set(self, "_key", (name, k))
-        _set(self, "span", span)
+    __slots__ = ()
 
 
-class ThetaAtom(Node):
-    __slots__ = ("sign_a", "r", "sign_b", "s")
-
-    def __init__(self, sign_a: int, r: int, sign_b: int, s: int, *, span=(0, 0)):
-        _set(self, "sign_a", sign_a)
-        _set(self, "r", r)
-        _set(self, "sign_b", sign_b)
-        _set(self, "s", s)
-        _set(self, "_key", (sign_a, r, sign_b, s))
-        _set(self, "span", span)
+class ThetaAtom(Node, fields=("sign_a", "r", "sign_b", "s")):
+    __slots__ = ()
 
 
-class LatticeAtom(Node):
+class LatticeAtom(Node, fields=("t", "j")):
     """The t-core series ``lattice(t)``, or with a rank class j the
     7-core layer ``lattice7(j)`` (t = 7)."""
 
-    __slots__ = ("t", "j")
+    __slots__ = ()
 
     def __init__(self, t: int, j: Optional[int] = None, *, span=(0, 0)):
-        _set(self, "t", t)
-        _set(self, "j", j)
-        _set(self, "_key", (t, j))
-        _set(self, "span", span)
+        super().__init__(t, j, span=span)
 
 
-class Unary(Node):
-    __slots__ = ("op", "child")  # op: "T2" or a key of _SLICES
-
-    def __init__(self, op: str, child: Node, *, span=(0, 0)):
-        _set(self, "op", op)
-        _set(self, "child", child)
-        _set(self, "_key", (op, child))
-        _set(self, "span", span)
+class Unary(Node, fields=("op", "child")):  # op: "T2" or a key of _SLICES
+    __slots__ = ()
 
 
-class Binary(Node):
-    __slots__ = ("op", "left", "right")  # op: "+" | "-" | "*" | "/"
-
-    def __init__(self, op: str, left: Node, right: Node, *, span=(0, 0)):
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_key", (op, left, right))
-        _set(self, "span", span)
+class Binary(Node, fields=("op", "left", "right")):  # op: "+" | "-" | "*" | "/"
+    __slots__ = ()
 
 
-class Power(Node):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Node, exponent: int, *, span=(0, 0)):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "_key", (base, exponent))
-        _set(self, "span", span)
+class Power(Node, fields=("base", "exponent")):
+    __slots__ = ()
 
 
 # -- tokenizer ----------------------------------------------------------
@@ -288,6 +262,12 @@ MAX_COST = MAX_DEGREE * 2000
 MAX_LATTICE_ORDER = {2: 2 * MAX_ORDER, 3: 2 * MAX_ORDER, 5: 12800, 7: 6400}
 
 
+def _not_one_of(what: str, allowed, got) -> str:
+    """The detail refusing got, which is none of allowed."""
+    *most, last = allowed
+    return f"{what} must be {', '.join(map(str, most))}, or {last}, got {got}"
+
+
 def _too_deep(offset: int) -> ExprSyntaxError:
     return ExprSyntaxError(
         offset, f"expression nests deeper than {MAX_DEPTH} levels"
@@ -301,9 +281,7 @@ _OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
 def _check_height(root: Node) -> None:
     """Reject trees taller than MAX_DEPTH, which hashing, printing and
     evaluation would otherwise recurse through; walked without recursion,
-    once per tree: a root that passes is marked ``_walked``."""
-    if getattr(root, "_walked", False):
-        return
+    right operands first (as ``_bounds`` walks a tree it checks)."""
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
@@ -311,8 +289,6 @@ def _check_height(root: Node) -> None:
             raise _too_deep(node.span[0] + 1)
         for c in _OPERANDS.get(type(node), ()):
             stack.append((getattr(node, c), depth + 1))
-    if isinstance(root, Node):  # anything else fails to compile, a TypeError
-        _set(root, "_walked", True)
 
 
 class _Parser:
@@ -457,9 +433,9 @@ class _Parser:
         if name == "lattice":
             self.expect("(")
             it, t = self.integer("a lattice dimension")
-            if t not in (2, 3, 5, 7):
+            if t not in MAX_LATTICE_ORDER:
                 raise ExprSyntaxError(
-                    it.pos + 1, f"lattice dimension must be 2, 3, 5, or 7, got {t}"
+                    it.pos + 1, _not_one_of("lattice dimension", MAX_LATTICE_ORDER, t)
                 )
             end = self.expect(")").pos + 1
             return LatticeAtom(t, span=(start, end))
@@ -471,9 +447,9 @@ class _Parser:
                 sign = -1
             it, j = self.integer("a rank class")
             j *= sign
-            if j not in (-1, 0, 1, 2):
+            if j not in _RANK_FLIPS:
                 raise ExprSyntaxError(
-                    it.pos + 1, f"rank class must be -1, 0, 1, or 2, got {j}"
+                    it.pos + 1, _not_one_of("rank class", sorted(_RANK_FLIPS), j)
                 )
             end = self.expect(")").pos + 1
             return LatticeAtom(7, j, span=(start, end))
@@ -727,14 +703,13 @@ def _root(expr) -> Root:
     once, and its Root is its tree's, the same object; a tree never
     equals a text, so the two kinds of key never collide.
 
-    Refuses a tree taller than MAX_DEPTH, before ``_bounds`` recurses
-    once per level, one whose ^ exponents multiply past MAX_EXPONENT on
-    some root-to-leaf path (``_bounds`` raises that), or one whose degree
-    passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
+    Refuses a tree taller than MAX_DEPTH, one whose ^ exponents multiply
+    past MAX_EXPONENT on some root-to-leaf path, one holding an atom that
+    no text writes (``_bounds`` raises these as it walks), or one whose
+    degree passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
     the least cap and up to MAX_COST // doubled."""
     if isinstance(expr, str):
         return _root(parse(expr))
-    _check_height(expr)
     degree, doubled, cap = _bounds(expr)
     if degree > MAX_DEGREE:
         raise ExprEvalError(
@@ -751,7 +726,11 @@ def _root(expr) -> Root:
 
 
 def _bounds(
-    node: Node, product: int = 1, outer: Optional[Power] = None, scale: int = 1
+    node: Node,
+    product: int = 1,
+    outer: Optional[Power] = None,
+    scale: int = 1,
+    depth: int = 1,
 ) -> tuple:
     """(degree, doubled, cap) of node, in one walk.
 
@@ -768,12 +747,23 @@ def _bounds(
     product is that of the exponents on the path down to node, and outer
     the topmost ^ on it; past MAX_EXPONENT the walk raises, quoting
     outer.  An exponent 0 counts as 1, because its base is still
-    evaluated.  Right operands go first: of two such paths, the
-    rightmost is reported."""
+    evaluated.
+
+    depth is node's level, 1 at the root; past MAX_DEPTH the walk raises
+    as ``_check_height`` does.  It also refuses an atom that no text
+    writes (``_lattice_limit``, or a name not in _K_ATOMS).  Right
+    operands go first, as in ``_check_height``: of two faults, the first
+    met in that order is reported."""
+    if depth > MAX_DEPTH:
+        raise _too_deep(node.span[0] + 1)
+    depth += 1
     if isinstance(node, LatticeAtom):
-        return 1, 1, (MAX_LATTICE_ORDER[node.t] // scale, node, scale)
+        return 1, 1, (_lattice_limit(node) // scale, node, scale)
+    if isinstance(node, KAtom) and node.name not in _K_ATOMS:
+        detail = _not_one_of("one-argument atom name", _K_ATOMS, repr(node.name))
+        raise ExprEvalError(to_text(node), detail)
     if isinstance(node, Unary) and node.op == "T2":
-        degree, doubled, cap = _bounds(node.child, product, outer, 2 * scale)
+        degree, doubled, cap = _bounds(node.child, product, outer, 2 * scale, depth)
         return degree, 2 * doubled, _least(cap, (MAX_ORDER // scale, node, scale))
     if isinstance(node, Power):
         e = max(node.exponent, 1)
@@ -785,17 +775,31 @@ def _bounds(
                 f"its exponents multiply to {product} on one path,"
                 f" above the limit {MAX_EXPONENT}",
             )
-        degree, doubled, cap = _bounds(node.base, product, outer, scale)
+        degree, doubled, cap = _bounds(node.base, product, outer, scale, depth)
         return degree * e, doubled * e, cap
     if isinstance(node, Unary):
-        return _bounds(node.child, product, outer, scale)
+        return _bounds(node.child, product, outer, scale, depth)
     if isinstance(node, Binary):
-        right = _bounds(node.right, product, outer, scale)
-        left = _bounds(node.left, product, outer, scale)
+        right = _bounds(node.right, product, outer, scale, depth)
+        left = _bounds(node.left, product, outer, scale, depth)
         join = add if node.op in ("*", "/") else max
         cap = _least(left[2], right[2])
         return join(left[0], right[0]), join(left[1], right[1]), cap
     return 1, 1, None
+
+
+def _lattice_limit(node: LatticeAtom) -> int:
+    """node's MAX_LATTICE_ORDER, or the refusal of an atom no text writes."""
+    t, j = node.t, node.j
+    if t not in MAX_LATTICE_ORDER:
+        detail = _not_one_of("lattice dimension", MAX_LATTICE_ORDER, t)
+    elif j is not None and t != 7:
+        detail = f"a rank class is a layer of t = 7, got t = {t}"
+    elif j is not None and j not in _RANK_FLIPS:
+        detail = _not_one_of("rank class", sorted(_RANK_FLIPS), j)
+    else:
+        return MAX_LATTICE_ORDER[t]
+    raise ExprEvalError(to_text(node), detail)
 
 
 def _least(*caps) -> Optional[tuple]:

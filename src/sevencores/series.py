@@ -13,7 +13,7 @@ coefficients; the builders in ``theta`` and ``partitions`` check their
 order (``check_order``) and signs on the way in.  The linear passes
 (``add``, ``sub``, ``neg``, ``scale``, ``shift``, ``alternate``,
 ``even_part``, ``odd_part``, ``hecke_T2``) and the
-queries (``compare``, ``is_zero``, ``first_negative``) are slices of
+queries (``compare``, ``is_zero``) are slices of
 the coefficient tuple and ``map`` over ``operator`` functions, with no
 Python-level loop over single coefficients.
 
@@ -57,7 +57,7 @@ from bisect import bisect_left, bisect_right
 from functools import wraps
 from itertools import compress, count, islice, repeat
 from math import gcd, isqrt
-from operator import add, lt, mul, ne, neg, sub
+from operator import add, mul, ne, neg, sub
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple, Optional
 
@@ -383,10 +383,6 @@ class TruncSeries:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def first_negative(self) -> Optional[int]:
-        """Smallest exponent carrying a negative coefficient, or None."""
-        return next(compress(count(), map(lt, self.coeffs, repeat(0))), None)
 
     def truncate(self, order: int) -> "TruncSeries":
         """The same series cut at a lower order (itself at its own)."""

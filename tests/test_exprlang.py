@@ -42,7 +42,7 @@ from sevencores.exprlang import (
     parse,
     to_text,
 )
-from sevencores import exprlang, theta
+from sevencores import exprlang, partitions, theta
 from sevencores.identities import REGISTRY
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
@@ -85,6 +85,22 @@ def test_nodes_compare_by_type_and_fields_without_their_span():
     copies = copy.copy(spaced), copy.deepcopy(spaced), pickle.loads(pickle.dumps(spaced))
     for again in copies:
         assert again == spaced and again.span == spaced.span
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        (Const, (3,)), (QPow, (2,)), (KAtom, ("E", 7)), (ThetaAtom, (1, 1, -1, 2)),
+        (LatticeAtom, (7, 1)), (Unary, ("neg", Const(1))),
+        (Binary, ("+", Const(1), QPow(1))), (Power, (QPow(1), 2)),
+    ],
+)
+def test_a_node_refuses_too_few_or_too_many_fields(kind, fields):
+    assert kind(*fields)._key == fields
+    fewest = 1 if kind is LatticeAtom else len(fields)  # j defaults to None
+    for wrong in (fields[: fewest - 1], fields + (0,)):
+        with pytest.raises(TypeError):
+            kind(*wrong)
 
 
 @pytest.mark.parametrize("field", ["k", "span", "other"])
@@ -386,6 +402,31 @@ def test_a_bare_tree_is_held_to_the_height_limit(height):
         with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
             check(sum_chain(height), 3)
     assert evaluate(sum_chain(MAX_DEPTH), 3).coeffs == (MAX_DEPTH, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "node, order, detail",
+    [
+        (LatticeAtom(5, 1), 10, "a rank class is a layer of t = 7, got t = 5"),
+        (LatticeAtom(2, 1), 40000, "a rank class is a layer of t = 7, got t = 2"),
+        (LatticeAtom(7, 5), 10, "rank class must be -1, 0, 1, or 2, got 5"),
+        (LatticeAtom(11), 10, "lattice dimension must be 2, 3, 5, or 7, got 11"),
+        (KAtom("zeta", 1), 10, "one-argument atom name must be E, phi, psi, chi,"
+                               " sigma, or omega, got 'zeta'"),
+    ],
+    ids=["rank-of-t5", "rank-of-t2-past-its-cap", "rank-5", "t11", "zeta"],
+)
+def test_a_bare_atom_no_text_writes_is_refused(node, order, detail, monkeypatch):
+    """An atom that parse would refuse is refused by the bounds, as a
+    leaf of a larger tree too, before anything is compiled or built."""
+    monkeypatch.setattr(exprlang, "_plan", None)  # compiling would fail
+    before = _kept.cache_info(), partitions._flip_layers.cache_info()
+    for tree in (node, Binary("+", QPow(1), Power(node, 2))):
+        for check in (check_bounds, evaluate):
+            with pytest.raises(ExprEvalError) as exc:
+                check(tree, order)
+            assert str(exc.value) == f"cannot evaluate '{to_text(node)}': {detail}"
+    assert (_kept.cache_info(), partitions._flip_layers.cache_info()) == before
 
 
 def test_a_bare_tree_keeps_its_degrees(monkeypatch):
@@ -850,28 +891,22 @@ def test_equal_subtrees_share_one_cache_entry():
 
 
 def test_each_tree_is_walked_for_its_height_once(monkeypatch, fresh_roots):
-    """parse walks a text's tree, and _root does not walk it again; _root
-    walks a tree a caller builds, once.  A walk looks each node's type up
-    in _OPERANDS, and so does compiling, so the plans are compiled first."""
-    text = "psi(q^3)^2 - 5*q^13"  # six nodes
-    evaluate(text, 20)
-    evaluate(Binary("+", QPow(1), Const(1)), 20)
-    exprlang._root.cache_clear()
-    looked = []
-
-    class Operands(dict):
-        def get(self, kind, default=None):
-            looked.append(kind)
-            return super().get(kind, default)
-
-    monkeypatch.setattr(exprlang, "_OPERANDS", Operands(exprlang._OPERANDS))
+    """parse walks a text's tree for its height, and _root makes no
+    height walk of its own: _bounds checks the height as it walks, so a
+    tree a caller builds is walked once too."""
+    text = "psi(q^3)^2 - 5*q^13"
+    tree, walks = parse(text), []
+    height = exprlang._check_height
+    monkeypatch.setattr(
+        exprlang, "_check_height", lambda node: walks.append(node) or height(node)
+    )
     for order in (20, 30):
         evaluate(text, order)
-    assert len(looked) == 6
-    looked.clear()
+    assert walks == [tree]
+    walks.clear()
     for order in (20, 30):
         evaluate(Binary("+", QPow(1), Const(1)), order)
-    assert looked == [Binary, Const, QPow]
+    assert walks == []
 
 
 @pytest.mark.parametrize("value", [5, None, ("q",)])

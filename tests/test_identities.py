@@ -151,16 +151,6 @@ def test_verify_all_degenerate_order():
     assert all(r.status == "pass" for r in verify_all(0))
 
 
-def test_verify_all_custom_subset():
-    subset = [get_record("eq-5.1"), get_record("eq-1.20")]
-    reports = verify_all(40, records=subset)
-    assert [r.id for r in reports] == ["eq-5.1", "eq-1.20"]
-
-
-def test_verify_all_empty():
-    assert verify_all(40, records=[]) == []
-
-
 def test_a_warm_verify_all_checks_each_side_by_one_comparison(monkeypatch):
     """Each side goes through check_bounds once, which for a checked text
     is one cache lookup and one comparison."""

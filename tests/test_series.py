@@ -175,12 +175,6 @@ def test_pentagonal_head():
     assert euler(12).coeffs == PENT
 
 
-def test_first_negative():
-    assert euler(12).first_negative() == 1
-    assert TruncSeries(5, (0, 0, 1)).first_negative() is None
-    assert TruncSeries(3, (1, 0, -2)).first_negative() == 2
-
-
 def test_compare_reports_first_divergence():
     a = TruncSeries(6, (1, 2, 3, 4))
     b = TruncSeries(9, (1, 2, 7, 4))
@@ -776,7 +770,6 @@ def test_unary_passes_match_their_definitions(a):
         assert getattr(a, name)() == TruncSeries(a.order, slow(a.coeffs)), name
     assert hecke_T2(a) == TruncSeries(a.order // 2, slow_hecke_T2(a.coeffs))
     assert a.is_zero() == all(c == 0 for c in a.coeffs)
-    assert a.first_negative() == slow_first(a.coeffs, lambda k, c: c < 0)
 
 
 @given(wide_series, st.integers(), st.integers(min_value=0, max_value=70),
