@@ -706,11 +706,17 @@ def _root(expr) -> Root:
     Refuses a tree taller than MAX_DEPTH, one whose ^ exponents multiply
     past MAX_EXPONENT on some root-to-leaf path, one holding an atom that
     no text writes (``_bounds`` raises these as it walks), or one whose
-    degree passes MAX_DEGREE.  An order passes the bounds (``_refuse``) up to
+    degree passes MAX_DEGREE.  A tree too tall is refused for its height
+    whatever else is wrong with it, as ``parse`` refuses its text: when
+    ``_bounds`` breaks off at another fault, the height is walked first.  An order passes the bounds (``_refuse``) up to
     the least cap and up to MAX_COST // doubled."""
     if isinstance(expr, str):
         return _root(parse(expr))
-    degree, doubled, cap = _bounds(expr)
+    try:
+        degree, doubled, cap = _bounds(expr)
+    except ExprEvalError:
+        _check_height(expr)
+        raise
     if degree > MAX_DEGREE:
         raise ExprEvalError(
             to_text(expr), f"its degree {degree} is above the limit {MAX_DEGREE}"
@@ -753,7 +759,8 @@ def _bounds(
     as ``_check_height`` does.  It also refuses an atom that no text
     writes (``_lattice_limit``, or a name not in _K_ATOMS).  Right
     operands go first, as in ``_check_height``: of two faults, the first
-    met in that order is reported."""
+    met in that order is reported, except that ``_root`` puts a height
+    past MAX_DEPTH before any other."""
     if depth > MAX_DEPTH:
         raise _too_deep(node.span[0] + 1)
     depth += 1

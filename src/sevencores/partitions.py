@@ -4,12 +4,14 @@ Two independent views of the same counts live here.
 
 * Direct enumeration: walk every partition of n (ZS1, in reverse
   lexicographic order), keep the t-cores, and classify them by the
-  parity-alternating rank.  Exponential in n, so it is capped.  Every
-  partition is visited and tested on its own by the abacus criterion on
-  its beta-numbers, which the tests pin against the hook-length
-  definition, as they pin ZS1 against a plain generator; nothing is
-  shared with the series or lattice code, so the enumeration is the
-  oracle for everything built on them.
+  parity-alternating rank.  Exponential in n, so it is capped.  The
+  walk keeps each partition's beta-numbers as the bits of one int,
+  updated where ZS1 rewrites a part, and every partition is tested on
+  its own by the abacus criterion, one big-int expression on those
+  bits.  The tests pin the bits against a rebuild from scratch, the
+  criterion against the hook-length definition and ZS1 against a plain
+  generator; nothing is shared with the series or lattice code, so the
+  enumeration is the oracle for everything built on them.
 * Lattice counting: t-cores of n correspond to integer vectors
   n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i)
   (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
@@ -35,11 +37,16 @@ from .series import TruncSeries, _check_int, check_order, prefix_cached
 PARTITION_BOUND = 45
 
 
-def enumerate_partitions(n: int) -> Iterator[tuple]:
-    """Yield all partitions of n as descending tuples, in reverse
-    lexicographic order, by ZS1 (Zoghbi and Stojmenovic, "Fast
+def _zs1(n: int) -> Iterator[tuple]:
+    """Walk the partitions of n by ZS1 (Zoghbi and Stojmenovic, "Fast
     algorithms for generating integer partitions", Int. J. Comput.
-    Math. 70, 1998): (n,), (n - 1, 1), (n - 2, 2), ..., (1,) * n.
+    Math. 70, 1998), in reverse lexicographic order: (n,), (n - 1, 1),
+    (n - 2, 2), ..., (1,) * n.
+
+    Yields (x, m, beta) for each: the partition is x[:m + 1], and beta
+    the bit set of its beta-numbers over n slots, b_i = x_i + (n - 1 - i)
+    with x_i = 0 past m.  x is one list, rewritten in place between
+    yields.
     """
     _check_int("n", n)
     if n < 0:
@@ -49,31 +56,46 @@ def enumerate_partitions(n: int) -> Iterator[tuple]:
             f"n = {n} exceeds the enumeration cap {PARTITION_BOUND}"
         )
     if n == 0:
-        yield ()
+        yield [], -1, 0
         return
-    # x[:m + 1] is the partition, x[h] its last part above 1, and every
-    # slot after h a 1 that stays in place: a 2 at h becomes two ones, a
-    # larger part drops by one and is copied over the ones it freed.
+    # x[h] is the last part above 1, and every slot after h a 1 that stays
+    # in place: a 2 at h becomes two ones, a larger part drops by one and
+    # is copied over the ones it freed.  Past h the slots hold ones, then
+    # zeros, whose beta-numbers are every b below n - h but n - 1 - m;
+    # head holds the bits of x[0..h] and changes only where a part does.
     x = [n] + [1] * (n - 1)
     m = h = 0
-    yield (n,)
+    top = n - 1
+    head = 1 << (n + top)
+    yield x, 0, head | ((1 << top) - 1)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
+            head ^= 1 << (top + 2 - h)
             h -= 1
             m += 1
         else:
             r = x[h] - 1
             rem = m - h + 1
             x[h] = r
+            head ^= 3 << (top + r - h)
             while rem > r:
                 h += 1
                 x[h] = r
+                head |= 1 << (top + r - h)
                 rem -= r
             m = h + 1
             if rem > 1:
                 h += 1
                 x[h] = rem
+                head |= 1 << (top + rem - h)
+        yield x, m, head | (((1 << (n - h)) - 1) ^ (1 << (top - m)))
+
+
+def enumerate_partitions(n: int) -> Iterator[tuple]:
+    """Yield all partitions of n as descending tuples, in reverse
+    lexicographic order, by ZS1 (``_zs1``)."""
+    for x, m, _ in _zs1(n):
         yield tuple(x[: m + 1])
 
 
@@ -89,6 +111,13 @@ def bg_rank(partition: tuple) -> int:
     return total
 
 
+def _check_t(t) -> None:
+    """Refuse a t that is not an int (TypeError) or is below 2."""
+    if type(t) is not int or t < 2:
+        _check_int("t", t)
+        raise ValueError(f"t must be at least 2, got {t}")
+
+
 def is_t_core(partition: tuple, t: int) -> bool:
     """True when no cell of the diagram has hook length divisible by t.
 
@@ -98,25 +127,28 @@ def is_t_core(partition: tuple, t: int) -> bool:
     of length h are the pairs of a b >= h in the set with b - h not in
     it.  A hook length divisible by t implies one equal to t, so the
     partition is a t-core exactly when b - t is in the set for every
-    b >= t in it.  Each b - t is sought in the beta list itself: nearly
-    every partition fails at the first b, so a set would cost more.
+    b >= t in it.  With the set as the bits of an int beta, that is
+    ``not (beta >> t) & ~beta``: no bit moved down by t lands outside it.
     """
-    if type(t) is not int or t < 2:
-        _check_int("t", t)
-        raise ValueError(f"t must be at least 2, got {t}")
-    beta = list(map(add, partition, range(len(partition) - 1, -1, -1)))
-    for b in beta:
-        if b >= t and b - t not in beta:
-            return False
-    return True
+    _check_t(t)
+    beta = 0
+    for b in map(add, partition, range(len(partition) - 1, -1, -1)):
+        beta |= 1 << b
+    return not (beta >> t) & ~beta
 
 
 def rank_histogram(n: int, t: int) -> dict:
-    """Rank class -> number of t-cores of n in it, by brute force."""
+    """Rank class -> number of t-cores of n in it, by brute force.
+
+    Every partition ZS1 walks (``_zs1``) gets one t-core test, the bit-set
+    criterion of ``is_t_core`` on the beta-numbers the walk keeps; only a
+    core is copied out of the walk, to take its rank.
+    """
+    _check_t(t)
     out: dict[int, int] = {}
-    for p in enumerate_partitions(n):
-        if is_t_core(p, t):
-            j = bg_rank(p)
+    for x, m, beta in _zs1(n):
+        if not (beta >> t) & ~beta:
+            j = bg_rank(tuple(x[: m + 1]))
             out[j] = out.get(j, 0) + 1
     return out
 

@@ -204,25 +204,27 @@ def test_oracle_detects_divergence(capsys, monkeypatch):
 
 
 def test_the_oracle_tests_every_partition(capsys, monkeypatch):
-    # The enumeration stays brute force: one t-core test per partition.
+    # The enumeration stays brute force: rank_histogram consumes every
+    # state of the ZS1 walk, one t-core test each.
     import sevencores.partitions as partitions
 
-    real, calls = partitions.is_t_core, []
+    real, seen = partitions._zs1, []
 
-    def counted(partition, t):
-        calls.append(partition)
-        return real(partition, t)
+    def counted(n):
+        for x, m, beta in real(n):
+            seen.append(tuple(x[: m + 1]))
+            yield x, m, beta
 
-    monkeypatch.setattr(partitions, "is_t_core", counted)
+    monkeypatch.setattr(partitions, "_zs1", counted)
     for n, p_n in ((10, 42), (20, 627)):
-        calls.clear()
+        seen.clear()
         partitions.rank_histogram(n, 7)
-        assert len(calls) == len(set(calls)) == p_n
-    calls.clear()
+        assert len(seen) == len(set(seen)) == p_n
+    seen.clear()
     code, out = run(capsys, "oracle", "--max", "12")
     assert (code, out) == (0, "12/12 rows identical\n")
     # p(1) + ... + p(12)
-    assert len(calls) == 271
+    assert len(seen) == 271
 
 
 def test_coeffs_pairs(capsys):

@@ -404,6 +404,19 @@ def test_a_bare_tree_is_held_to_the_height_limit(height):
     assert evaluate(sum_chain(MAX_DEPTH), 3).coeffs == (MAX_DEPTH, 0, 0, 0)
 
 
+@pytest.mark.parametrize("height", [150, 600])
+def test_a_bare_tree_too_tall_is_refused_for_its_height_first(height):
+    """Exponents that multiply past MAX_EXPONENT near the root do not hide
+    a height past MAX_DEPTH below them, nor does an atom no text writes:
+    the tree is refused for its height, however tall, as its text is."""
+    chain = sum_chain(height)
+    tall = (Power(Power(chain, 100), 100), Binary("+", chain, KAtom("zeta", 1)))
+    for tree in tall:
+        for check in (check_bounds, evaluate):
+            with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+                check(tree, 3)
+
+
 @pytest.mark.parametrize(
     "node, order, detail",
     [

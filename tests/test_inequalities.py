@@ -169,6 +169,14 @@ def test_positivity_violation_reports_witness():
     assert r.claim == "synthetic-negative"
 
 
+def test_conj_6_1_first_fails_at_15198():
+    # Past the bench depth of 6000: psi(q)^3 and psi(q)psi(q^7)^2 read
+    # 114 and 133 at q^15198, and nothing earlier breaks the row.
+    assert run_claim("conj-6.1", 15197).status == "holds"
+    r = run_claim("conj-6.1", 15200)
+    assert (r.status, r.violation) == ("violated", (15198, -19, 0))
+
+
 def test_violation_stops_sampling_early():
     r = EULER_POSITIVITY(50)
     # only exponent 0 passes before the failure at exponent 1

@@ -8,9 +8,11 @@ Between the two sits ``_layers_oracle``, the coordinate DP with only
 the bound that the sum can still return to zero: fast enough to pin
 every layer of the bounded DP at order 1600.  ``hook_is_t_core`` is
 the hook-length definition itself, cell by cell: the slow oracle for
-the beta-number test in ``is_t_core``.  ``plain_partitions`` pops the
-trailing ones and rebuilds the tail at every step: the slow oracle for
-ZS1 in ``enumerate_partitions``.
+the bit-set t-core test in ``is_t_core`` and ``rank_histogram``, and
+``beta_bits`` builds a partition's beta-number bit set from scratch: the
+slow oracle for the one ``_zs1`` keeps step by step.  ``plain_partitions``
+pops the trailing ones and rebuilds the tail at every step: the slow
+oracle for ZS1 itself.
 """
 
 from collections import Counter
@@ -28,6 +30,7 @@ from sevencores.partitions import (
     _flip_layers,
     _least_costs,
     _slot_bytes,
+    _zs1,
     bg_rank,
     enumerate_partitions,
     is_t_core,
@@ -304,6 +307,19 @@ def test_enumeration_matches_the_plain_generator():
         assert list(enumerate_partitions(n)) == list(plain_partitions(n)), n
 
 
+def beta_bits(partition: tuple, slots: int) -> int:
+    """The bit set of partition's beta-numbers over slots slots, parts
+    past the last taken as zeros."""
+    parts = partition + (0,) * (slots - len(partition))
+    return sum(1 << (p + slots - 1 - i) for i, p in enumerate(parts))
+
+
+def test_the_walk_keeps_each_partitions_beta_numbers():
+    for n in range(31):
+        for x, m, beta in _zs1(n):
+            assert beta == beta_bits(tuple(x[: m + 1]), n), (n, x[: m + 1])
+
+
 def test_enumeration_counts_are_the_partition_numbers():
     want = pentagonal_counts(PARTITION_BOUND)
     assert want[:11] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -356,10 +372,15 @@ def test_two_cores_are_staircases():
 
 
 def test_t_core_test_matches_the_hook_lengths():
+    # is_t_core on the tuple, and the same criterion on the walk's bits
+    # as rank_histogram reads them.
     for n in range(23):
-        for lam in enumerate_partitions(n):
+        for x, m, beta in _zs1(n):
+            lam = tuple(x[: m + 1])
             for t in range(2, 12):
-                assert is_t_core(lam, t) == hook_is_t_core(lam, t), (lam, t)
+                want = hook_is_t_core(lam, t)
+                assert is_t_core(lam, t) == want, (lam, t)
+                assert (not (beta >> t) & ~beta) == want, (lam, t)
 
 
 @settings(max_examples=200, deadline=None)
