@@ -708,8 +708,9 @@ def _root(expr) -> Root:
     no text writes (``_bounds`` raises these as it walks), or one whose
     degree passes MAX_DEGREE.  A tree too tall is refused for its height
     whatever else is wrong with it, as ``parse`` refuses its text: when
-    ``_bounds`` breaks off at another fault, the height is walked first.  An order passes the bounds (``_refuse``) up to
-    the least cap and up to MAX_COST // doubled."""
+    ``_bounds`` breaks off at another fault, the height is walked first.
+    An order passes the bounds (``_refuse``) up to the least cap and up
+    to MAX_COST // doubled."""
     if isinstance(expr, str):
         return _root(parse(expr))
     try:
