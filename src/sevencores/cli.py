@@ -68,29 +68,30 @@ def _cmd_coeffs(args, parser):
     return 0
 
 
+#: verify's word for an identity row's status.
+_VERDICT = {"holds": "pass", "violated": "fail"}
+
+
 def _report_json(r):
     import json  # only --format jsonlike loads it
     fields = {
         "id": r.id,
         "note": r.note,
         "order": r.order,
-        "status": r.status,
+        "status": _VERDICT[r.status],
         "millis": round(r.millis, 3),
     }
-    if r.status != "pass":
-        fields["mismatch_exponent"] = r.mismatch_exponent
-        fields["lhs"] = r.lhs_coeff
-        fields["rhs"] = r.rhs_coeff
+    if r.violation:
+        fields["mismatch_exponent"], fields["lhs"], fields["rhs"] = r.violation
     return json.dumps(fields)
 
 
 def _report_table_row(r):
-    line = f"{r.id:<16} {r.status:<5} order={r.order:<5} {r.millis:9.1f}ms  {r.note}"
-    if r.status != "pass":
-        line += (
-            f"  [first mismatch at q^{r.mismatch_exponent}:"
-            f" {r.lhs_coeff} vs {r.rhs_coeff}]"
-        )
+    verdict = _VERDICT[r.status]
+    line = f"{r.id:<16} {verdict:<5} order={r.order:<5} {r.millis:9.1f}ms  {r.note}"
+    if r.violation:
+        n, lhs, rhs = r.violation
+        line += f"  [first mismatch at q^{n}: {lhs} vs {rhs}]"
     return line
 
 
@@ -110,7 +111,7 @@ def _cmd_verify(args, parser):
     reports = sorted(reports, key=lambda r: r.id)
     for r in reports:
         print(_report_json(r) if args.format == "jsonlike" else _report_table_row(r))
-    passed = sum(1 for r in reports if r.status == "pass")
+    passed = sum(1 for r in reports if r.status == "holds")
     if args.format != "jsonlike":
         print(f"{passed}/{len(reports)} identities pass at order {order}")
     return 0 if passed == len(reports) else 1
@@ -118,8 +119,8 @@ def _cmd_verify(args, parser):
 
 def _scan_row(r):
     line = (
-        f"{r.claim:<20} {r.kind:<10} n={r.n_range[0]}..{r.n_range[1]:<6}"
-        f" {r.status:<8} {r.description}"
+        f"{r.id:<20} {r.kind:<10} n={r.n_range[0]}..{r.n_range[1]:<6}"
+        f" {r.status:<8} {r.note}"
     )
     if r.samples:
         n, lhs, rhs = r.samples[0]
@@ -143,7 +144,7 @@ def _cmd_scan(args, parser):
     else:
         kind = "conjecture" if args.conjectures else "theorem"
         reports = inequalities.run_all(order, kind)
-    reports = sorted(reports, key=lambda r: r.claim)
+    reports = sorted(reports, key=lambda r: r.id)
     for r in reports:
         print(_scan_row(r))
         if r.status == "violated":

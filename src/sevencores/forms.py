@@ -51,5 +51,6 @@ CoreSplit = NamedTuple("CoreSplit", [(name, TruncSeries) for name in SPLIT])
 
 
 def core_split(order: int) -> CoreSplit:
-    """Closed-form expansions used by every scanner at this order."""
+    """The 7-core series, its rank layers and b(n) at this order, as
+    ``table``, ``oracle`` and the benchmark's digests read them."""
     return CoreSplit(**{name: evaluate(text, order) for name, text in SPLIT.items()})

@@ -1,136 +1,24 @@
 """Coefficient inequalities, progressions, and conjecture scans.
 
-Every claim is one row of a table: a linear relation
-
-    sum of coef * S[a*n + b] over the lhs terms   REL   the same over the rhs
-
-for every n >= n0, where REL is >= ("ge") or = ("eq") and each S is an
-expression text, most often a closed form from ``forms``.
-Positivity of a series S is the row 1*S[n] >= 0.  The range of n comes
-from the order: it ends at the largest n whose every index a*n + b is at
-most the order.  Every claim scans its full range; nothing is sampled.
-Each column, the values of one term over the range, is one slice of its
-series, filtered by ``mod7`` and scaled by its coefficient at C speed.
-A row is checked when it is built: it needs at least one term, every
-term needs a >= 1 and a first index a*n0 + b >= 0 (so no slice wraps
-around to the top of a series), the relation must be "ge" or "eq",
-and the ``mod7`` residues must lie in 0..6; otherwise it raises
-``ValueError``.  A text that does not parse or evaluate fails when the
-row is scanned, with ``ExprSyntaxError`` or ``ExprEvalError`` (both
-``ValueError``).
-A ``ScanReport`` records the range, the outcome, the first violation if
-one exists, and the first few instances so that spot values are visible
-in the output.  A claim whose range holds no instance at this order
-reports ``empty``: nothing was checked, so it does not hold either.
+Each claim is one ``identities.LinearClaim`` row, run by the row itself
+into an ``identities.Report``; ``identities`` describes the row, its
+range and its checks.  This module holds the 19 theorem rows and the 10
+conjecture rows, and only ``scan`` loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from itertools import compress, count, cycle, repeat
-from operator import add, lt, mul, ne
 from typing import Callable, Optional
 
-from .exprlang import evaluate
 from .forms import CUBE_PAIR, FFF7, G, G2, RANK_0, RANK_1, RANK_2, RANK_M1, W_OMEGA
 from .forms import core_split  # noqa: F401  (perfbench reads it here)
-
-#: How many leading instances each report keeps for display.
-SAMPLE_COUNT = 3
+from .identities import LinearClaim, Report, lookup
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Result of scanning one claim over its full range."""
-
-    claim: str
-    kind: str
-    description: str
-    n_range: tuple
-    status: str
-    violation: Optional[tuple]
-    samples: tuple
-
-
-@dataclass(frozen=True)
-class LinearClaim:
-    """One table row.  A term (coef, text, a, b) stands for coef*S[a*n + b],
-    where S is the series that the expression text evaluates to.
-
-    ``mod7``, when not empty, keeps only the n whose residue mod 7 is in it.
-    """
-
-    id: str
-    kind: str
-    description: str
-    lhs: tuple
-    rhs: tuple = ()
-    relation: str = "ge"
-    n0: int = 0
-    mod7: tuple = ()
-
-    def __post_init__(self):
-        if not self.lhs + self.rhs:
-            raise ValueError(f"{self.id}: a row needs at least one term")
-        if self.relation not in ("ge", "eq"):
-            raise ValueError(
-                f"{self.id}: relation must be 'ge' or 'eq', got {self.relation!r}"
-            )
-        if not set(self.mod7) <= set(range(7)):
-            raise ValueError(f"{self.id}: mod7 residues must lie in 0..6")
-        for _, text, a, b in self.lhs + self.rhs:
-            if a < 1 or a * self.n0 + b < 0:
-                raise ValueError(
-                    f"{self.id}: term {text}[{a}*n + {b}] needs a >= 1 and "
-                    f"a*n0 + b >= 0 (n0 = {self.n0})"
-                )
-
-    def __call__(self, order: int) -> ScanReport:
-        terms = self.lhs + self.rhs
-        n0 = self.n0
-        hi = min((order - b) // a for _, _, a, b in terms)
-        size = max(hi + 1 - n0, 0)
-        ns = range(n0, hi + 1)
-        if self.mod7:
-            # keep[i] says whether n0 + i is scanned; it repeats every 7 n.
-            keep = [(n0 + i) % 7 in self.mod7 for i in range(7)]
-            ns = list(compress(ns, cycle(keep)))
-        texts = {text for _, text, _, _ in terms}
-        coeffs = {text: evaluate(text, order).coeffs for text in texts}
-
-        def column(c, text, a, b):
-            # S[a*n + b] for n = n0 .. hi, as one slice of S.
-            start = a * n0 + b
-            col = coeffs[text][start : start + a * size : a]
-            if self.mod7:
-                col = compress(col, cycle(keep))
-            return col if c == 1 else map(mul, repeat(c), col)
-
-        def side(terms):
-            if not terms:
-                return [0] * len(ns)
-            # Column-wise sum: map(add, ...) over the columns in turn.
-            return list(reduce(partial(map, add), [column(*t) for t in terms]))
-
-        lhs, rhs = side(self.lhs), side(self.rhs)
-        fails = map(lt if self.relation == "ge" else ne, lhs, rhs)
-        k = next(compress(count(), fails), None)
-        shown = SAMPLE_COUNT if k is None else min(SAMPLE_COUNT, k + 1)
-        return ScanReport(
-            claim=self.id,
-            kind=self.kind,
-            description=self.description,
-            n_range=(n0, hi),
-            status="empty" if not ns else "holds" if k is None else "violated",
-            violation=None if k is None else (ns[k], lhs[k], rhs[k]),
-            samples=tuple(zip(ns[:shown], lhs, rhs)),
-        )
-
-
-def _positive(claim, kind, series, description=None):
-    description = description or f"{series} has nonnegative coefficients"
-    return LinearClaim(claim, kind, description, ((1, series, 1, 0),))
+def _positive(claim, kind, series, note=None):
+    note = note or f"{series} has nonnegative coefficients"
+    return LinearClaim(claim, kind, note, ((1, series, 1, 0),))
 
 
 _TABLE = (
@@ -207,27 +95,18 @@ _TABLE = (
 class ClaimRecord:
     id: str
     kind: str
-    runner: Callable[[int], ScanReport]
+    runner: Callable[[int], Report]
 
 
 #: The runner of each record is its table row, which is callable.
 CLAIMS: tuple = tuple(ClaimRecord(c.id, c.kind, c) for c in _TABLE)
 
 _CLAIMS_BY_ID = {c.id: c for c in CLAIMS}
-assert len(_CLAIMS_BY_ID) == len(CLAIMS), "claim ids must be unique"
 
 
-def run_claim(claim_id: str, order: int) -> ScanReport:
-    try:
-        rec = _CLAIMS_BY_ID[claim_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown claim id {claim_id!r}; "
-            f"known ids: {', '.join(sorted(_CLAIMS_BY_ID))}"
-        ) from None
-    return rec.runner(order)
+def run_claim(claim_id: str, order: int) -> Report:
+    return lookup(_CLAIMS_BY_ID, "claim", claim_id).runner(order)
 
 
 def run_all(order: int, kind: Optional[str] = None) -> list:
     return [c.runner(order) for c in CLAIMS if kind is None or c.kind == kind]
-

@@ -413,7 +413,7 @@ def scan_texts():
     return list(dict.fromkeys(
         text
         for rec in CLAIMS
-        for _, text, _, _ in rec.runner.lhs + rec.runner.rhs
+        for _, text, _, _ in rec.runner.lhs_terms + rec.runner.rhs_terms
     ))
 
 

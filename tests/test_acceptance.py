@@ -38,7 +38,7 @@ def test_criterion_1_full_catalog_fast_and_stable(capsys):
     t0 = time.perf_counter()
     at_200 = verify_all(200)
     elapsed = time.perf_counter() - t0
-    assert all(r.status == "pass" for r in at_200)
+    assert all(r.status == "holds" for r in at_200)
     assert elapsed < 60.0
     assert cli.main(["verify", "--all", "--order", "200"]) == 0
     capsys.readouterr()
@@ -83,9 +83,9 @@ def test_criterion_3_multiplicative_recursions_to_depth():
     assert all(r.status == "holds" for r in reports)
     for r in reports:
         for n, lhs, rhs in r.samples:
-            if r.claim.startswith("prog-"):
+            if r.id.startswith("prog-"):
                 assert lhs == rhs  # progressions are equalities, not bounds
-    first_prog = next(r for r in reports if r.claim == "prog-1.15-r1")
+    first_prog = next(r for r in reports if r.id == "prog-1.15-r1")
     assert first_prog.samples[0] == (0, 5, 5)  # a7(4) = 5*a7(1) = 5
     print(
         "criterion 3: pass (10/10 claims hold to depth 2000, "
@@ -99,7 +99,7 @@ def test_criterion_4_theta_toolkit_checks():
         assert triple_product(args, 200) == theta_f(args, 200)
     assert psi(1, 200) ** 2 == psi(2, 200) * phi(1, 200)
     assert phi(1, 200) == phi(4, 200) + 2 * psi(8, 200).shift(1)
-    assert verify("eq-5.4", 200).status == "pass"
+    assert verify("eq-5.4", 200).status == "holds"
     for j, parity in ((-1, 1), (0, 0), (1, 1), (2, 0)):
         series = lattice_rank_sum(j, 41)
         for n in range(42):
@@ -136,7 +136,7 @@ def test_criterion_6_conjecture_scans_clean():
     reports = run_all(2000, "conjecture")
     assert len(reports) == 10
     bad = [r for r in reports if r.status != "holds"]
-    assert not bad, f"counterexamples found: {[(r.claim, r.violation) for r in bad]}"
+    assert not bad, f"counterexamples found: {[(r.id, r.violation) for r in bad]}"
     print("criterion 6: pass (10/10 conjecture scans clean to depth 2000)")
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import sevencores.cli as cli
 from sevencores import inequalities
-from sevencores.inequalities import ScanReport
+from sevencores.identities import Report
 
 
 def run(capsys, *argv):
@@ -54,9 +54,9 @@ def test_verify_jsonlike_fields(capsys):
 
 
 def test_verify_failure_exit_and_fields(capsys, monkeypatch):
-    from sevencores.identities import IdentityRecord, verify
+    from sevencores.identities import identity, verify
 
-    broken = IdentityRecord(
+    broken = identity(
         id="zz-broken",
         note="synthetic mismatch",
         lhs_text="E(q)",
@@ -121,14 +121,16 @@ def test_empty_scans_do_not_count_as_holding(capsys):
 
 
 def test_scan_conjecture_counterexample_exit_code(capsys, monkeypatch):
-    fake = ScanReport(
-        claim="conj-zz",
+    fake = Report(
+        id="conj-zz",
         kind="conjecture",
-        description="synthetic failing conjecture",
+        note="synthetic failing conjecture",
+        order=40,
         n_range=(0, 40),
         status="violated",
         violation=(17, -4, 0),
         samples=((0, 1, 0),),
+        millis=0.0,
     )
     monkeypatch.setattr(inequalities, "run_all", lambda order, kind=None: [fake])
     code, out = run(capsys, "scan", "--conjectures", "--order", "40")
@@ -139,8 +141,8 @@ def test_scan_conjecture_counterexample_exit_code(capsys, monkeypatch):
 
 def test_scan_theorem_violation_beats_conjecture_exit(capsys, monkeypatch):
     rows = [
-        ScanReport("a-conj", "conjecture", "x", (0, 9), "violated", (3, -1, 0), ()),
-        ScanReport("b-thm", "theorem", "y", (0, 9), "violated", (5, 0, 1), ()),
+        Report("a-conj", "conjecture", "x", 9, (0, 9), "violated", (3, -1, 0), (), 0.0),
+        Report("b-thm", "theorem", "y", 9, (0, 9), "violated", (5, 0, 1), (), 0.0),
     ]
     monkeypatch.setattr(inequalities, "run_claim", lambda claim, order: rows.pop())
     # single-claim path reuses the same exit logic

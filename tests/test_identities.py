@@ -1,4 +1,5 @@
-"""Identity catalog plumbing and the weight-3 Hecke-style slice operator."""
+"""Identity catalog plumbing, the row runner's two paths, and the
+weight-3 Hecke-style slice operator."""
 
 import os
 import subprocess
@@ -15,8 +16,11 @@ from sevencores import exprlang, identities
 from sevencores.exprlang import ExprEvalError, check_bounds
 from sevencores.identities import (
     REGISTRY,
-    IdentityRecord,
+    LinearClaim,
+    _columns,
+    _compare,
     get_record,
+    identity,
     verify,
     verify_all,
 )
@@ -42,7 +46,7 @@ def test_t2_fixes_cube_product():
     # E(q)^3 * E(q^7)^3 is a T2 eigenform with eigenvalue zero off the
     # even part it reproduces; the catalog identity pins the exact form.
     r = verify("eq-3.28", 100)
-    assert r.status == "pass"
+    assert r.status == "holds"
 
 
 coeff_lists = st.lists(st.integers(min_value=-8, max_value=8), max_size=30)
@@ -62,16 +66,19 @@ def test_a_record_parses_each_side_once(monkeypatch):
     monkeypatch.setattr(exprlang, "parse", lambda text: parsed.append(text) or parse(text))
     # Texts no other test evaluates, so the root cache holds neither.
     lhs, rhs = "psi(q)^2 - q^11", "phi(q)*psi(q^2) - q^11"
-    rec = IdentityRecord("twice", "evaluated twice", lhs, rhs)
+    rec = identity("twice", "evaluated twice", lhs, rhs)
     for order in (30, 60):
         assert rec.lhs(order) == rec.rhs(order)
     assert sorted(parsed) == sorted([lhs, rhs])
 
 
 def test_a_record_builds_by_keyword():
-    rec = IdentityRecord(id="kw", note="by keyword", lhs_text="q", rhs_text="q^1")
-    assert rec == ("kw", "by keyword", "q", "q^1") and rec.note == "by keyword"
-    assert verify(rec, 10).status == "pass"
+    rec = identity(id="kw", note="by keyword", lhs_text="q", rhs_text="q^1")
+    assert rec == LinearClaim(
+        "kw", "identity", "by keyword", ((1, "q", 1, 0),), ((1, "q^1", 1, 0),), "eq"
+    )
+    assert (rec.note, rec.lhs_text, rec.rhs_text) == ("by keyword", "q", "q^1")
+    assert verify(rec, 10).status == "holds"
 
 
 def test_registry_well_formed():
@@ -80,6 +87,7 @@ def test_registry_well_formed():
     assert len(set(ids)) == len(ids)
     for rec in REGISTRY:
         assert rec.lhs_text and rec.rhs_text and rec.note
+        assert rec == identity(rec.id, rec.note, rec.lhs_text, rec.rhs_text)
 
 
 def test_theta_args_in_use_support_product_form():
@@ -105,50 +113,90 @@ def test_get_record_unknown_id():
 
 def test_verify_single_pass():
     r = verify("eq-1.34", 100)
-    assert r.status == "pass"
+    assert r.status == "holds"
     assert r.order == 100
-    assert r.mismatch_exponent is None
+    assert r.violation is None
     assert r.millis >= 0
 
 
 def test_verify_accepts_record_object():
     rec = get_record("eq-3.24")
-    assert verify(rec, 200).status == "pass"
+    assert verify(rec, 200).status == "holds"
 
 
 def test_verify_reports_first_mismatch():
-    broken = IdentityRecord(
+    broken = identity(
         id="broken-slot",
         note="constant bumped on one side",
         lhs_text="E(q)",
         rhs_text="E(q) + 1",
     )
     r = verify(broken, 50)
-    assert r.status == "fail"
-    assert r.mismatch_exponent == 0
-    assert (r.lhs_coeff, r.rhs_coeff) == (1, 2)
+    assert r.status == "violated"
+    assert r.violation == (0, 1, 2)
 
 
 def test_verify_mismatch_past_the_head():
-    broken = IdentityRecord(
+    broken = identity(
         id="broken-tail",
         note="cube with a wrong high coefficient",
         lhs_text="E(q)^3",
         rhs_text="E(q)^3 + q^3",
     )
     r = verify(broken, 50)
-    assert (r.status, r.mismatch_exponent) == ("fail", 3)
+    assert (r.status, r.violation[0]) == ("violated", 3)
+
+
+def test_the_compare_path_matches_the_column_path():
+    """Every catalog row, and one mutant per row whose right side gains
+    q^k, gets the same range, status, violation and samples from
+    TruncSeries.compare as from the general column path."""
+    for order in (0, 1, 50, 400):
+        for i, rec in enumerate(REGISTRY):
+            k = i % (order + 1)
+            mutant = identity(rec.id, rec.note, rec.lhs_text, f"({rec.rhs_text}) + q^{k}")
+            for row in (rec, mutant):
+                assert _compare(row, order) == _columns(row, order), (row.id, order)
+                assert tuple(row(order)[4:8]) == _columns(row, order)
+            _, status, (n, lhs, rhs), _ = _compare(mutant, order)
+            assert (status, n, rhs - lhs) == ("violated", k, 1)
+
+
+def test_only_identity_shaped_rows_take_the_compare_path(monkeypatch):
+    taken = []
+    monkeypatch.setattr(
+        identities, "_compare", lambda row, order: taken.append(row.id) or _compare(row, order)
+    )
+    assert all(r.status == "holds" for r in verify_all(20))
+    assert taken == [rec.id for rec in REGISTRY]
+    one = (1, "psi(q)^2", 1, 0)
+    other = (1, "psi(q^2)*phi(q)", 1, 0)
+    shapes = {
+        "identity": LinearClaim("identity", "x", "x", (one,), (other,), "eq"),
+        "ge": LinearClaim("ge", "x", "x", (one,), (other,)),
+        "coef": LinearClaim("coef", "x", "x", (one,), ((2, other[1], 1, 0),), "eq"),
+        "step": LinearClaim("step", "x", "x", (one,), ((1, other[1], 2, 0),), "eq"),
+        "shift": LinearClaim("shift", "x", "x", (one,), ((1, other[1], 1, 1),), "eq"),
+        "n0": LinearClaim("n0", "x", "x", (one,), (other,), "eq", 1),
+        "mod7": LinearClaim("mod7", "x", "x", (one,), (other,), "eq", 0, (1,)),
+        "terms": LinearClaim("terms", "x", "x", (one, one), (other, other), "eq"),
+        "one-sided": LinearClaim("one-sided", "x", "x", (one,), (), "eq"),
+    }
+    taken.clear()
+    for row in shapes.values():
+        row(20)
+    assert taken == ["identity"]
 
 
 def test_verify_all_order_and_status():
     reports = verify_all(60)
     assert [r.id for r in reports] == [rec.id for rec in REGISTRY]
-    assert all(r.status == "pass" for r in reports)
+    assert all(r.status == "holds" for r in reports)
 
 
 def test_verify_all_degenerate_order():
     # order 0 only compares constant terms, but nothing should crash
-    assert all(r.status == "pass" for r in verify_all(0))
+    assert all(r.status == "holds" for r in verify_all(0))
 
 
 def test_a_warm_verify_all_checks_each_side_by_one_comparison(monkeypatch):
@@ -159,7 +207,7 @@ def test_a_warm_verify_all_checks_each_side_by_one_comparison(monkeypatch):
     monkeypatch.setattr(
         identities, "check_bounds", lambda *args: calls.append(args) or check_bounds(*args)
     )
-    assert all(r.status == "pass" for r in verify_all(60))
+    assert all(r.status == "holds" for r in verify_all(60))
     sides = [text for rec in REGISTRY for text in (rec.lhs_text, rec.rhs_text)]
     assert calls == [(text, 60) for text in sides]
     # One past a side's largest order, check_bounds refuses it before any
@@ -185,7 +233,7 @@ from sevencores import series
 from sevencores.identities import verify_all
 divide, calls = series._divide, []
 series._divide = lambda *args: calls.append(1) or divide(*args)
-assert all(r.status == "pass" for r in verify_all(400))
+assert all(r.status == "holds" for r in verify_all(400))
 print(len(calls))
 """
 
@@ -210,12 +258,12 @@ def test_a_cold_catalog_pass_divides_19_times():
 COUNT_WARM_WALKS = """
 from sevencores import exprlang
 from sevencores.identities import verify_all
-assert all(r.status == "pass" for r in verify_all(400))
+assert all(r.status == "holds" for r in verify_all(400))
 fold, folds, hashes = exprlang._fold, [], []
 exprlang._fold = lambda *args: folds.append(1) or fold(*args)
 for cls in exprlang.Node.__subclasses__():
     cls.__hash__ = lambda self, real=cls.__hash__: hashes.append(1) or real(self)
-assert all(r.status == "pass" for r in verify_all(400))
+assert all(r.status == "holds" for r in verify_all(400))
 print(len(folds), len(hashes))
 """
 

@@ -3,7 +3,8 @@
 ``oracle_scan`` is the per-n scan the table rows used to run: one
 comprehension per column and one loop step per instance.  The rows now
 take each column as a slice of the series, and a differential test
-checks them against it.
+checks them against it.  A report's ``millis`` is wall time, so the
+comparisons leave it out (``outcome``).
 """
 
 import os
@@ -19,28 +20,32 @@ from hypothesis import strategies as st
 
 from catalog_oracle import catalog_texts, scan_texts
 
-from sevencores import cli, exprlang, forms, inequalities
+from sevencores import cli, exprlang, forms, identities
 from sevencores.exprlang import ExprSyntaxError
 from sevencores.forms import CUBE_PAIR, G
-from sevencores.identities import get_record
-from sevencores.inequalities import (
-    CLAIMS,
+from sevencores.identities import (
+    REGISTRY,
     SAMPLE_COUNT,
     LinearClaim,
-    ScanReport,
-    core_split,
-    run_all,
-    run_claim,
+    Report,
+    get_record,
 )
+from sevencores.inequalities import CLAIMS, core_split, run_all, run_claim
 from sevencores.series import TruncSeries
 
 
-def oracle_scan(claim: LinearClaim, order: int) -> ScanReport:
-    """The report of ``claim`` at this order, one n at a time."""
-    terms = claim.lhs + claim.rhs
+def outcome(report: Report) -> Report:
+    """The report without its wall time."""
+    return report._replace(millis=None)
+
+
+def oracle_scan(claim: LinearClaim, order: int) -> Report:
+    """The report of ``claim`` at this order, one n at a time, without
+    its wall time."""
+    terms = claim.lhs_terms + claim.rhs_terms
     hi = min((order - b) // a for _, _, a, b in terms)
     texts = {text for _, text, _, _ in terms}
-    coeffs = {text: inequalities.evaluate(text, order).coeffs for text in texts}
+    coeffs = {text: identities.evaluate(text, order).coeffs for text in texts}
     ns = [
         n for n in range(claim.n0, hi + 1)
         if not claim.mod7 or n % 7 in claim.mod7
@@ -55,21 +60,23 @@ def oracle_scan(claim: LinearClaim, order: int) -> ScanReport:
 
     samples = []
     violation = None
-    for n, lhs, rhs in zip(ns, side(claim.lhs), side(claim.rhs)):
+    for n, lhs, rhs in zip(ns, side(claim.lhs_terms), side(claim.rhs_terms)):
         if len(samples) < SAMPLE_COUNT:
             samples.append((n, lhs, rhs))
         ok = lhs >= rhs if claim.relation == "ge" else lhs == rhs
         if not ok:
             violation = (n, lhs, rhs)
             break
-    return ScanReport(
-        claim=claim.id,
+    return Report(
+        id=claim.id,
         kind=claim.kind,
-        description=claim.description,
+        note=claim.note,
+        order=order,
         n_range=(claim.n0, hi),
         status="violated" if violation else "holds" if samples else "empty",
         violation=violation,
         samples=tuple(samples),
+        millis=None,
     )
 
 
@@ -92,6 +99,14 @@ def test_registry_partition():
     assert len(CLAIMS) == 29
     assert sum(c.kind == "theorem" for c in CLAIMS) == 19
     assert sum(c.kind == "conjecture" for c in CLAIMS) == 10
+
+
+def test_identity_and_claim_ids_are_one_id_space():
+    identity_ids = [rec.id for rec in REGISTRY]
+    claim_ids = [c.id for c in CLAIMS]
+    assert len(set(identity_ids)) == len(identity_ids) == 46
+    assert len(set(claim_ids)) == len(claim_ids) == 29
+    assert not set(identity_ids) & set(claim_ids)
 
 
 def test_run_claim_unknown():
@@ -150,7 +165,7 @@ def test_theorem_bundle():
 
 def test_referee_progressions_need_depth():
     reports = [run_claim(f"prog-ext-r{r}", 1000) for r in (10, 17, 45)]
-    assert {r.claim for r in reports} == {"prog-ext-r10", "prog-ext-r17", "prog-ext-r45"}
+    assert {r.id for r in reports} == {"prog-ext-r10", "prog-ext-r17", "prog-ext-r45"}
     assert all(r.status == "holds" for r in reports)
 
 
@@ -166,7 +181,7 @@ def test_positivity_violation_reports_witness():
     r = EULER_POSITIVITY(50)
     assert r.status == "violated"
     assert r.violation == (1, -1, 0)
-    assert r.claim == "synthetic-negative"
+    assert r.id == "synthetic-negative"
 
 
 def test_conj_6_1_first_fails_at_15198():
@@ -214,7 +229,7 @@ print(parsed.count(G))
 def test_one_text_is_parsed_once_per_process():
     ineq_1_11 = CLAIMS[0].runner
     assert ineq_1_11.id == "ineq-1.11"
-    assert {text for _, text, _, _ in ineq_1_11.lhs + ineq_1_11.rhs} == {G}
+    assert {text for _, text, _, _ in ineq_1_11.lhs_terms + ineq_1_11.rhs_terms} == {G}
     assert get_record("eq-1.3-t7").rhs_text == G
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
@@ -340,7 +355,7 @@ def test_golden_reports():
 def test_table_rows_match_the_oracle():
     for order in (6000, *range(120)):
         for record in CLAIMS:
-            assert record.runner(order) == oracle_scan(record.runner, order), (
+            assert outcome(record.runner(order)) == oracle_scan(record.runner, order), (
                 record.id, order,
             )
 
@@ -396,10 +411,10 @@ def scan_cases(draw):
 def test_random_rows_match_the_oracle(case):
     fields, series, order = case
     with mock.patch.object(
-        inequalities, "evaluate", lambda text, n: series[text].truncate(n)
+        identities, "evaluate", lambda text, n: series[text].truncate(n)
     ):
         claim = LinearClaim("random", "conjecture", "a random row", *fields)
-        assert claim(order) == oracle_scan(claim, order)
+        assert outcome(claim(order)) == oracle_scan(claim, order)
 
 
 def row(*terms, **fields):
@@ -431,7 +446,7 @@ def test_valid_edge_rows_are_accepted():
     assert row((3, G, 1, -1), n0=1)(10).samples[0] == (1, 3, 0)
     b_row = row((1, CUBE_PAIR, 1, 0), relation="eq", mod7=tuple(range(7)))
     assert b_row(0).status == "violated"
-    assert row(rhs=((1, G, 1, 0),))(5).violation == (0, 0, 1)
+    assert row(rhs_terms=((1, G, 1, 0),))(5).violation == (0, 0, 1)
 
 
 def test_a_bad_text_fails_when_scanned():
