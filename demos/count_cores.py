@@ -14,12 +14,12 @@ from sevencores.partitions import (
     is_t_core,
     lattice_rank_sum,
     lattice_sum,
-    rank_histogram,
+    rank_histograms,
 )
 
 TOP = 20
 
-census = [rank_histogram(n, 7) for n in range(TOP + 1)]
+census = rank_histograms(TOP, 7)
 quotient = evaluate("E(q^7)^7/E(q)", TOP)
 lattice = lattice_sum(7, TOP)
 

@@ -19,7 +19,7 @@ from functools import cache, partial
 from .exprlang import ExprEvalError, ExprSyntaxError, check_bounds
 from .forms import core_split
 from .identities import get_record, verify, verify_all
-from .partitions import PARTITION_BOUND, rank_histogram
+from .partitions import PARTITION_BOUND, rank_histograms
 from .series import MAX_ORDER
 
 ENV_ORDER = "SEVENCORES_ORDER"
@@ -188,8 +188,9 @@ def _cmd_oracle(args, parser):
     cs = core_split(args.max)
     ranks = (-1, 0, 1, 2)
     series_by_rank = (cs.a7_m1, cs.a7_0, cs.a7_1, cs.a7_2)
+    rows = rank_histograms(args.max, 7)
     for n in range(1, args.max + 1):
-        counted = rank_histogram(n, 7)
+        counted = rows[n]
         brute = [sum(counted.values())] + [counted.get(j, 0) for j in ranks]
         table = [cs.a7[n]] + [s[n] for s in series_by_rank]
         if brute != table:

@@ -87,15 +87,21 @@ class LinearClaim(
         fields = (id, kind, note, lhs_terms, rhs_terms, relation, n0, mod7)
         return super().__new__(cls, *fields)
 
-    # An identity row's two sides, each the text of its one term.
+    # An identity row's two sides, each the text of its one term.  Any
+    # other row has no two sides to name.
+
+    def _side(self, terms) -> str:
+        if self.kind != "identity":
+            raise ValueError(f"{self.id} is a {self.kind} row, not an identity")
+        return terms[0][1]
 
     @property
     def lhs_text(self) -> str:
-        return self.lhs_terms[0][1]
+        return self._side(self.lhs_terms)
 
     @property
     def rhs_text(self) -> str:
-        return self.rhs_terms[0][1]
+        return self._side(self.rhs_terms)
 
     def lhs(self, order: int) -> TruncSeries:
         return evaluate(self.lhs_text, order)

@@ -2,16 +2,17 @@
 
 Two independent views of the same counts live here.
 
-* Direct enumeration: walk every partition of n (ZS1, in reverse
-  lexicographic order), keep the t-cores, and classify them by the
-  parity-alternating rank.  Exponential in n, so it is capped.  The
-  walk keeps each partition's beta-numbers as the bits of one int,
-  updated where ZS1 rewrites a part, and every partition is tested on
-  its own by the abacus criterion, one big-int expression on those
-  bits.  The tests pin the bits against a rebuild from scratch, the
-  criterion against the hook-length definition and ZS1 against a plain
-  generator; nothing is shared with the series or lattice code, so the
-  enumeration is the oracle for everything built on them.
+* Direct enumeration: walk every partition of every n up to a top,
+  keep the t-cores, and classify them by the parity-alternating rank.
+  Exponential in n, so it is capped.  The walk splits each partition
+  into a head of parts >= 3 and a tail of 2s and 1s, keeps each side's
+  beta-numbers as the bits of one int, and tests every partition on
+  its own by the abacus criterion, one big-int expression on their
+  union.  The tests pin the bits against a rebuild from scratch, the
+  criterion against the hook-length definition and the walk against a
+  plain generator; nothing is shared with the series or lattice code,
+  so the enumeration is the oracle for everything built on them.
+  ``enumerate_partitions`` yields the partitions of one n by ZS1.
 * Lattice counting: t-cores of n correspond to integer vectors
   n0..n(t-1) summing to zero with n = (t*|v|^2)/2 + sum(i*v_i)
   (Garvan-Kim-Stanton).  The vectors are counted by a dynamic program
@@ -37,17 +38,9 @@ from .series import TruncSeries, _check_int, check_order, prefix_cached
 PARTITION_BOUND = 45
 
 
-def _zs1(n: int) -> Iterator[tuple]:
-    """Walk the partitions of n by ZS1 (Zoghbi and Stojmenovic, "Fast
-    algorithms for generating integer partitions", Int. J. Comput.
-    Math. 70, 1998), in reverse lexicographic order: (n,), (n - 1, 1),
-    (n - 2, 2), ..., (1,) * n.
-
-    Yields (x, m, beta) for each: the partition is x[:m + 1], and beta
-    the bit set of its beta-numbers over n slots, b_i = x_i + (n - 1 - i)
-    with x_i = 0 past m.  x is one list, rewritten in place between
-    yields.
-    """
+def _check_n(n) -> None:
+    """Refuse an n that is not an int (TypeError), is negative or passes
+    the enumeration cap (ValueError)."""
     _check_int("n", n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -55,47 +48,42 @@ def _zs1(n: int) -> Iterator[tuple]:
         raise ValueError(
             f"n = {n} exceeds the enumeration cap {PARTITION_BOUND}"
         )
+
+
+def enumerate_partitions(n: int) -> Iterator[tuple]:
+    """Yield all partitions of n as descending tuples, in reverse
+    lexicographic order: (n,), (n - 1, 1), (n - 2, 2), ..., (1,) * n.
+
+    The walk is ZS1 (Zoghbi and Stojmenovic, "Fast algorithms for
+    generating integer partitions", Int. J. Comput. Math. 70, 1998).
+    """
+    _check_n(n)
     if n == 0:
-        yield [], -1, 0
+        yield ()
         return
     # x[h] is the last part above 1, and every slot after h a 1 that stays
     # in place: a 2 at h becomes two ones, a larger part drops by one and
-    # is copied over the ones it freed.  Past h the slots hold ones, then
-    # zeros, whose beta-numbers are every b below n - h but n - 1 - m;
-    # head holds the bits of x[0..h] and changes only where a part does.
+    # is copied over the ones it freed.  The partition is x[:m + 1].
     x = [n] + [1] * (n - 1)
     m = h = 0
-    top = n - 1
-    head = 1 << (n + top)
-    yield x, 0, head | ((1 << top) - 1)
+    yield (n,)
     while x[0] != 1:
         if x[h] == 2:
             x[h] = 1
-            head ^= 1 << (top + 2 - h)
             h -= 1
             m += 1
         else:
             r = x[h] - 1
             rem = m - h + 1
             x[h] = r
-            head ^= 3 << (top + r - h)
             while rem > r:
                 h += 1
                 x[h] = r
-                head |= 1 << (top + r - h)
                 rem -= r
             m = h + 1
             if rem > 1:
                 h += 1
                 x[h] = rem
-                head |= 1 << (top + rem - h)
-        yield x, m, head | (((1 << (n - h)) - 1) ^ (1 << (top - m)))
-
-
-def enumerate_partitions(n: int) -> Iterator[tuple]:
-    """Yield all partitions of n as descending tuples, in reverse
-    lexicographic order, by ZS1 (``_zs1``)."""
-    for x, m, _ in _zs1(n):
         yield tuple(x[: m + 1])
 
 
@@ -137,20 +125,63 @@ def is_t_core(partition: tuple, t: int) -> bool:
     return not (beta >> t) & ~beta
 
 
-def rank_histogram(n: int, t: int) -> dict:
-    """Rank class -> number of t-cores of n in it, by brute force.
+def _tails(top: int) -> tuple:
+    """(entries, ends) for the tails 2^a 1^b of size 2a + b <= top.
 
-    Every partition ZS1 walks (``_zs1``) gets one t-core test, the bit-set
-    criterion of ``is_t_core`` on the beta-numbers the walk keeps; only a
-    core is copied out of the walk, to take its rank.
+    entries[k] is (size, width, bits, tail): the tail's size, its number
+    of parts a + b, the bit set of its beta-numbers over that many slots
+    and the tail itself as a tuple, by size ascending; ends[r] is the
+    number of entries of size at most r.  A tail's ones sit at
+    beta-numbers 1..b and its twos at b + 2..a + b + 1.
+    """
+    entries, ends = [], []
+    for size in range(top + 1):
+        for a in range(size // 2, -1, -1):
+            b = size - 2 * a
+            width = a + b
+            bits = ((1 << (width + 2)) - 1) ^ (1 << (b + 1)) ^ 1
+            entries.append((size, width, bits, (2,) * a + (1,) * b))
+        ends.append(len(entries))
+    return entries, ends
+
+
+def rank_histograms(top: int, t: int) -> list:
+    """Row n, for every n <= top: rank class -> number of t-cores of n in
+    it, by brute force.
+
+    Each partition is a head of parts >= 3 and a tail 2^a 1^b, and the
+    walk meets each once: a recursion builds the heads, and every head
+    takes every tail that fits under top (``_tails``).  Over as many
+    slots as it has parts, a head's beta-numbers are the bits of one int
+    beta; appending a part p shifts them all up by one and adds p, and a
+    tail of width w shifts them up by w, under the tail's own bits.  So
+    each partition's full bit set is ``(beta << width) | bits``, tested
+    by the criterion of ``is_t_core``; only a core is made a tuple, to
+    take its rank.
     """
     _check_t(t)
-    out: dict[int, int] = {}
-    for x, m, beta in _zs1(n):
-        if not (beta >> t) & ~beta:
-            j = bg_rank(tuple(x[: m + 1]))
-            out[j] = out.get(j, 0) + 1
-    return out
+    _check_n(top)
+    rows: list = [{} for _ in range(top + 1)]
+    tails, ends = _tails(top)
+
+    def grow(size, beta, head, last):
+        for r, width, bits, tail in tails[: ends[top - size]]:
+            x = (beta << width) | bits
+            if not (x >> t) & ~x:
+                j = bg_rank(head + tail)
+                row = rows[size + r]
+                row[j] = row.get(j, 0) + 1
+        for p in range(min(last, top - size), 2, -1):
+            grow(size + p, (beta << 1) | 1 << p, head + (p,), p)
+
+    grow(0, 0, (), top)
+    return rows
+
+
+def rank_histogram(n: int, t: int) -> dict:
+    """Rank class -> number of t-cores of n in it, by brute force: row n
+    of ``rank_histograms(n, t)``."""
+    return rank_histograms(n, t)[n]
 
 
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}

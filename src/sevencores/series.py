@@ -456,19 +456,23 @@ class TruncSeries:
         return _in_stride(_divide, a, b, n)
 
     def pow(self, exponent: int) -> "TruncSeries":
-        """Nonnegative integer power by binary exponentiation."""
+        """Nonnegative integer power by binary exponentiation, starting
+        from the lowest power of two it takes rather than from 1."""
         _check_int("exponent", exponent)
         if exponent < 0:
             raise ValueError(f"exponent must be nonnegative, got {exponent}")
-        result = TruncSeries.one(self.order)
+        if not exponent:
+            return TruncSeries.one(self.order)
+        result = None
         base = self
         e = exponent
-        while e:
+        while True:
             if e & 1:
-                result = result.mul(base)
-            base = base.mul(base) if e > 1 else base
+                result = base if result is None else result.mul(base)
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base.mul(base)
 
     # -- q-substitutions and dissections --------------------------------
 

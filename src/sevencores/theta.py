@@ -137,11 +137,15 @@ def _eta_quotient(pairs: tuple, order: int) -> TruncSeries:
     """Positive exponents are multiplied in first, largest step first, so
     the partial product stays a series in q^g for a large g (which
     ``mul`` works on at order // g) for longest; then ``divide_by_euler``
-    divides by the rest."""
-    out = TruncSeries.one(order)
+    divides by the rest.  The product starts from its first factor, and
+    from 1 only when no exponent is positive."""
+    out = None
     for step, exp in reversed(pairs):
         if exp > 0:
-            out = out.mul(euler_E(step, order).pow(exp))
+            power = euler_E(step, order).pow(exp)
+            out = power if out is None else out.mul(power)
+    if out is None:
+        out = TruncSeries.one(order)
     return divide_by_euler(out, pairs)
 
 

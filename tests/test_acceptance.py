@@ -28,7 +28,7 @@ from sevencores.exprlang import (
 )
 from sevencores.identities import REGISTRY, verify, verify_all
 from sevencores.inequalities import core_split, run_all, run_claim
-from sevencores.partitions import lattice_rank_sum, lattice_sum, rank_histogram
+from sevencores.partitions import lattice_rank_sum, lattice_sum, rank_histograms
 from sevencores.theta import phi, psi, theta_f
 
 RANKS = (-1, 0, 1, 2)
@@ -54,7 +54,7 @@ def test_criterion_1_full_catalog_fast_and_stable(capsys):
 
 def test_criterion_2_brute_force_oracle_agreement():
     top = 40
-    census = [rank_histogram(n, 7) for n in range(top + 1)]
+    census = rank_histograms(top, 7)
     quotient = evaluate("E(q^7)^7/E(q)", top)
     lattice_total = lattice_sum(7, top)
     by_rank = {j: lattice_rank_sum(j, top) for j in RANKS}
@@ -106,8 +106,8 @@ def test_criterion_4_theta_toolkit_checks():
             if n % 2 != parity:
                 assert series[n] == 0
     seen = set()
-    for n in range(41):
-        seen |= set(rank_histogram(n, 7))
+    for row in rank_histograms(40, 7):
+        seen |= set(row)
     assert seen == set(RANKS)
     print(
         f"criterion 4: pass (product form agrees for {len(theta_args)} "

@@ -189,44 +189,48 @@ def test_oracle_bound(capsys):
 
 
 def test_oracle_detects_divergence(capsys, monkeypatch):
-    import sevencores.partitions as partitions
+    real = cli.rank_histograms
 
-    real = partitions.rank_histogram
+    def skewed(top, t):
+        rows = real(top, t)
+        rows[9][0] = rows[9].get(0, 0) + 1
+        return rows
 
-    def skewed(n, t):
-        out = dict(real(n, t))
-        if n == 9:
-            out[0] = out.get(0, 0) + 1
-        return out
-
-    monkeypatch.setattr(cli, "rank_histogram", skewed)
+    monkeypatch.setattr(cli, "rank_histograms", skewed)
     code, out = run(capsys, "oracle", "--max", "12")
     assert code == 1
     assert "row n=9 differs" in out
 
 
 def test_the_oracle_tests_every_partition(capsys, monkeypatch):
-    # The enumeration stays brute force: rank_histogram consumes every
-    # state of the ZS1 walk, one t-core test each.
+    # The enumeration stays brute force: one walk tests every partition
+    # of every n <= --max, each once.  A t that records what is shifted
+    # right by it sees every state's bit set, since the t-core test
+    # shifts each by t once and an int subclass on the right answers
+    # first.
     import sevencores.partitions as partitions
 
-    real, seen = partitions._zs1, []
+    class ShiftSpy(int):
+        def __rrshift__(self, x):
+            seen.append(x)
+            return x >> int(self)
 
-    def counted(n):
-        for x, m, beta in real(n):
-            seen.append(tuple(x[: m + 1]))
-            yield x, m, beta
+    real, seen, calls = cli.rank_histograms, [], []
 
-    monkeypatch.setattr(partitions, "_zs1", counted)
-    for n, p_n in ((10, 42), (20, 627)):
-        seen.clear()
-        partitions.rank_histogram(n, 7)
-        assert len(seen) == len(set(seen)) == p_n
-    seen.clear()
+    def spied(top, t):
+        calls.append((top, t))
+        return real(top, ShiftSpy(t))
+
+    monkeypatch.setattr(partitions, "_check_t", lambda t: None)
+    monkeypatch.setattr(cli, "rank_histograms", spied)
     code, out = run(capsys, "oracle", "--max", "12")
     assert (code, out) == (0, "12/12 rows identical\n")
-    # p(1) + ... + p(12)
-    assert len(seen) == 271
+    assert calls == [(12, 7)]
+    # p(0) + p(1) + ... + p(12), every bit set distinct
+    assert len(seen) == len(set(seen)) == 272
+    seen.clear()
+    real(20, ShiftSpy(7))
+    assert len(seen) == len(set(seen)) == 2714
 
 
 def test_coeffs_pairs(capsys):

@@ -81,6 +81,21 @@ def test_a_record_builds_by_keyword():
     assert verify(rec, 10).status == "holds"
 
 
+def test_only_an_identity_row_has_two_sides():
+    from sevencores.inequalities import _CLAIMS_BY_ID
+
+    claim = _CLAIMS_BY_ID["ineq-1.12"].runner
+    empty_lhs = LinearClaim("x", "theorem", "n", (), ((1, "q", 1, 0),))
+    for row in (claim, empty_lhs):
+        for read in (
+            lambda r: r.lhs_text, lambda r: r.rhs_text,
+            lambda r: r.lhs(5), lambda r: r.rhs(5),
+        ):
+            with pytest.raises(ValueError, match=f"{row.id} is a {row.kind} row"):
+                read(row)
+    assert claim(50).status == "holds"
+
+
 def test_registry_well_formed():
     assert len(REGISTRY) == 46
     ids = [rec.id for rec in REGISTRY]

@@ -8,11 +8,12 @@ Between the two sits ``_layers_oracle``, the coordinate DP with only
 the bound that the sum can still return to zero: fast enough to pin
 every layer of the bounded DP at order 1600.  ``hook_is_t_core`` is
 the hook-length definition itself, cell by cell: the slow oracle for
-the bit-set t-core test in ``is_t_core`` and ``rank_histogram``, and
+the bit-set t-core test in ``is_t_core`` and ``rank_histograms``, and
 ``beta_bits`` builds a partition's beta-number bit set from scratch: the
-slow oracle for the one ``_zs1`` keeps step by step.  ``plain_partitions``
-pops the trailing ones and rebuilds the tail at every step: the slow
-oracle for ZS1 itself.
+slow oracle for the one ``rank_histograms`` builds from a head and a
+tail.  ``plain_partitions`` pops the trailing ones and rebuilds the tail
+at every step: the slow oracle for ZS1 and for the head-and-tail walk.
+``ShiftSpy`` is a t that records every bit set the walk tests.
 """
 
 from collections import Counter
@@ -24,19 +25,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sevencores.partitions as partitions_module
 from sevencores.partitions import (
     PARTITION_BOUND,
     _coordinate_ranges,
     _flip_layers,
     _least_costs,
     _slot_bytes,
-    _zs1,
+    _tails,
     bg_rank,
     enumerate_partitions,
     is_t_core,
     lattice_rank_sum,
     lattice_sum,
     rank_histogram,
+    rank_histograms,
 )
 from sevencores.series import TruncSeries
 from sevencores.theta import eta_quotient
@@ -314,10 +317,97 @@ def beta_bits(partition: tuple, slots: int) -> int:
     return sum(1 << (p + slots - 1 - i) for i, p in enumerate(parts))
 
 
-def test_the_walk_keeps_each_partitions_beta_numbers():
-    for n in range(31):
-        for x, m, beta in _zs1(n):
-            assert beta == beta_bits(tuple(x[: m + 1]), n), (n, x[: m + 1])
+def from_beta_bits(x: int) -> tuple:
+    """The partition whose beta-numbers over as many slots as it has
+    parts are the bits of x: the i-th lowest bit b is part k - i, b - i."""
+    low = [b for b in range(x.bit_length()) if x >> b & 1]
+    return tuple(b - i for i, b in enumerate(low))[::-1]
+
+
+class ShiftSpy(int):
+    """A t that records each int shifted right by it.
+
+    An int subclass on the right of ``>>`` answers before the int on its
+    left, and the walk's t-core test shifts every partition's bit set by
+    t exactly once, so ``seen`` ends up holding every state tested.
+    """
+
+    def __rrshift__(self, x):
+        self.seen.append(x)
+        return x >> int(self)
+
+
+def spied_states(monkeypatch, top: int, t: int = 7) -> list:
+    """Every bit set ``rank_histograms(top, t)`` tests, in order."""
+    spy = ShiftSpy(t)
+    spy.seen = []
+    monkeypatch.setattr(partitions_module, "_check_t", lambda t: None)
+    rank_histograms(top, spy)
+    return spy.seen
+
+
+def test_the_walk_keeps_each_partitions_beta_numbers(monkeypatch):
+    # Every bit set the walk tests is one partition's beta-numbers over
+    # its number of parts, and each partition of each n <= 30 is tested
+    # exactly once.
+    tested = [from_beta_bits(x) for x in spied_states(monkeypatch, 30)]
+    assert all(lam[-1:] != (0,) for lam in tested)
+    want = [lam for n in range(31) for lam in plain_partitions(n)]
+    assert sorted(tested) == sorted(want)
+    assert len(tested) == 28629
+
+
+def test_the_walk_tests_every_partition_up_to_the_cap():
+    # A t above every hook length makes every partition a t-core, so
+    # each row counts every state the walk tests for its n.
+    want = pentagonal_counts(PARTITION_BOUND)
+    rows = rank_histograms(PARTITION_BOUND, 2 * PARTITION_BOUND)
+    assert [sum(row.values()) for row in rows] == want
+    assert sum(want) == 540_635
+
+
+def test_every_tail_is_tabled_with_its_beta_numbers():
+    entries, ends = _tails(PARTITION_BOUND)
+    want = [
+        (size, a + b, (2,) * a + (1,) * b)
+        for size in range(PARTITION_BOUND + 1)
+        for a in range(size // 2, -1, -1)
+        for b in (size - 2 * a,)
+    ]
+    assert [(size, width, tail) for size, width, _, tail in entries] == want
+    for size, width, bits, tail in entries:
+        assert bits == beta_bits(tail, width), tail
+    assert ends == [
+        sum(1 for entry in entries if entry[0] <= r)
+        for r in range(PARTITION_BOUND + 1)
+    ]
+    assert _tails(0) == ([(0, 0, 0, ())], [1])
+
+
+@st.composite
+def heads(draw) -> tuple:
+    """A descending tuple of parts >= 3 with sum at most the cap."""
+    left = draw(st.integers(min_value=0, max_value=PARTITION_BOUND))
+    parts = []
+    while left >= 3:
+        parts.append(draw(st.integers(min_value=3, max_value=left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads())
+def test_the_shift_law_holds_for_drawn_heads(head):
+    # Appending a part p maps a head's bits to (beta << 1) | 1 << p, and a
+    # tabled tail of width w puts them w slots up, over the tail's bits.
+    beta = 0
+    for p in head:
+        beta = (beta << 1) | 1 << p
+    assert beta == beta_bits(head, len(head))
+    entries, ends = _tails(PARTITION_BOUND)
+    for _, width, bits, tail in entries[: ends[PARTITION_BOUND - sum(head)]]:
+        whole = head + tail
+        assert (beta << width) | bits == beta_bits(whole, len(whole)), whole
 
 
 def test_enumeration_counts_are_the_partition_numbers():
@@ -329,12 +419,26 @@ def test_enumeration_counts_are_the_partition_numbers():
 
 
 def test_rank_histogram_matches_the_slow_oracles():
-    for n in range(19):
-        for t in range(2, 10):
+    for t in range(2, 10):
+        rows = rank_histograms(18, t)
+        assert len(rows) == 19
+        for n in range(19):
             want = Counter(
                 bg_rank(lam) for lam in plain_partitions(n) if hook_is_t_core(lam, t)
             )
-            assert rank_histogram(n, t) == want, (n, t)
+            assert rows[n] == rank_histogram(n, t) == want, (n, t)
+
+
+def test_rank_histograms_refuse_a_top_out_of_range():
+    for top in (-1, PARTITION_BOUND + 1):
+        with pytest.raises(ValueError):
+            rank_histograms(top, 7)
+        with pytest.raises(ValueError):
+            rank_histogram(top, 7)
+    for top in (2.5, 2.0, True):
+        with pytest.raises(TypeError, match="n must be an int"):
+            rank_histograms(top, 7)
+    assert rank_histograms(0, 7) == [{0: 1}]
 
 
 def test_parts_descend():
@@ -372,11 +476,11 @@ def test_two_cores_are_staircases():
 
 
 def test_t_core_test_matches_the_hook_lengths():
-    # is_t_core on the tuple, and the same criterion on the walk's bits
-    # as rank_histogram reads them.
+    # is_t_core on the tuple, and the same criterion on the bit set the
+    # walk tests for it.
     for n in range(23):
-        for x, m, beta in _zs1(n):
-            lam = tuple(x[: m + 1])
+        for lam in enumerate_partitions(n):
+            beta = beta_bits(lam, len(lam))
             for t in range(2, 12):
                 want = hook_is_t_core(lam, t)
                 assert is_t_core(lam, t) == want, (lam, t)

@@ -263,6 +263,12 @@ def test_pow_is_repeated_mul(a, e):
     assert a ** e == by_mul
 
 
+@given(series_st())
+def test_pow_zero_is_one_and_pow_one_is_the_series(a):
+    assert a.pow(0) == TruncSeries.one(a.order)
+    assert a.pow(1) == a
+
+
 @st.composite
 def unit_series(draw):
     order = draw(st.integers(min_value=0, max_value=12))
