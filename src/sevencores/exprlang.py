@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 from . import theta
 from .partitions import _RANK_FLIPS, lattice_rank_sum, lattice_sum
 from .series import MAX_ORDER, TruncSeries, check_order, hecke_T2, prefix_cached
-from .theta import ThetaArgs, divide_by_euler, eta_quotient, theta_f
+from .theta import ThetaArgs, divide_by_euler, eta_quotient, eta_split, theta_f
 
 
 class ExprSyntaxError(ValueError):
@@ -818,10 +818,13 @@ def _least(*caps) -> Optional[tuple]:
 def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
     """The build of a product, quotient or power that does not fold.  When
     exactly one operand folds and is not the dividend, the node divides
-    last: the other operand times the fold's positive part, divided by
-    each Euler factor below (``divide_by_euler``).  The fold's quotient
-    alone can have far wider coefficients than the whole product.  A fold
-    with a positive part over a single E(q^k) is the exception: its cached
+    last: the other operand times the fold's numerator, divided by each
+    Euler factor left below it (``divide_by_euler``).  The numerator is
+    the fold less the divisors that ``eta_split`` leaves, so a psi or a
+    phi(-q^k) absorbs a division into one sparse multiply, and its cached
+    ``eta_quotient`` divides nothing.  The fold's quotient alone can have
+    far wider coefficients than the whole product.  A fold with a
+    positive part over a single E(q^k) is the exception: its cached
     ``eta_quotient`` is one multiply, shared by every node it is in."""
     if isinstance(node, Power):
         base, e = left.run, node.exponent
@@ -832,15 +835,17 @@ def _build_product(node: Node, left: Plan, right: Optional[Plan] = None):
     elif left.fold is None and right.fold is not None:
         other, fold = left.run, _join(node.op, EtaFold({}, 0, 1), right.fold)
     if fold is not None:
-        positive = {k: v for k, v in fold.factors.items() if v > 0}
-        below = [(k, v) for k, v in fold.factors.items() if v < 0]
-        if positive and [v for _, v in below] == [-1]:
-            positive, below = fold.factors, []
+        factors = fold.factors
+        _, _, below = eta_split(factors)
+        if len(factors) > 1 and [v for v in factors.values() if v < 0] == [-1]:
+            below = {}
+        numerator = {k: v + below.get(k, 0) for k, v in factors.items()}
+        numerator = {k: v for k, v in numerator.items() if v}
 
         def divide_last(order):
             out = other(order)
-            if positive:
-                out = out.mul(eta_quotient(positive, order))
+            if numerator:
+                out = out.mul(eta_quotient(numerator, order))
             return _shift_scale(divide_by_euler(out, below), fold)
 
         return divide_last

@@ -159,13 +159,28 @@ def rank_histograms(top: int, t: int) -> list:
     by the criterion of ``is_t_core``; only a core is made a tuple, to
     take its rank.
     """
+    return _walk(top, t, 0)
+
+
+def rank_histogram(n: int, t: int) -> dict:
+    """Rank class -> number of t-cores of n in it, by brute force: row n
+    of ``rank_histograms(n, t)``, from the walk of the partitions of n
+    alone, where each head takes only the tails of size n minus its own."""
+    return _walk(n, t, n)[n]
+
+
+def _walk(top: int, t: int, low: int) -> list:
+    """Rows 0..top of ``rank_histograms``, walked for the rows low..top
+    only: a head of size s takes the tails of sizes low - s to top - s,
+    and the rows below low stay empty."""
     _check_t(t)
     _check_n(top)
     rows: list = [{} for _ in range(top + 1)]
     tails, ends = _tails(top)
 
     def grow(size, beta, head, last):
-        for r, width, bits, tail in tails[: ends[top - size]]:
+        first = ends[low - size - 1] if low > size else 0
+        for r, width, bits, tail in tails[first : ends[top - size]]:
             x = (beta << width) | bits
             if not (x >> t) & ~x:
                 j = bg_rank(head + tail)
@@ -176,12 +191,6 @@ def rank_histograms(top: int, t: int) -> list:
 
     grow(0, 0, (), top)
     return rows
-
-
-def rank_histogram(n: int, t: int) -> dict:
-    """Rank class -> number of t-cores of n in it, by brute force: row n
-    of ``rank_histograms(n, t)``."""
-    return rank_histograms(n, t)[n]
 
 
 _RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}

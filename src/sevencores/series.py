@@ -44,7 +44,9 @@ strides (``stride``).  When g > 1 both operands are series in q^g, and
 so is the result: it is computed as a series in q at order n // g from
 every g-th coefficient, then spread back by ``dilate``, the
 substitution q -> q^g.  The rewrite is exact and skips the zero slots
-between the terms.
+between the terms.  A product with one operand in q^s, s > 1, and the
+other not, after that, is s products at order about n / s, one per
+residue class mod s of the other operand's exponents (``_in_stride``).
 ``prefix_cached`` is the one memoization rule of the package, for every
 builder whose prefix does not depend on the order.
 """
@@ -267,16 +269,35 @@ def dilate(coeffs, g: int, order: int) -> "TruncSeries":
 
 
 def _in_stride(kernel, a: tuple, b: tuple, n: int) -> "TruncSeries":
-    """kernel(a, b, n) for coefficient tuples a, b of length n + 1.  When
-    both are series in q^g with g > 1, the kernel runs on every g-th
-    coefficient at order n // g and the result is spread back.  When a
-    has stride 1 the gcd is 1, and b's stride is not looked for."""
-    g = stride(a)
-    if g != 1:
-        g = gcd(g, stride(b))
-    if g < 2:
-        return TruncSeries._trusted(n, tuple(kernel(a, b, n)))
-    return dilate(kernel(a[::g], b[::g], n // g), g, n)
+    """kernel(a, b, n), for kernel ``_product`` or ``_divide`` and
+    coefficient tuples a, b of length n + 1.
+
+    When both are series in q^g with g > 1, the work runs on every g-th
+    coefficient at order n // g and the result is spread back.  After
+    that, a product with one operand in q^s for some s > 1 and the other
+    not is split by residue class: the coefficients r, r + s, r + 2s, ...
+    of a*b are the product of the other operand's coefficients r, r + s,
+    ... and every s-th one of the first, each read as a series in q, at
+    order (n - r) // s.  So s products at order about n / s stand for
+    one at order n.  A quotient is never split so.
+    """
+    sa, sb = stride(a), stride(b)
+    g = gcd(sa, sb)
+    m = n
+    if g > 1:
+        a, b, m, sa, sb = a[::g], b[::g], n // g, sa // g, sb // g
+    if kernel is _product and max(sa, sb) > 1:
+        if sa > sb:
+            a, b, sa, sb = b, a, sb, sa
+        out, each = [0] * (m + 1), b[::sb]
+        for r in range(min(sb, m + 1)):
+            k = (m - r) // sb
+            out[r::sb] = _product(a[r::sb], each[: k + 1], k)
+    else:
+        out = kernel(a, b, m)
+    if g > 1:
+        return dilate(out, g, n)
+    return TruncSeries._trusted(n, tuple(out))
 
 
 def _check_int(what: str, value) -> None:
@@ -432,7 +453,9 @@ class TruncSeries:
         (n + 1)^0.585, or packs both and multiplies them once.  A shift
         costs about n digit steps and CPython's Karatsuba multiply
         about n^1.585.  Operands in q^g with g > 1 are multiplied at
-        order n // g (``_in_stride``).
+        order n // g, and an operand in q^s with s > 1 beside one that
+        is not splits the product by residue class mod s, into s
+        products at order about n / s (``_in_stride``).
         """
         n = min(self.order, other.order)
         a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]

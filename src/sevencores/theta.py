@@ -18,11 +18,19 @@ Entry 22):
 Each atom keeps the highest order built so far and serves lower orders
 by truncation (``prefix_cached``): every series here is prefix-stable.
 chi_neg is the ``eta_quotient`` {m: 1, 2m: -1} and shares its cache.
+
+``eta_quotient`` builds a product of Euler powers E(q^k)^e.  Three of
+the atoms are such products with few terms: psi(q^k) = E(q^2k)^2/E(q^k)
+and phi(-q^k) = E(q^k)^2/E(q^2k) (Entry 22 again), and Jacobi's cube
+E(q^k)^3 = sum_j (-1)^j (2j+1) q^(k*j(j+1)/2) (``jacobi_cube``).
+``SPARSE_FACTORS`` gives each its eta form, and ``eta_split`` takes them
+out of a quotient, so a division or a power becomes one sparse multiply.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .series import TruncSeries, _check_int, check_order, dilate, prefix_cached
@@ -132,33 +140,72 @@ def eta_quotient(factors, order: int) -> TruncSeries:
     return out if g == 1 else dilate(out.coeffs, g, order)
 
 
+#: The eta form of each sparse factor at q^k, as {multiple of k: exp}
+#: with an entry at 1, and its builder, in the order ``eta_split`` takes
+#: them: the two that absorb a division first, then the cube.  The
+#: builders look their atom up at each call.
+SPARSE_FACTORS = (
+    # psi(q^k) = E(q^2k)^2 / E(q^k)
+    ({1: -1, 2: 2}, lambda k, order: psi(k, order)),
+    # phi(-q^k) = f(-q^k, -q^k) = E(q^k)^2 / E(q^2k)
+    ({1: 2, 2: -1}, lambda k, order: theta_f(ThetaArgs(-1, k, -1, k), order)),
+    # E(q^k)^3, Jacobi's sum in q^k
+    ({1: 3}, lambda k, order: dilate(jacobi_cube(order // k).coeffs, k, order)),
+)
+
+
+def eta_split(factors) -> tuple:
+    """(atoms, powers, divisors) of the eta quotient over a {step: exp}
+    mapping or its (step, exp) pairs, whose product it is.
+
+    atoms lists (build, k), one per sparse factor build(k, order) taken
+    from ``SPARSE_FACTORS``, greedily: each row as often as the exponents
+    left allow, at every k, before the next row.  So the divisions that a
+    psi or a phi(-q^k) absorbs go first, and the cubes come after.
+    powers is {step: exp > 0}, the Euler powers left over, and divisors
+    {step: count}, the E(q^step) left to divide by, each count times.
+    """
+    exps = dict(factors)
+    atoms = []
+    for form, build in SPARSE_FACTORS:
+        for k in sorted(exps):
+            times = min(exps.get(k * m, 0) // e for m, e in form.items())
+            if times > 0:
+                atoms += [(build, k)] * times
+                for m, e in form.items():
+                    exps[k * m] -= times * e
+    powers = {step: exp for step, exp in exps.items() if exp > 0}
+    divisors = {step: -exp for step, exp in exps.items() if exp < 0}
+    return atoms, powers, divisors
+
+
 @prefix_cached
 def _eta_quotient(pairs: tuple, order: int) -> TruncSeries:
-    """Positive exponents are multiplied in first, largest step first, so
-    the partial product stays a series in q^g for a large g (which
-    ``mul`` works on at order // g) for longest; then ``divide_by_euler``
-    divides by the rest.  The product starts from its first factor, and
-    from 1 only when no exponent is positive."""
+    """The product of ``eta_split``'s sparse atoms and Euler powers,
+    largest step first, so the partial product stays a series in q^g for
+    a large g (which ``mul`` works on at order // g) for longest; then
+    ``divide_by_euler`` divides by the divisors left.  So E(q^2)^2/E(q)
+    is psi(q) and divides nothing, and E(q^7)^7/E(q) is two cubes in q^7
+    times E(q^7), divided once.  The product starts from its first
+    factor, and from 1 when there is none."""
+    atoms, powers, divisors = eta_split(pairs)
+    factors = [(k, build(k, order)) for build, k in atoms]
+    factors += [(k, euler_E(k, order).pow(exp)) for k, exp in powers.items()]
     out = None
-    for step, exp in reversed(pairs):
-        if exp > 0:
-            power = euler_E(step, order).pow(exp)
-            out = power if out is None else out.mul(power)
-    if out is None:
-        out = TruncSeries.one(order)
-    return divide_by_euler(out, pairs)
+    for _, factor in sorted(factors, key=itemgetter(0), reverse=True):
+        out = factor if out is None else out.mul(factor)
+    return divide_by_euler(TruncSeries.one(order) if out is None else out, divisors)
 
 
-def divide_by_euler(out: TruncSeries, pairs) -> TruncSeries:
-    """out divided by euler_E(step) once per unit of each negative exp
-    among the (step, exp) pairs.  Division costs the divisor's nonzero
-    terms times the order, and a single E(q^step) has about sqrt(order)
-    of them, far fewer than a power or a product of several.  The
-    largest step goes first, so the partial quotient stays a series in
-    q^g for a large g (which ``div`` works on at order // g) for
-    longest."""
-    for step, exp in sorted(pairs, reverse=True):
-        for _ in range(-exp):
+def divide_by_euler(out: TruncSeries, divisors) -> TruncSeries:
+    """out divided by euler_E(step), count times, over the {step: count}
+    divisors.  Division costs the divisor's nonzero terms times the
+    order, and a single E(q^step) has about sqrt(order) of them, far
+    fewer than a power or a product of several.  The largest step goes
+    first, so the partial quotient stays a series in q^g for a large g
+    (which ``div`` works on at order // g) for longest."""
+    for step in sorted(divisors, reverse=True):
+        for _ in range(divisors[step]):
             out = out.div(euler_E(step, out.order))
     return out
 

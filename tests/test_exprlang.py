@@ -46,7 +46,17 @@ from sevencores import exprlang, partitions, theta
 from sevencores.identities import REGISTRY
 from sevencores.partitions import lattice_rank_sum, lattice_sum
 from sevencores.series import MAX_ORDER, TruncSeries, hecke_T2
-from sevencores.theta import ThetaArgs, chi_neg, eta_quotient, euler_E, omega_at, psi, sigma_at
+from sevencores.theta import (
+    ThetaArgs,
+    chi_neg,
+    divide_by_euler,
+    eta_quotient,
+    eta_split,
+    euler_E,
+    omega_at,
+    psi,
+    sigma_at,
+)
 
 
 def test_parse_quotient_power():
@@ -854,21 +864,31 @@ def test_mixed_non_unit_divisor_raises_as_before(text, divisor, constant):
 
 
 def test_a_divisor_that_folds_is_divided_factor_by_factor(monkeypatch):
-    """W * omega(q^3) never builds W, and psi(q^3)/(E(q^4)*E(q^28))
+    """W * omega(q^3) never builds W: phi(-q^14) = E(q^14)^2/E(q^28)
+    absorbs one divisor into its numerator, which divides nothing, and
+    the product divides by the one Euler factor left, E(q^4), last.
+    psi(q^3)/(E(q^4)*E(q^28)) has no numerator to absorb into, and
     divides by each Euler factor, not by their dense product.  (Nodes no
     other test evaluates, so the node cache holds neither.)"""
-    built = []
+    built, divided = [], []
 
     def logged(factors, order):
         built.append(dict(factors))
         return eta_quotient(factors, order)
 
+    def divide(series, divisors):
+        divided.append(dict(divisors))
+        return divide_by_euler(series, divisors)
+
     monkeypatch.setattr(exprlang, "eta_quotient", logged)
+    monkeypatch.setattr(exprlang, "divide_by_euler", divide)
     got = evaluate("(E(q^14)^4/(E(q^4)*E(q^28)))*omega(q^3)", 60)
     assert got == eta_quotient({14: 4, 4: -1, 28: -1}, 60).mul(omega_at(3, 60))
     got = evaluate("psi(q^3)/(E(q^4)*E(q^28))", 60)
     assert got == psi(3, 60).div(euler_E(4, 60)).div(euler_E(28, 60))
-    assert built == [{14: 4}]
+    assert built == [{14: 4, 28: -1}]
+    assert divided == [{4: 1}, {4: 1, 28: 1}]
+    assert eta_split({14: 4, 28: -1})[2] == {}
 
 
 def test_failed_evaluation_caches_nothing():

@@ -253,19 +253,23 @@ print(len(calls))
 """
 
 
-def test_a_cold_catalog_pass_divides_19_times():
+def test_a_cold_catalog_pass_divides_15_times():
     """Q = E(q^28)E(q^14)^3E(q^4)/E(q^2) multiplies a non-folding operand
     in eq-1.17, eq-5.1, eq-5.3 and eq-5.5; each such node multiplies by
     the one cached quotient instead of dividing by E(q^2) itself, which
-    took 23 divisions.  W, with two Euler factors below, still divides
-    last in each of its nodes."""
+    took 23 divisions.  Of the 19 left, the sparse theta factors absorb
+    four: E(q^2)^2/E(q) is psi(q) whole; psi(q^2) takes one E(q^2) of the
+    rank -1 quotient; phi(-q^7) the E(q^14) of the chi quotient; and
+    phi(-q^14) the E(q^28) of W in W*omega(q^2), which divides by E(q^4)
+    last.  Where W's text is spliced into a longer product, its two
+    divisors fold on their own, with no numerator, and both divide last."""
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-c", COUNT_DIVISIONS],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout
-    assert out == "19\n"
+    assert out == "15\n"
 
 
 # Counts, in a fresh interpreter, the fold steps and the node hashes of a

@@ -240,6 +240,36 @@ def test_one_text_is_parsed_once_per_process():
     assert out == "1\n"
 
 
+# Counts the series divisions of a cold scan --theorems and a cold scan
+# --conjectures at depth 6000, in a fresh interpreter.
+COUNT_SCAN_DIVISIONS = """
+import contextlib, io
+from sevencores import cli, series
+divide, calls = series._divide, []
+series._divide = lambda *args: calls.append(1) or divide(*args)
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [cli.main(["scan", kind, "--order", "6000"])
+             for kind in ("--theorems", "--conjectures")]
+print(len(calls), exits)
+"""
+
+
+def test_a_cold_scan_at_depth_6000_divides_3_times():
+    """G = E(q^7)^7/E(q) divides by E(q) once; G2 and the rank 2 layer
+    are G dilated.  The rank -1 quotient divides by one E(q^2), where
+    psi(q^2) absorbs the other, and W*omega(q^2) by E(q^4) last, where
+    phi(-q^14) absorbs E(q^28).  That took 5 divisions before the sparse
+    theta factors."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_SCAN_DIVISIONS],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120, check=True,
+    ).stdout
+    # One conjecture fails at this depth (exit 3).
+    assert out == "3 [0, 3]\n"
+
+
 def test_run_all_kinds():
     reports = run_all(200, "conjecture")
     assert len(reports) == 10

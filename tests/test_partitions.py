@@ -357,6 +357,26 @@ def test_the_walk_keeps_each_partitions_beta_numbers(monkeypatch):
     assert len(tested) == 28629
 
 
+def test_one_row_walks_the_partitions_of_its_n_alone(monkeypatch):
+    # rank_histogram(n, t) is row n of the walk of every row, and its own
+    # walk tests the p(n) partitions of n, each once, and nothing smaller.
+    for t in range(2, 10):
+        rows = rank_histograms(30, t)
+        for n in range(31):
+            assert rank_histogram(n, t) == rows[n], (n, t)
+    counts = pentagonal_counts(PARTITION_BOUND)
+    monkeypatch.setattr(partitions_module, "_check_t", lambda t: None)
+    for n in (0, 1, 2, 3, 12, 20, 40):
+        spy = ShiftSpy(7)
+        spy.seen = []
+        rank_histogram(n, spy)
+        assert len(spy.seen) == counts[n], n
+        if n <= 20:
+            tested = sorted(from_beta_bits(x) for x in spy.seen)
+            assert tested == sorted(plain_partitions(n)), n
+    assert counts[40] == 37_338
+
+
 def test_the_walk_tests_every_partition_up_to_the_cap():
     # A t above every hook length makes every partition a t-core, so
     # each row counts every state the walk tests for its n.

@@ -482,7 +482,12 @@ def strided_series(draw, g, unit=False):
     return TruncSeries(order, cs)
 
 
-STRIDE_PAIRS = [(g, g) for g in range(2, 8)] + [(4, 6), (6, 4), (2, 3), (3, 9), (7, 5)]
+#: Pairs of strides: equal ones, ones with a gcd above 1, and one-sided
+#: ones, whose products split by residue class (a stride of 1 is a
+#: general series; (4, 14) reduces to (2, 7)).
+STRIDE_PAIRS = [(g, g) for g in range(2, 8)] + [
+    (4, 6), (6, 4), (2, 3), (3, 9), (7, 5), (1, 4), (7, 1), (4, 14), (1, 2),
+]
 
 
 @st.composite
@@ -497,6 +502,28 @@ def test_strided_mul_matches_schoolbook(xy):
     x, y = xy
     assert x * y == schoolbook_mul(x, y)
     assert y * x == schoolbook_mul(x, y)
+
+
+def test_a_one_sided_product_runs_once_per_residue_class(monkeypatch):
+    """A general series times one in q^7 is 7 products, the r-th at order
+    (n - r) // 7; times one in q^14, after the gcd 2 of q^2 and q^14, it
+    is 7 at half of that.  A quotient is never split."""
+    x = TruncSeries(40, [(-1) ** k * (k % 5 + 1) for k in range(41)])
+    y, z = euler_E(7, 40), euler_E(14, 40)
+    x2 = TruncSeries(40, [c if k % 2 == 0 else 0 for k, c in enumerate(x.coeffs)])
+    product, orders = series._product, []
+    monkeypatch.setattr(
+        series, "_product", lambda a, b, n: orders.append(n) or product(a, b, n)
+    )
+    assert x * y == schoolbook_mul(x, y)
+    assert orders == [(40 - r) // 7 for r in range(7)]
+    orders.clear()
+    assert z * x2 == schoolbook_mul(z, x2)
+    assert orders == [(20 - r) // 7 for r in range(7)]
+    divided = []
+    monkeypatch.setattr(series, "_divide", lambda a, b, n: divided.append(n) or [0] * (n + 1))
+    x.div(y)
+    assert divided == [40]
 
 
 @settings(max_examples=300, deadline=None)

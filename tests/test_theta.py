@@ -1,7 +1,9 @@
 """Theta building blocks: sums against their oracles, eta forms, frozen heads.
 
 The Jacobi triple product, a second construction of f(a, b) from finite
-q-products, lives here as an oracle of ``theta_f`` and ``chi_neg``.
+q-products, lives here as an oracle of ``theta_f`` and ``chi_neg``, and
+``plain_eta_quotient``, Euler powers multiplied and then divided by one
+E(q^k) at a time, as the oracle of ``eta_quotient``'s sparse factors.
 """
 
 import pytest
@@ -12,11 +14,14 @@ from catalog_oracle import catalog_texts, children, eta, scan_texts
 
 from sevencores.exprlang import _is_product, _plan, parse
 from sevencores.series import TruncSeries, dilate
+import sevencores.theta as theta_module
 from sevencores.theta import (
+    SPARSE_FACTORS,
     ThetaArgs,
     _eta_quotient,
     chi_neg,
     eta_quotient,
+    eta_split,
     euler_E,
     jacobi_cube,
     omega_at,
@@ -326,6 +331,94 @@ def test_dilated_eta_quotient_reads_the_undilated_entry():
     dilated = eta_quotient({14: 7, 2: -1}, 3000)
     assert _eta_quotient.cache_info().misses == misses
     assert dilated == eta({14: 7, 2: -1}, 3000)
+
+
+def plain_eta_quotient(factors, order):
+    """Product of E(q^step)^exp over {step: exp}, by the route without
+    sparse factors: the positive powers multiplied, then one division by
+    E(q^step) per unit of each negative exponent."""
+    out = TruncSeries.one(order)
+    for step, exp in sorted(factors.items()):
+        if exp > 0:
+            out = out.mul(euler_E(step, order).pow(exp))
+    for step, exp in sorted(factors.items()):
+        for _ in range(-exp):
+            out = out.div(euler_E(step, order))
+    return out
+
+
+eta_maps = st.dictionaries(
+    st.sampled_from((1, 2, 3, 4, 7, 8, 14, 28)),
+    st.integers(min_value=-4, max_value=7),
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta_maps, st.integers(min_value=0, max_value=400))
+def test_eta_quotient_matches_the_plain_route(factors, order):
+    # __wrapped__ builds without the cache, so every draw takes the
+    # sparse factors afresh.
+    pairs = tuple(sorted((k, v) for k, v in factors.items() if v))
+    assert _eta_quotient.__wrapped__(pairs, order) == plain_eta_quotient(factors, order)
+    assert eta_quotient(factors, order) == plain_eta_quotient(factors, order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eta_maps)
+def test_the_split_spends_every_exponent_once(factors):
+    # The atoms' eta forms, the powers and the divisors add up to the
+    # map, and no division left could still be absorbed.
+    atoms, powers, divisors = eta_split(factors)
+    total = dict(powers)
+    for step, count in divisors.items():
+        total[step] = total.get(step, 0) - count
+    rows = {build: form for form, build in SPARSE_FACTORS}
+    for build, k in atoms:
+        for m, e in rows[build].items():
+            total[k * m] = total.get(k * m, 0) + e
+    assert {k: v for k, v in total.items() if v} == {k: v for k, v in factors.items() if v}
+    assert all(v > 0 for v in powers.values())
+    assert all(v > 0 for v in divisors.values())
+    for step in divisors:
+        assert powers.get(2 * step, 0) < 2
+        assert step % 2 or powers.get(step // 2, 0) < 2
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 7, 14))
+@pytest.mark.parametrize("row", range(len(SPARSE_FACTORS)))
+def test_each_sparse_factor_is_its_eta_form_at_2000(row, k):
+    form, build = SPARSE_FACTORS[row]
+    want = plain_eta_quotient({k * m: e for m, e in form.items()}, 2000)
+    assert build(k, 2000) == want
+    assert build(k, 2000 - k) == want.truncate(2000 - k)
+
+
+def test_each_sparse_factor_is_taken_and_divides_nothing(monkeypatch):
+    # Each row's eta form alone is that one factor at q, and a quotient
+    # whose one divisor phi(-q^4) absorbs, beside a cube E(q)^3 and two
+    # Euler factors left over, is built without a division.
+    taken = [eta_split(form)[0] for form, _ in SPARSE_FACTORS]
+    assert taken == [[(build, 1)] for _, build in SPARSE_FACTORS]
+    divisions = []
+    monkeypatch.setattr(TruncSeries, "div", lambda *args: divisions.append(args))
+    pairs = ((1, 3), (2, 1), (4, 2), (7, 1), (8, -1))
+    assert eta_split(pairs)[1:] == ({2: 1, 7: 1}, {})
+    _eta_quotient.__wrapped__(pairs, 300)
+    assert divisions == []
+
+
+def test_a_wrong_eta_form_is_caught(monkeypatch):
+    """The mutant psi(q^k) = E(q^2k)/E(q^k), exponent 1 for 2, builds
+    psi(q) * E(q^2) for psi(q): the differential oracle sees it."""
+    form, build = SPARSE_FACTORS[0]
+    assert form == {1: -1, 2: 2}
+    mutant = (({1: -1, 2: 1}, build),) + SPARSE_FACTORS[1:]
+    monkeypatch.setattr(theta_module, "SPARSE_FACTORS", mutant)
+    factors = {1: -1, 2: 2}
+    built = _eta_quotient.__wrapped__(tuple(factors.items()), 200)
+    assert built != plain_eta_quotient(factors, 200)
+    assert built == psi(1, 200).mul(euler_E(2, 200))
 
 
 args_st = st.builds(
