@@ -15,36 +15,35 @@ Grammar, with whitespace insignificant and offsets reported one-based:
     qarg    := 'q' ['^' INT]        with INT >= 1
 
 Precedence is ^ above unary minus above * and / above + and -, all
-binaries left-associative.  ``to_text`` inverts ``parse``: printing any
-AST and reparsing reconstructs the identical tree, so parentheses are
-emitted exactly where reparsing would otherwise regroup.  A bare caret
-on q folds into the q^k atom itself.
+binaries left-associative.  ``parse`` makes one pass over three flat
+token lists, and one precedence-climbing loop joins binary chains.  A
+tree ``parse`` can produce prints (``to_text``) to a text that parses
+back to the identical tree, parenthesised exactly where reparsing would
+otherwise regroup; any other tree, such as a negative ``Const``, prints
+to a text of equal value.  A bare caret on q folds into the q^k atom.
 
 The six one-argument atoms (E, phi, psi, chi, sigma, omega) are one
 node, ``KAtom(name, k)``, and one table, ``_K_ATOMS``, which gives each
 name its builder in ``theta``; parsing, printing and evaluation all read
 that table.  The slices neg, even, odd and altq are rows of ``_SLICES``.
 ``lattice(t)`` and ``lattice7(j)`` are one node, ``LatticeAtom(t, j)``.
-Each node is its type and one tuple of fields: a node type declares
-only its field names, and ``Node`` is the one constructor.
+``Node`` is the one constructor of every node type.
 
 Input may nest at most MAX_DEPTH levels deep, counting parentheses,
 unary minus signs and function arguments while parsing, and operator
-chains in the finished tree.  Deeper input is a syntax error rather than
-a stack overflow in the parser, the printer or the evaluator.  So is an
-integer literal too long for ``int`` (Python refuses more than 4300
+chains in the finished tree: deeper input is a syntax error, not a stack
+overflow.  So is an integer literal too long for ``int`` (over 4300
 digits) and a ``^`` exponent above MAX_EXPONENT.  ``evaluate`` also
 refuses, before it builds anything, a tree whose exponents multiply past
 MAX_EXPONENT along one root-to-leaf path (E(q)^100^100) or whose degree
 passes MAX_DEGREE (three E(q)^100 factors), and an order past a cap: a
 T2 evaluates its argument at twice the order, and caps that at
-2 * MAX_ORDER (T2(T2(q)) at order 10001), and a lattice atom caps its
-order at MAX_LATTICE_ORDER (lattice(7) at 20000).  Within the caps, the
-degree times the order, each T2 doubling both, must stay within
-MAX_COST (E(q)^100 * E(q)^100 at order 2001).  A tree built without
-parsing is held to MAX_DEPTH as well, and refused when it holds an atom
-that no text writes, such as LatticeAtom(5, 1).  ``check_bounds`` is
-that refusal alone, and the one place an order is refused.
+2 * MAX_ORDER, and a lattice atom caps its order at MAX_LATTICE_ORDER.
+Within the caps, the degree times the order, each T2 doubling both,
+must stay within MAX_COST.  A tree built without parsing is held to
+MAX_DEPTH as well, and refused when it holds an atom that no text
+writes, such as LatticeAtom(5, 1) or E(q^0).  ``check_bounds`` is that
+refusal alone, and the one place an order is refused.
 
 Each distinct tree is compiled once, on its first evaluation, into a
 plan (``_compile``): a tree of closures of the order in which every
@@ -178,44 +177,44 @@ class Power(Node, fields=("base", "exponent")):
 
 # -- tokenizer ----------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int
-
-
-_PUNCT = set("+-*/^(),")
+_PUNCT = frozenset("+-*/^(),")
 
 
 def _tokenize(text: str):
-    tokens = []
+    """The kinds, texts and offsets of text's tokens, three parallel lists
+    closed by END at len(text); a kind is INT, NAME, END or the punctuation
+    itself.  An object per token would cost more than the scan."""
+    kinds, texts, offsets = [], [], []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
+        if c in _PUNCT:
+            kinds.append(c)
+            texts.append(c)
+            offsets.append(i)
+            i += 1
+            continue
         if c in " \t\r\n":
             i += 1
             continue
+        j = i + 1
         if c.isdigit():
-            j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("INT", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i + 1
+            kinds.append("INT")
+        elif c.isalpha() or c == "_":
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], i))
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(c, c, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(i + 1, f"unexpected character {c!r}")
-    tokens.append(Token("END", "", n))
-    return tokens
+            kinds.append("NAME")
+        else:
+            raise ExprSyntaxError(i + 1, f"unexpected character {c!r}")
+        texts.append(text[i:j])
+        offsets.append(i)
+        i = j
+    kinds.append("END")
+    texts.append("")
+    offsets.append(n)
+    return kinds, texts, offsets
 
 
 # -- parser -------------------------------------------------------------
@@ -269,9 +268,7 @@ def _not_one_of(what: str, allowed, got) -> str:
 
 
 def _too_deep(offset: int) -> ExprSyntaxError:
-    return ExprSyntaxError(
-        offset, f"expression nests deeper than {MAX_DEPTH} levels"
-    )
+    return ExprSyntaxError(offset, f"expression nests deeper than {MAX_DEPTH} levels")
 
 
 #: The fields of each node type that hold its operands.
@@ -291,195 +288,179 @@ def _check_height(root: Node) -> None:
             stack.append((getattr(node, c), depth + 1))
 
 
+#: The binding power of each binary operator, all left-associative.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 class _Parser:
+    """One parse of a text: i indexes its next token, and depth counts the
+    parentheses, unary minus signs and function arguments open."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.toks = _tokenize(text)
+        self.kinds, self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def nested(self, tok: Token, parse_child) -> Node:
-        """Parse one level below tok, refusing more than MAX_DEPTH levels."""
+    def nest(self, offset: int) -> None:
+        """Open a level at offset, refusing more than MAX_DEPTH."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise _too_deep(tok.pos + 1)
-        node = parse_child()
-        self.depth -= 1
-        return node
+            raise _too_deep(offset + 1)
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def expect(self, kind: str, shown=None) -> int:
+        """Take the next token, of kind; its index."""
+        i = self.i
+        if self.kinds[i] != kind:
+            shown = shown or f'"{kind}"'
+            got = "end of input" if self.kinds[i] == "END" else repr(self.texts[i])
+            raise ExprSyntaxError(
+                self.offsets[i] + 1, f"expected {shown}, got {got}", expected=kind
+            )
+        self.i = i + 1
+        return i
 
-    def advance(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def integer(self, shown: str):
-        """The next token as an INT, with its value."""
-        tok = self.expect("INT", shown)
+    def integer(self, shown: str) -> tuple:
+        """Take the next token, an INT: its start and end and its value."""
+        i = self.expect("INT", shown)
+        text, start = self.texts[i], self.offsets[i]
         try:
-            return tok, int(tok.text)
+            return start, start + len(text), int(text)
         except ValueError:  # over 4300 digits, or digits int() does not read
             raise ExprSyntaxError(
-                tok.pos + 1,
-                f"cannot read the integer literal ({len(tok.text)} characters)",
+                start + 1, f"cannot read the integer literal ({len(text)} characters)"
             ) from None
 
-    def expect(self, kind: str, shown=None) -> Token:
-        tok = self.toks[self.i]
-        if tok.kind != kind:
-            shown = shown or f'"{kind}"'
-            got = "end of input" if tok.kind == "END" else repr(tok.text)
-            raise ExprSyntaxError(
-                tok.pos + 1, f"expected {shown}, got {got}", expected=kind
-            )
-        self.i += 1
-        return tok
-
     def parse(self) -> Node:
-        node = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "END":
+        node = self.expr(1)
+        i = self.i
+        if self.kinds[i] != "END":
             raise ExprSyntaxError(
-                tok.pos + 1, f"unexpected trailing input {tok.text!r}"
+                self.offsets[i] + 1, f"unexpected trailing input {self.texts[i]!r}"
             )
         _check_height(node)
         return node
 
-    def parse_chain(self, ops, parse_operand) -> Node:
-        """Operands joined by the binary operators ops, left-associative."""
-        node = parse_operand()
-        while self.peek().kind in ops:
-            op = self.advance().kind
-            rhs = parse_operand()
-            node = Binary(op, node, rhs, span=(node.span[0], rhs.span[1]))
-        return node
+    def expr(self, least: int) -> Node:
+        """Operands joined by binary operators binding at least as tightly
+        as least, left-associative (precedence climbing)."""
+        node = self.operand()
+        kinds = self.kinds
+        while True:
+            op = kinds[self.i]
+            binding = _BINDING.get(op, 0)
+            if binding < least:
+                return node
+            self.i += 1
+            right = self.expr(binding + 1)
+            node = Binary(op, node, right, span=(node.span[0], right.span[1]))
 
-    def parse_expr(self) -> Node:
-        return self.parse_chain(("+", "-"), self.parse_term)
-
-    def parse_term(self) -> Node:
-        return self.parse_chain(("*", "/"), self.parse_factor)
-
-    def parse_factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            child = self.nested(tok, self.parse_factor)
-            return Unary("neg", child, span=(tok.pos, child.span[1]))
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        node = self.parse_primary()
-        while self.peek().kind == "^":
-            self.advance()
-            tok, exponent = self.integer("an integer exponent")
+    def operand(self) -> Node:
+        """A unary minus and its operand, or a primary and its ^ exponents."""
+        kinds, offsets, i = self.kinds, self.offsets, self.i
+        kind = kinds[i]
+        if kind == "-":
+            self.i = i + 1
+            self.nest(offsets[i])
+            child = self.operand()
+            self.depth -= 1
+            return Unary("neg", child, span=(offsets[i], child.span[1]))
+        if kind == "NAME":
+            node = self.name()
+        elif kind == "INT":
+            start, end, value = self.integer("an integer")
+            node = Const(value, span=(start, end))
+        elif kind == "(":
+            self.i = i + 1
+            self.nest(offsets[i])
+            node = self.expr(1)
+            self.depth -= 1
+            self.expect(")")
+        else:
+            got = "end of input" if kind == "END" else repr(self.texts[i])
+            raise ExprSyntaxError(offsets[i] + 1, f"expected an expression, got {got}")
+        while kinds[self.i] == "^":
+            self.i += 1
+            start, end, exponent = self.integer("an integer exponent")
             if exponent > MAX_EXPONENT:
                 raise ExprSyntaxError(
-                    tok.pos + 1,
-                    f"exponent {exponent} is above the limit {MAX_EXPONENT}",
+                    start + 1, f"exponent {exponent} is above the limit {MAX_EXPONENT}"
                 )
-            node = Power(
-                node, exponent, span=(node.span[0], tok.pos + len(tok.text))
-            )
+            node = Power(node, exponent, span=(node.span[0], end))
         return node
 
-    def parse_primary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            tok, value = self.integer("an integer")
-            return Const(value, span=(tok.pos, tok.pos + len(tok.text)))
-        if tok.kind == "(":
-            self.advance()
-            node = self.nested(tok, self.parse_expr)
-            self.expect(")")
-            return node
-        if tok.kind == "NAME":
-            return self.parse_name()
-        got = "end of input" if tok.kind == "END" else repr(tok.text)
-        raise ExprSyntaxError(tok.pos + 1, f"expected an expression, got {got}")
-
-    def parse_name(self) -> Node:
-        tok = self.advance()
-        name = tok.text
-        start = tok.pos
+    def name(self) -> Node:
+        i = self.i
+        name, start = self.texts[i], self.offsets[i]
+        self.i = i + 1
         if name == "q":
             # q^k is one atom; the first caret after bare q belongs to it.
-            if self.peek().kind == "^":
-                self.advance()
-                e, k = self.integer("an integer exponent")
-                return QPow(k, span=(start, e.pos + len(e.text)))
-            return QPow(1, span=(start, start + 1))
+            if self.kinds[i + 1] != "^":
+                return QPow(1, span=(start, start + 1))
+            self.i = i + 2
+            _, end, k = self.integer("an integer exponent")
+            return QPow(k, span=(start, end))
+        if name not in _KNOWN_NAMES:
+            raise ExprSyntaxError(
+                start + 1,
+                f"unknown atom name {name!r}; known names: " + ", ".join(_KNOWN_NAMES),
+            )
+        self.expect("(")
         if name in _K_ATOMS:
-            self.expect("(")
             if name == "chi":
                 self.expect("-", 'the "-" of chi(-q^k)')
-            k = self.parse_qarg()
-            end = self.expect(")").pos + 1
-            return KAtom(name, k, span=(start, end))
-        if name == "f":
-            self.expect("(")
-            sa, r = self.parse_signed_qarg()
+            node, fields = KAtom, (name, self.qarg())
+        elif name == "f":
+            sign_a, r = self.signed_qarg()
             self.expect(",")
-            sb, s = self.parse_signed_qarg()
-            end = self.expect(")").pos + 1
-            return ThetaAtom(sa, r, sb, s, span=(start, end))
-        if name in _UNARY_NAMES:
-            self.expect("(")
-            child = self.nested(tok, self.parse_expr)
-            end = self.expect(")").pos + 1
-            return Unary(name, child, span=(start, end))
-        if name == "lattice":
-            self.expect("(")
-            it, t = self.integer("a lattice dimension")
+            node, fields = ThetaAtom, (sign_a, r, *self.signed_qarg())
+        elif name in _UNARY_NAMES:
+            self.nest(start)
+            node, fields = Unary, (name, self.expr(1))
+            self.depth -= 1
+        elif name == "lattice":
+            at, _, t = self.integer("a lattice dimension")
             if t not in MAX_LATTICE_ORDER:
                 raise ExprSyntaxError(
-                    it.pos + 1, _not_one_of("lattice dimension", MAX_LATTICE_ORDER, t)
+                    at + 1, _not_one_of("lattice dimension", MAX_LATTICE_ORDER, t)
                 )
-            end = self.expect(")").pos + 1
-            return LatticeAtom(t, span=(start, end))
-        if name == "lattice7":
-            self.expect("(")
+            node, fields = LatticeAtom, (t,)
+        else:  # lattice7
             sign = 1
-            if self.peek().kind == "-":
-                self.advance()
+            if self.kinds[self.i] == "-":
+                self.i += 1
                 sign = -1
-            it, j = self.integer("a rank class")
+            at, _, j = self.integer("a rank class")
             j *= sign
             if j not in _RANK_FLIPS:
                 raise ExprSyntaxError(
-                    it.pos + 1, _not_one_of("rank class", sorted(_RANK_FLIPS), j)
+                    at + 1, _not_one_of("rank class", sorted(_RANK_FLIPS), j)
                 )
-            end = self.expect(")").pos + 1
-            return LatticeAtom(7, j, span=(start, end))
-        raise ExprSyntaxError(
-            tok.pos + 1,
-            f"unknown atom name {name!r}; known names: "
-            + ", ".join(_KNOWN_NAMES),
-        )
+            node, fields = LatticeAtom, (7, j)
+        end = self.offsets[self.expect(")")] + 1
+        return node(*fields, span=(start, end))
 
-    def parse_qarg(self) -> int:
-        tok = self.expect("NAME", '"q"')
-        if tok.text != "q":
+    def qarg(self) -> int:
+        i = self.expect("NAME", '"q"')
+        if self.texts[i] != "q":
             raise ExprSyntaxError(
-                tok.pos + 1, f'expected "q", got {tok.text!r}'
+                self.offsets[i] + 1, f'expected "q", got {self.texts[i]!r}'
             )
-        if self.peek().kind == "^":
-            self.advance()
-            e, k = self.integer("an integer exponent")
-            if k < 1:
-                raise ExprSyntaxError(
-                    e.pos + 1, "atom exponents are one-based; q^0 is not allowed"
-                )
-            return k
-        return 1
+        if self.kinds[i + 1] != "^":
+            return 1
+        self.i = i + 2
+        start, _, k = self.integer("an integer exponent")
+        if k < 1:
+            raise ExprSyntaxError(
+                start + 1, "atom exponents are one-based; q^0 is not allowed"
+            )
+        return k
 
-    def parse_signed_qarg(self):
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.advance().kind == "-" else 1
-        return sign, self.parse_qarg()
+    def signed_qarg(self) -> tuple:
+        kind = self.kinds[self.i]
+        if kind not in ("+", "-"):
+            return 1, self.qarg()
+        self.i += 1
+        return (-1 if kind == "-" else 1), self.qarg()
 
 
 def parse(text: str) -> Node:
@@ -499,6 +480,8 @@ def _prec(node: Node) -> int:
         return _PREC_NEG if node.op == "neg" else _PREC_ATOM
     if isinstance(node, Power):
         return _PREC_POW
+    if isinstance(node, Const) and node.value < 0:
+        return _PREC_NEG
     return _PREC_ATOM
 
 
@@ -698,15 +681,12 @@ def _root(expr) -> Root:
     run that keeps its value (``_kept``) when it is a sum, difference,
     slice, T2 or fold, whose run builds a series or normalises the fold's
     factors again.  Atoms and the products that do not fold are cached
-    already.  Inner sums are not kept: keeping them cost more memory and
-    saved less time than keeping roots only.  A text is parsed and walked
+    already.  A text is parsed and walked
     once, and its Root is its tree's, the same object; a tree never
     equals a text, so the two kinds of key never collide.
 
-    Refuses a tree taller than MAX_DEPTH, one whose ^ exponents multiply
-    past MAX_EXPONENT on some root-to-leaf path, one holding an atom that
-    no text writes (``_bounds`` raises these as it walks), or one whose
-    degree passes MAX_DEGREE.  A tree too tall is refused for its height
+    Refuses what ``_bounds`` refuses as it walks, and a degree past
+    MAX_DEGREE.  A tree too tall is refused for its height
     whatever else is wrong with it, as ``parse`` refuses its text: when
     ``_bounds`` breaks off at another fault, the height is walked first.
     An order passes the bounds (``_refuse``) up to the least cap and up
@@ -758,10 +738,10 @@ def _bounds(
 
     depth is node's level, 1 at the root; past MAX_DEPTH the walk raises
     as ``_check_height`` does.  It also refuses an atom that no text
-    writes (``_lattice_limit``, or a name not in _K_ATOMS).  Right
-    operands go first, as in ``_check_height``: of two faults, the first
-    met in that order is reported, except that ``_root`` puts a height
-    past MAX_DEPTH before any other."""
+    writes (``_lattice_limit``, a name not in _K_ATOMS, or q^k with
+    k < 1 in an atom's argument).  Right operands go first, as in
+    ``_check_height``: of two faults, the first met is reported, but
+    ``_root`` puts a height past MAX_DEPTH first."""
     if depth > MAX_DEPTH:
         raise _too_deep(node.span[0] + 1)
     depth += 1
@@ -770,6 +750,11 @@ def _bounds(
     if isinstance(node, KAtom) and node.name not in _K_ATOMS:
         detail = _not_one_of("one-argument atom name", _K_ATOMS, repr(node.name))
         raise ExprEvalError(to_text(node), detail)
+    if isinstance(node, (KAtom, ThetaAtom)):
+        step = node.k if isinstance(node, KAtom) else min(node.r, node.s)
+        if step < 1:
+            detail = f"atom exponents are one-based, got q^{step}"
+            raise ExprEvalError(to_text(node), detail)
     if isinstance(node, Unary) and node.op == "T2":
         degree, doubled, cap = _bounds(node.child, product, outer, 2 * scale, depth)
         return degree, 2 * doubled, _least(cap, (MAX_ORDER // scale, node, scale))

@@ -4,15 +4,18 @@ The round-trip property is structural: print an AST, reparse, and demand
 the identical tree, not merely equal series.
 """
 
+import ast as pyast
 import copy
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from catalog_oracle import scan_texts
+import parser_oracle
+from catalog_oracle import catalog_texts, scan_texts, subtrees
 
 from sevencores.exprlang import (
     Binary,
@@ -207,6 +210,30 @@ LONG = "7" * 5000
 )
 def test_unreadable_integer_is_a_syntax_error(text, offset):
     with pytest.raises(ExprSyntaxError, match="cannot read the integer") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize(
+    "text, offset, detail",
+    [
+        ("E(q^\u0663)", None, None),
+        ("q^\u00b2", 3, "cannot read the integer literal"),
+        ("E(q)\u00a0", 5, "unexpected character"),
+        ("\u00e9", 1, "unknown atom name"),
+    ],
+    ids=["arabic-indic-three", "superscript-two", "no-break-space", "e-acute"],
+)
+def test_the_tokenizer_reads_unicode_as_python_does(text, offset, detail):
+    """Digits, letters and whitespace are str.isdigit, str.isalpha and
+    str.isalnum, and the four ASCII blanks, not ASCII classes: an
+    Arabic-Indic digit is a number, a superscript digit a literal int()
+    cannot read, a no-break space no blank, and a letter with an accent a
+    name."""
+    if detail is None:
+        assert parse(text) == parse("E(q^3)") == KAtom("E", 3)
+        return
+    with pytest.raises(ExprSyntaxError, match=detail) as exc:
         parse(text)
     assert exc.value.offset == offset
 
@@ -436,8 +463,11 @@ def test_a_bare_tree_too_tall_is_refused_for_its_height_first(height):
         (LatticeAtom(11), 10, "lattice dimension must be 2, 3, 5, or 7, got 11"),
         (KAtom("zeta", 1), 10, "one-argument atom name must be E, phi, psi, chi,"
                                " sigma, or omega, got 'zeta'"),
+        (KAtom("E", 0), 10, "atom exponents are one-based, got q^0"),
+        (ThetaAtom(1, 0, 1, 1), 10, "atom exponents are one-based, got q^0"),
     ],
-    ids=["rank-of-t5", "rank-of-t2-past-its-cap", "rank-5", "t11", "zeta"],
+    ids=["rank-of-t5", "rank-of-t2-past-its-cap", "rank-5", "t11", "zeta",
+         "euler-at-q0", "theta-at-q0"],
 )
 def test_a_bare_atom_no_text_writes_is_refused(node, order, detail, monkeypatch):
     """An atom that parse would refuse is refused by the bounds, as a
@@ -1006,3 +1036,96 @@ expr_trees = st.recursive(atoms, _extend, max_leaves=20)
 @given(expr_trees)
 def test_print_parse_round_trip(ast):
     assert parse(to_text(ast)) == ast
+
+
+def test_a_negative_constant_prints_as_its_value():
+    """-3^2 would reparse as -(3^2): before a caret, a negative constant
+    prints in parentheses, with the precedence of unary minus."""
+    tree = Power(Const(-3), 2)
+    assert to_text(tree) == "(-3)^2"
+    assert evaluate(to_text(tree), 4) == evaluate(tree, 4) == TruncSeries.constant(9, 4)
+    assert to_text(Binary("*", Const(2), Const(-3))) == "2*-3"
+
+
+signed_atoms = st.one_of(atoms, st.builds(Const, st.integers(min_value=-99, max_value=-1)))
+signed_trees = st.recursive(signed_atoms, _extend, max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_trees)
+def test_a_printed_tree_keeps_its_value(ast):
+    """A tree parse cannot produce, such as one with a negative Const,
+    reprints to a tree of equal value: equal series at order 12, or the
+    same ExprEvalError."""
+    assert outcome(evaluate, parse(to_text(ast)), 12) == outcome(evaluate, ast, 12)
+
+
+# -- the parser against its oracle ----------------------------------------
+
+
+def parsed(parse_text, text):
+    """The tree and every node's span, or the syntax error's offset,
+    expected kind and message."""
+    try:
+        tree = parse_text(text)
+    except ExprSyntaxError as exc:
+        return exc.offset, exc.expected, str(exc)
+    return tree, [node.span for node in subtrees(tree)]
+
+
+def demo_strings():
+    """Every string literal in the demos, expression or not."""
+    return sorted({
+        node.value
+        for path in sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+        for node in pyast.walk(pyast.parse(path.read_text()))
+        if isinstance(node, pyast.Constant) and isinstance(node.value, str)
+    })
+
+
+def test_every_catalog_claim_and_demo_text_parses_as_under_the_oracle():
+    texts = catalog_texts() + scan_texts() + demo_strings()
+    assert "phi(q)*phi(q^7) + 4*q^2*psi(q^2)*psi(q^14)" in texts
+    for text in texts:
+        assert parsed(parse, text) == parsed(parser_oracle.parse, text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(expr_trees, signed_trees))
+def test_a_printed_tree_parses_as_under_the_oracle(ast):
+    text = to_text(ast)
+    assert parsed(parse, text) == parsed(parser_oracle.parse, text)
+
+
+#: Pieces of hostile input: each token kind, atom names, whitespace of
+#: each kind, Unicode digits and letters, an overlong literal, and runs
+#: that pass MAX_DEPTH in each way a text nests: parentheses, unary
+#: minus, function arguments, and sum, product and power chains.
+HOSTILE = (
+    "(", ")", "-", "+", "*", "/", "^", ",", "q", "q^", " psi ", "E(", "f(",
+    "chi(", "psi(", "lattice(", "lattice7(", "even(", "T2(", "0", "1", "7",
+    "12", "E(q^7)", "f(-q,q^2)", "lattice7(-1)", "chi(-q)",
+    " ", "\t", "\r\n", "\u00b2", "\u0663", "\u00e9", "_", "\u00a0",
+    "7" * 5000,
+    "(" * 120, ")" * 120, "-" * 120, "T2(" * 120, "even(" * 60,
+    " + q" * 120, "*q" * 120, "^1" * 120,
+)
+
+
+@st.composite
+def hostile_texts(draw):
+    """A run of hostile pieces, or a catalog or claim text with a piece
+    put in at some place, in place of up to three characters."""
+    pieces = st.sampled_from(HOSTILE)
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(pieces, max_size=12)))
+    text = draw(st.sampled_from(catalog_texts() + scan_texts()))
+    at = draw(st.integers(min_value=0, max_value=len(text)))
+    cut = draw(st.integers(min_value=0, max_value=3))
+    return text[:at] + draw(pieces) + text[at + cut:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_texts())
+def test_a_hostile_text_parses_as_under_the_oracle(text):
+    assert parsed(parse, text) == parsed(parser_oracle.parse, text)
