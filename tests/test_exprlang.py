@@ -1047,7 +1047,8 @@ def test_a_negative_constant_prints_as_its_value():
     assert to_text(Binary("*", Const(2), Const(-3))) == "2*-3"
 
 
-signed_atoms = st.one_of(atoms, st.builds(Const, st.integers(min_value=-99, max_value=-1)))
+negative_constants = st.builds(Const, st.integers(min_value=-99, max_value=-1))
+signed_atoms = st.one_of(atoms, negative_constants)
 signed_trees = st.recursive(signed_atoms, _extend, max_leaves=20)
 
 
