@@ -41,8 +41,9 @@ T2 evaluates its argument at twice the order, and caps that at
 2 * MAX_ORDER, and a lattice atom caps its order at MAX_LATTICE_ORDER.
 Within the caps, the degree times the order, each T2 doubling both,
 must stay within MAX_COST.  A tree built without parsing is held to
-MAX_DEPTH as well, and refused when it holds an atom that no text
-writes, such as LatticeAtom(5, 1) or E(q^0).  ``check_bounds`` is that
+MAX_DEPTH as well, and refused when it holds a node that no text
+writes (``_unwritten``), such as E(q^0), E(q)^-1 or E(q^2.0), unless
+an equal tree (E(q^2)) was checked first.  ``check_bounds`` is that
 refusal alone, and the one place an order is refused.
 
 Each distinct tree is compiled once, on its first evaluation, into a
@@ -737,24 +738,19 @@ def _bounds(
     evaluated.
 
     depth is node's level, 1 at the root; past MAX_DEPTH the walk raises
-    as ``_check_height`` does.  It also refuses an atom that no text
-    writes (``_lattice_limit``, a name not in _K_ATOMS, or q^k with
-    k < 1 in an atom's argument).  Right operands go first, as in
+    as ``_check_height`` does.  It also refuses a node that no text
+    writes (``_unwritten``), such as E(q^0), q^-1, E(q)^-1 or a field
+    that is not an int.  Right operands go first, as in
     ``_check_height``: of two faults, the first met is reported, but
     ``_root`` puts a height past MAX_DEPTH first."""
     if depth > MAX_DEPTH:
         raise _too_deep(node.span[0] + 1)
     depth += 1
-    if isinstance(node, LatticeAtom):
-        return 1, 1, (_lattice_limit(node) // scale, node, scale)
-    if isinstance(node, KAtom) and node.name not in _K_ATOMS:
-        detail = _not_one_of("one-argument atom name", _K_ATOMS, repr(node.name))
+    detail = _unwritten(node)
+    if detail is not None:
         raise ExprEvalError(to_text(node), detail)
-    if isinstance(node, (KAtom, ThetaAtom)):
-        step = node.k if isinstance(node, KAtom) else min(node.r, node.s)
-        if step < 1:
-            detail = f"atom exponents are one-based, got q^{step}"
-            raise ExprEvalError(to_text(node), detail)
+    if isinstance(node, LatticeAtom):
+        return 1, 1, (MAX_LATTICE_ORDER[node.t] // scale, node, scale)
     if isinstance(node, Unary) and node.op == "T2":
         degree, doubled, cap = _bounds(node.child, product, outer, 2 * scale, depth)
         return degree, 2 * doubled, _least(cap, (MAX_ORDER // scale, node, scale))
@@ -781,18 +777,39 @@ def _bounds(
     return 1, 1, None
 
 
-def _lattice_limit(node: LatticeAtom) -> int:
-    """node's MAX_LATTICE_ORDER, or the refusal of an atom no text writes."""
-    t, j = node.t, node.j
-    if t not in MAX_LATTICE_ORDER:
-        detail = _not_one_of("lattice dimension", MAX_LATTICE_ORDER, t)
-    elif j is not None and t != 7:
-        detail = f"a rank class is a layer of t = 7, got t = {t}"
-    elif j is not None and j not in _RANK_FLIPS:
-        detail = _not_one_of("rank class", sorted(_RANK_FLIPS), j)
-    else:
-        return MAX_LATTICE_ORDER[t]
-    raise ExprEvalError(to_text(node), detail)
+#: The int fields of each node type; a rank class j may also be None.
+_INTS = {Const: ("value",), QPow: ("k",), KAtom: ("k",), Power: ("exponent",),
+         ThetaAtom: ("sign_a", "r", "sign_b", "s"), LatticeAtom: ("t", "j")}
+
+
+def _unwritten(node: Node) -> Optional[str]:
+    """Why no text writes node itself (not its operands), or None: every
+    number a text writes is an int, a q^k or ^ exponent is at least 0
+    and an atom's q^k at least 1, a theta sign is +1 or -1, and an atom
+    is one that ``parse`` builds."""
+    for field in _INTS.get(type(node), ()):
+        value = getattr(node, field)
+        if type(value) is not int and (field, value) != ("j", None):
+            return f"{type(node).__name__}.{field} must be an int, got {value!r}"
+    if isinstance(node, LatticeAtom) and node.t not in MAX_LATTICE_ORDER:
+        return _not_one_of("lattice dimension", MAX_LATTICE_ORDER, node.t)
+    if isinstance(node, LatticeAtom) and node.j is not None:
+        if node.t != 7:
+            return f"a rank class is a layer of t = 7, got t = {node.t}"
+        if node.j not in _RANK_FLIPS:
+            return _not_one_of("rank class", sorted(_RANK_FLIPS), node.j)
+    if isinstance(node, KAtom) and node.name not in _K_ATOMS:
+        return _not_one_of("one-argument atom name", _K_ATOMS, repr(node.name))
+    if isinstance(node, (KAtom, ThetaAtom)):
+        step = node.k if isinstance(node, KAtom) else min(node.r, node.s)
+        if step < 1:
+            return f"atom exponents are one-based, got q^{step}"
+    if isinstance(node, ThetaAtom) and not {node.sign_a, node.sign_b} <= {1, -1}:
+        return f"theta signs must be +1 or -1, got {node.sign_a} and {node.sign_b}"
+    if isinstance(node, (QPow, Power)):
+        e = node.k if isinstance(node, QPow) else node.exponent
+        if e < 0:
+            return f"exponents must be nonnegative, got {e}"
 
 
 def _least(*caps) -> Optional[tuple]:

@@ -15,11 +15,13 @@ must be "ge" or "eq" and ``mod7`` residues must lie in 0..6; otherwise
 ``ValueError``.  A text that does not parse or evaluate fails when the
 row is run, with ``ExprSyntaxError`` or ``ExprEvalError``.
 
-Calling a row runs it into a ``Report``.  A row of identity shape (one
-term 1*S[n] a side, n0 = 0, no ``mod7``, "eq") is run by
-``TruncSeries.compare``; any other row takes each term's column as one
-slice of its series, filtered by ``mod7`` and scaled at C speed.  A row
-with no instance at the order reports ``empty``, which does not hold.
+Calling a row runs it into a ``Report``, by one column pass for every
+row: each term's column is one slice of its series, filtered by
+``mod7`` and scaled at C speed, and each side is one tuple, the series'
+own for an identity.  An "eq" row whose sides are equal is settled by
+one tuple comparison; any other row is scanned for its first failure.
+A row with no instance at the order reports ``empty``, which does not
+hold.
 
 ``REGISTRY`` holds the identity rows, under fixed external ids (eq-1.17,
 eq-3.2, ...); the claim rows are in ``inequalities``, which only
@@ -110,71 +112,47 @@ class LinearClaim(
         return evaluate(self.rhs_text, order)
 
     def __call__(self, order: int) -> Report:
-        """Run the row to the order: every row's one runner."""
+        """Run the row to the order, column by column: every row's one
+        runner."""
         start = perf_counter()
-        run = _compare if _plain(self) else _columns
-        n_range, status, violation, samples = run(self, order)
+        terms = self.lhs_terms + self.rhs_terms
+        n0 = self.n0
+        hi = min((order - b) // a for _, _, a, b in terms)
+        size = max(hi + 1 - n0, 0)
+        ns = range(n0, hi + 1)
+        if self.mod7:
+            # keep[i] says whether n0 + i is scanned; it repeats every 7 n.
+            keep = [(n0 + i) % 7 in self.mod7 for i in range(7)]
+            ns = list(compress(ns, cycle(keep)))
+        texts = {text for _, text, _, _ in terms}
+        coeffs = {text: evaluate(text, order).coeffs for text in texts}
+
+        def column(c, text, a, b):
+            # S[a*n + b] for n = n0 .. hi, as one slice of S (S itself
+            # when that is all of it).
+            first = a * n0 + b
+            col = coeffs[text][first : first + a * size : a]
+            if self.mod7:
+                col = compress(col, cycle(keep))
+            return col if c == 1 else map(mul, repeat(c), col)
+
+        def side(terms):
+            if not terms:
+                return (0,) * len(ns)
+            # Column-wise sum: map(add, ...) over the columns in turn.
+            return tuple(reduce(partial(map, add), [column(*t) for t in terms]))
+
+        lhs, rhs = side(self.lhs_terms), side(self.rhs_terms)
+        fails = lt if self.relation == "ge" else ne
+        settled = fails is ne and lhs == rhs
+        k = None if settled else next(compress(count(), map(fails, lhs, rhs)), None)
+        shown = SAMPLE_COUNT if k is None else min(SAMPLE_COUNT, k + 1)
+        status = "empty" if not ns else "holds" if k is None else "violated"
+        violation = None if k is None else (ns[k], lhs[k], rhs[k])
+        samples = tuple(zip(ns[:shown], lhs, rhs))
         millis = (perf_counter() - start) * 1000.0
-        return Report(self.id, self.kind, self.note, order, n_range, status,
+        return Report(self.id, self.kind, self.note, order, (n0, hi), status,
                       violation, samples, millis)
-
-
-def _plain(row) -> bool:
-    """Whether a row has the identity shape 1*L[n] = 1*R[n], n >= 0."""
-    lhs, rhs = row.lhs_terms, row.rhs_terms
-    return len(lhs) == len(rhs) == 1 and row[3:] == (
-        ((1, lhs[0][1], 1, 0),), ((1, rhs[0][1], 1, 0),), "eq", 0, ()
-    )
-
-
-def _compare(row, order):
-    """(n_range, status, violation, samples) of an identity-shaped row."""
-    lhs = evaluate(row.lhs_terms[0][1], order)
-    rhs = evaluate(row.rhs_terms[0][1], order)
-    k = lhs.compare(rhs)
-    shown = SAMPLE_COUNT if k is None else min(SAMPLE_COUNT, k.exponent + 1)
-    samples = tuple(zip(range(shown), lhs.coeffs, rhs.coeffs))
-    return (0, order), "holds" if k is None else "violated", k, samples
-
-
-def _columns(row, order):
-    """(n_range, status, violation, samples) of any row, column by column."""
-    terms = row.lhs_terms + row.rhs_terms
-    n0 = row.n0
-    hi = min((order - b) // a for _, _, a, b in terms)
-    size = max(hi + 1 - n0, 0)
-    ns = range(n0, hi + 1)
-    if row.mod7:
-        # keep[i] says whether n0 + i is scanned; it repeats every 7 n.
-        keep = [(n0 + i) % 7 in row.mod7 for i in range(7)]
-        ns = list(compress(ns, cycle(keep)))
-    texts = {text for _, text, _, _ in terms}
-    coeffs = {text: evaluate(text, order).coeffs for text in texts}
-
-    def column(c, text, a, b):
-        # S[a*n + b] for n = n0 .. hi, as one slice of S.
-        start = a * n0 + b
-        col = coeffs[text][start : start + a * size : a]
-        if row.mod7:
-            col = compress(col, cycle(keep))
-        return col if c == 1 else map(mul, repeat(c), col)
-
-    def side(terms):
-        if not terms:
-            return [0] * len(ns)
-        # Column-wise sum: map(add, ...) over the columns in turn.
-        return list(reduce(partial(map, add), [column(*t) for t in terms]))
-
-    lhs, rhs = side(row.lhs_terms), side(row.rhs_terms)
-    fails = map(lt if row.relation == "ge" else ne, lhs, rhs)
-    k = next(compress(count(), fails), None)
-    shown = SAMPLE_COUNT if k is None else min(SAMPLE_COUNT, k + 1)
-    return (
-        (n0, hi),
-        "empty" if not ns else "holds" if k is None else "violated",
-        None if k is None else (ns[k], lhs[k], rhs[k]),
-        tuple(zip(ns[:shown], lhs, rhs)),
-    )
 
 
 def lookup(index: dict, what: str, key: str):

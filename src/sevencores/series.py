@@ -566,7 +566,7 @@ class TruncSeries:
 def prefix_cached(build):
     """Memoize build(*key, order), a prefix-stable series builder: each key
     keeps the value built at the highest order asked for so far, and serves
-    a lower order by truncating it (field by field for a tuple of series).
+    a lower order by truncating it (each of a plain tuple of series).
     The key also holds the first argument's type, so a step of True or
     2.0 never reads the entry of 1 or 2: build checks its own arguments
     on a miss.  No builder here takes more than one argument before the
@@ -582,8 +582,7 @@ def prefix_cached(build):
             value = top[key][1]
             if isinstance(value, TruncSeries):
                 return value.truncate(order)
-            cut = [v.truncate(order) for v in value]
-            return getattr(type(value), "_make", tuple)(cut)
+            return tuple([v.truncate(order) for v in value])
         info.misses += 1
         top[key] = (order, build(*args))
         return top[key][1]

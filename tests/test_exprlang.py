@@ -465,13 +465,31 @@ def test_a_bare_tree_too_tall_is_refused_for_its_height_first(height):
                                " sigma, or omega, got 'zeta'"),
         (KAtom("E", 0), 10, "atom exponents are one-based, got q^0"),
         (ThetaAtom(1, 0, 1, 1), 10, "atom exponents are one-based, got q^0"),
+        (ThetaAtom(2, 1, 1, 1), 10, "theta signs must be +1 or -1, got 2 and 1"),
+        (QPow(-1), 10, "exponents must be nonnegative, got -1"),
+        (Power(KAtom("E", 1), -1), 5, "exponents must be nonnegative, got -1"),
+        (Power(KAtom("psi", 1), -1), 5, "exponents must be nonnegative, got -1"),
+        (Const(1.5), 10, "Const.value must be an int, got 1.5"),
+        (Const(True), 10, "Const.value must be an int, got True"),
+        (QPow(1.5), 10, "QPow.k must be an int, got 1.5"),
+        (KAtom("E", 2.0), 10, "KAtom.k must be an int, got 2.0"),
+        (Power(KAtom("E", 1), 2.0), 10, "Power.exponent must be an int, got 2.0"),
+        (LatticeAtom(7.0), 10, "LatticeAtom.t must be an int, got 7.0"),
+        (LatticeAtom(7, 2.0), 10, "LatticeAtom.j must be an int, got 2.0"),
+        (ThetaAtom(1, 1.0, 1, 1), 10, "ThetaAtom.r must be an int, got 1.0"),
     ],
     ids=["rank-of-t5", "rank-of-t2-past-its-cap", "rank-5", "t11", "zeta",
-         "euler-at-q0", "theta-at-q0"],
+         "euler-at-q0", "theta-at-q0", "theta-sign-2", "q-to-minus-1",
+         "euler-inverse", "psi-inverse", "float-const", "bool-const",
+         "float-q-exponent", "float-step", "float-exponent", "float-t",
+         "float-rank", "float-theta-exponent"],
 )
-def test_a_bare_atom_no_text_writes_is_refused(node, order, detail, monkeypatch):
-    """An atom that parse would refuse is refused by the bounds, as a
-    leaf of a larger tree too, before anything is compiled or built."""
+def test_a_bare_atom_no_text_writes_is_refused(node, order, detail, monkeypatch, fresh_roots):
+    """An atom or power that parse would refuse, or never build, is
+    refused by the bounds, as a leaf of a larger tree too, before
+    anything is compiled or built.  The root cache starts empty: a tree
+    equals the tree of int fields that it spells (KAtom("E", 2.0) ==
+    KAtom("E", 2)), whose checked root it would be served."""
     monkeypatch.setattr(exprlang, "_plan", None)  # compiling would fail
     before = _kept.cache_info(), partitions._flip_layers.cache_info()
     for tree in (node, Binary("+", QPow(1), Power(node, 2))):

@@ -1,5 +1,5 @@
-"""Identity catalog plumbing, the row runner's two paths, and the
-weight-3 Hecke-style slice operator."""
+"""Identity catalog plumbing, the one row runner against
+``TruncSeries.compare``, and the weight-3 Hecke-style slice operator."""
 
 import os
 import subprocess
@@ -16,9 +16,8 @@ from sevencores import exprlang, identities
 from sevencores.exprlang import ExprEvalError, check_bounds
 from sevencores.identities import (
     REGISTRY,
+    SAMPLE_COUNT,
     LinearClaim,
-    _columns,
-    _compare,
     get_record,
     identity,
     verify,
@@ -162,45 +161,27 @@ def test_verify_mismatch_past_the_head():
     assert (r.status, r.violation[0]) == ("violated", 3)
 
 
-def test_the_compare_path_matches_the_column_path():
+def test_the_runner_matches_compare_on_every_catalog_row():
     """Every catalog row, and one mutant per row whose right side gains
-    q^k, gets the same range, status, violation and samples from
-    TruncSeries.compare as from the general column path."""
+    q^k, gets from the one runner the range, status, violation and
+    samples that TruncSeries.compare gives on its two evaluated sides;
+    a violation equals compare's Mismatch."""
     for order in (0, 1, 50, 400):
         for i, rec in enumerate(REGISTRY):
             k = i % (order + 1)
             mutant = identity(rec.id, rec.note, rec.lhs_text, f"({rec.rhs_text}) + q^{k}")
             for row in (rec, mutant):
-                assert _compare(row, order) == _columns(row, order), (row.id, order)
-                assert tuple(row(order)[4:8]) == _columns(row, order)
-            _, status, (n, lhs, rhs), _ = _compare(mutant, order)
-            assert (status, n, rhs - lhs) == ("violated", k, 1)
-
-
-def test_only_identity_shaped_rows_take_the_compare_path(monkeypatch):
-    taken = []
-    monkeypatch.setattr(
-        identities, "_compare", lambda row, order: taken.append(row.id) or _compare(row, order)
-    )
-    assert all(r.status == "holds" for r in verify_all(20))
-    assert taken == [rec.id for rec in REGISTRY]
-    one = (1, "psi(q)^2", 1, 0)
-    other = (1, "psi(q^2)*phi(q)", 1, 0)
-    shapes = {
-        "identity": LinearClaim("identity", "x", "x", (one,), (other,), "eq"),
-        "ge": LinearClaim("ge", "x", "x", (one,), (other,)),
-        "coef": LinearClaim("coef", "x", "x", (one,), ((2, other[1], 1, 0),), "eq"),
-        "step": LinearClaim("step", "x", "x", (one,), ((1, other[1], 2, 0),), "eq"),
-        "shift": LinearClaim("shift", "x", "x", (one,), ((1, other[1], 1, 1),), "eq"),
-        "n0": LinearClaim("n0", "x", "x", (one,), (other,), "eq", 1),
-        "mod7": LinearClaim("mod7", "x", "x", (one,), (other,), "eq", 0, (1,)),
-        "terms": LinearClaim("terms", "x", "x", (one, one), (other, other), "eq"),
-        "one-sided": LinearClaim("one-sided", "x", "x", (one,), (), "eq"),
-    }
-    taken.clear()
-    for row in shapes.values():
-        row(20)
-    assert taken == ["identity"]
+                lhs, rhs = row.lhs(order), row.rhs(order)
+                first = lhs.compare(rhs)
+                shown = SAMPLE_COUNT if first is None else first.exponent + 1
+                assert tuple(row(order)[4:8]) == (
+                    (0, order),
+                    "holds" if first is None else "violated",
+                    first,
+                    tuple(zip(range(min(shown, SAMPLE_COUNT)), lhs.coeffs, rhs.coeffs)),
+                ), (row.id, order)
+            n, lhs, rhs = mutant(order).violation
+            assert (n, rhs - lhs) == (k, 1)
 
 
 def test_verify_all_order_and_status():

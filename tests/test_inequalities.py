@@ -398,7 +398,7 @@ TEXTS = ("s0", "s1", "s2")
 def scan_cases(draw):
     """The fields of a valid random row over the texts s0..s2, the
     series they stand for and an order; small orders and large offsets
-    give empty ranges."""
+    give empty ranges, and one row in four has the identity shape."""
     order = draw(st.integers(min_value=0, max_value=300))
     low, high = draw(st.sampled_from(((-3, 3), (-1, 20), (0, 9))))
     values = st.integers(min_value=low, max_value=high)
@@ -410,6 +410,18 @@ def scan_cases(draw):
         series[text] = TruncSeries(
             order, [c if k % gap == 0 else 0 for k, c in enumerate(cs)]
         )
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # An identity-shaped row: one term 1*S[n] a side, n0 0, no mod7,
+        # "eq".  s1 is then s0, equal or with one coefficient changed.
+        cs = list(series["s0"].coeffs)
+        if draw(st.booleans()):
+            k = draw(st.integers(min_value=0, max_value=order))
+            cs[k] += draw(st.sampled_from((1, -1)))
+        series["s1"] = TruncSeries(order, cs)
+        pairs = (("s0", "s1"), ("s1", "s0"), ("s0", "s0"), ("s0", "s2"))
+        left, right = draw(st.sampled_from(pairs))
+        fields = (((1, left, 1, 0),), ((1, right, 1, 0),), "eq", 0, ())
+        return fields, series, order
     n0 = draw(st.integers(min_value=0, max_value=5))
 
     @st.composite

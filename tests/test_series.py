@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sevencores import series
 from sevencores.exprlang import evaluate
-from sevencores.forms import FFF7, G, W, CoreSplit, core_split
+from sevencores.forms import FFF7, G, W
 from sevencores.partitions import _flip_layers, lattice_rank_sum, lattice_sum
 from sevencores.series import (
     BLOCK,
@@ -734,12 +734,8 @@ def test_prefix_cache_rebuilds_above_and_truncates_below():
 
 
 def test_prefix_cache_truncates_every_field():
-    cached_split = prefix_cached(core_split)
-    assert cached_split(90).a7.order == 90
-    split = cached_split(37)
-    assert type(split) is CoreSplit
-    assert split == core_split(37)
-    assert {field.order for field in split} == {37}
+    """A tuple of series, the value of the one such builder, comes back
+    a plain tuple with each series cut to the order asked for."""
     assert _flip_layers(5, 60)[0].order == 60
     layers = _flip_layers(5, 23)
     assert type(layers) is tuple and len(layers) == 6
