@@ -279,11 +279,12 @@ _OPERANDS = {Unary: ("child",), Binary: ("left", "right"), Power: ("base",)}
 def _check_height(root: Node) -> None:
     """Reject trees taller than MAX_DEPTH, which hashing, printing and
     evaluation would otherwise recurse through; walked without recursion,
-    right operands first (as ``_bounds`` walks a tree it checks)."""
+    right operands first (as ``_bounds`` walks a tree it checks).  An
+    operand that is not a node, which ``_bounds`` refuses, is no level."""
     stack = [(root, 1)]
     while stack:
         node, depth = stack.pop()
-        if depth > MAX_DEPTH:
+        if depth > MAX_DEPTH and isinstance(node, Node):
             raise _too_deep(node.span[0] + 1)
         for c in _OPERANDS.get(type(node), ()):
             stack.append((getattr(node, c), depth + 1))
@@ -748,7 +749,10 @@ def _bounds(
     depth += 1
     detail = _unwritten(node)
     if detail is not None:
-        raise ExprEvalError(to_text(node), detail)
+        # A node with an operand that is not a node has no text to quote.
+        operands = (getattr(node, c) for c in _OPERANDS.get(type(node), ()))
+        whole = all(isinstance(operand, Node) for operand in operands)
+        raise ExprEvalError(to_text(node) if whole else repr(node), detail)
     if isinstance(node, LatticeAtom):
         return 1, 1, (MAX_LATTICE_ORDER[node.t] // scale, node, scale)
     if isinstance(node, Unary) and node.op == "T2":
@@ -784,9 +788,14 @@ _INTS = {Const: ("value",), QPow: ("k",), KAtom: ("k",), Power: ("exponent",),
 
 def _unwritten(node: Node) -> Optional[str]:
     """Why no text writes node itself (not its operands), or None: every
-    number a text writes is an int, a q^k or ^ exponent is at least 0
-    and an atom's q^k at least 1, a theta sign is +1 or -1, and an atom
-    is one that ``parse`` builds."""
+    operand is a node, every number a text writes is an int, a q^k or ^
+    exponent is at least 0 and an atom's q^k at least 1, a theta sign is
+    +1 or -1, and an atom is one that ``parse`` builds."""
+    for field in _OPERANDS.get(type(node), ()):
+        value = getattr(node, field)
+        if not isinstance(value, Node):
+            kind = type(node).__name__
+            return f"{kind}.{field} must be an expression node, got {value!r}"
     for field in _INTS.get(type(node), ()):
         value = getattr(node, field)
         if type(value) is not int and (field, value) != ("j", None):

@@ -414,11 +414,17 @@ class TruncSeries:
         return self if order == self.order else TruncSeries._trusted(order, cut)
 
     def compare(self, other: "TruncSeries") -> Optional[Mismatch]:
-        """First disagreement over the common order, or None if equal."""
-        k = next(compress(count(), map(ne, self.coeffs, other.coeffs)), None)
-        if k is None:
+        """First disagreement over the common order, or None if equal.
+        One tuple ``==`` settles equal common prefixes; only a mismatch
+        is scanned for its index."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) != len(b):
+            n = min(len(a), len(b))
+            a, b = a[:n], b[:n]
+        if a == b:
             return None
-        return Mismatch(k, self.coeffs[k], other.coeffs[k])
+        k = next(compress(count(), map(ne, a, b)))
+        return Mismatch(k, a[k], b[k])
 
     # -- ring operations -----------------------------------------------
 

@@ -184,8 +184,9 @@ def test_oracle_rows_identical(capsys):
 
 def test_oracle_bound(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["oracle", "--max", "46"])
+        cli.main(["oracle", "--max", "61"])
     assert exc.value.code == 2
+    assert "--max cannot exceed the enumeration cap 60" in capsys.readouterr().err
 
 
 def test_oracle_detects_divergence(capsys, monkeypatch):

@@ -454,6 +454,19 @@ def test_a_bare_tree_too_tall_is_refused_for_its_height_first(height):
                 check(tree, 3)
 
 
+def test_an_operand_that_is_not_a_node_is_no_level():
+    """A tree at the height limit whose last node's operand is not a node
+    is refused for that operand; one level taller, for its height."""
+    tree = Unary("T2", 5)
+    for _ in range(MAX_DEPTH - 1):
+        tree = Unary("neg", tree)
+    for check in (check_bounds, evaluate):
+        with pytest.raises(ExprEvalError, match="Unary.child must be an expression node"):
+            check(tree, 3)
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels"):
+            check(Unary("neg", tree), 3)
+
+
 @pytest.mark.parametrize(
     "node, order, detail",
     [
@@ -477,26 +490,37 @@ def test_a_bare_tree_too_tall_is_refused_for_its_height_first(height):
         (LatticeAtom(7.0), 10, "LatticeAtom.t must be an int, got 7.0"),
         (LatticeAtom(7, 2.0), 10, "LatticeAtom.j must be an int, got 2.0"),
         (ThetaAtom(1, 1.0, 1, 1), 10, "ThetaAtom.r must be an int, got 1.0"),
+        (Unary("T2", 5), 5, "Unary.child must be an expression node, got 5"),
+        (Binary("*", KAtom("E", 1), "x"), 5,
+         "Binary.right must be an expression node, got 'x'"),
+        (Power(3, 2), 5, "Power.base must be an expression node, got 3"),
     ],
     ids=["rank-of-t5", "rank-of-t2-past-its-cap", "rank-5", "t11", "zeta",
          "euler-at-q0", "theta-at-q0", "theta-sign-2", "q-to-minus-1",
          "euler-inverse", "psi-inverse", "float-const", "bool-const",
          "float-q-exponent", "float-step", "float-exponent", "float-t",
-         "float-rank", "float-theta-exponent"],
+         "float-rank", "float-theta-exponent", "int-child", "str-right",
+         "int-base"],
 )
 def test_a_bare_atom_no_text_writes_is_refused(node, order, detail, monkeypatch, fresh_roots):
-    """An atom or power that parse would refuse, or never build, is
-    refused by the bounds, as a leaf of a larger tree too, before
-    anything is compiled or built.  The root cache starts empty: a tree
-    equals the tree of int fields that it spells (KAtom("E", 2.0) ==
+    """An atom or power that parse would refuse, or never build, or a
+    node with an operand that is not a node, is refused by the bounds,
+    as a leaf of a larger tree too, before anything is compiled or
+    built.  A node with an operand that is not a node has no text, and
+    is quoted by its repr.  The root cache starts empty: a tree equals
+    the tree of int fields that it spells (KAtom("E", 2.0) ==
     KAtom("E", 2)), whose checked root it would be served."""
     monkeypatch.setattr(exprlang, "_plan", None)  # compiling would fail
+    try:
+        quote = to_text(node)
+    except TypeError:  # "not an expression node"
+        quote = repr(node)
     before = _kept.cache_info(), partitions._flip_layers.cache_info()
     for tree in (node, Binary("+", QPow(1), Power(node, 2))):
         for check in (check_bounds, evaluate):
             with pytest.raises(ExprEvalError) as exc:
                 check(tree, order)
-            assert str(exc.value) == f"cannot evaluate '{to_text(node)}': {detail}"
+            assert str(exc.value) == f"cannot evaluate '{quote}': {detail}"
     assert (_kept.cache_info(), partitions._flip_layers.cache_info()) == before
 
 

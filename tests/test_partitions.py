@@ -13,6 +13,9 @@ the bit-set t-core test in ``is_t_core`` and ``rank_histograms``, and
 slow oracle for the one ``rank_histograms`` builds from a head and a
 tail.  ``plain_partitions`` pops the trailing ones and rebuilds the tail
 at every step: the slow oracle for ZS1 and for the head-and-tail walk.
+``tuple_walk`` is that walk as it was before it carried the rank: it
+builds each head as a tuple and ranks every core as head + tail, the
+oracle for the carried rank and the per-room tail lists.
 ``ShiftSpy`` is a t that records every bit set the walk tests.
 """
 
@@ -383,7 +386,43 @@ def test_the_walk_tests_every_partition_up_to_the_cap():
     want = pentagonal_counts(PARTITION_BOUND)
     rows = rank_histograms(PARTITION_BOUND, 2 * PARTITION_BOUND)
     assert [sum(row.values()) for row in rows] == want
-    assert sum(want) == 540_635
+    assert sum(want) == 6_639_349
+
+
+def tuple_walk(top: int, t: int, low: int) -> list:
+    """The rows of ``partitions._walk``, with every head kept as a tuple
+    and every core ranked by ``bg_rank(head + tail)``; each head slices
+    the tails of sizes low - size to top - size out of one table."""
+    rows = [{} for _ in range(top + 1)]
+    tails, ends = _tails(top)
+
+    def grow(size, beta, head, last):
+        first = ends[low - size - 1] if low > size else 0
+        for r, width, bits, tail in tails[first : ends[top - size]]:
+            x = (beta << width) | bits
+            if not (x >> t) & ~x:
+                j = bg_rank(head + tail)
+                row = rows[size + r]
+                row[j] = row.get(j, 0) + 1
+        for p in range(min(last, top - size), 2, -1):
+            grow(size + p, (beta << 1) | 1 << p, head + (p,), p)
+
+    grow(0, 0, (), top)
+    return rows
+
+
+def test_the_walk_counts_as_the_tuple_walk():
+    # Every top up to 30 for t = 2..11, one row or all of them.
+    for t in range(2, 12):
+        for top in range(31):
+            assert rank_histograms(top, t) == tuple_walk(top, t, 0), (top, t)
+            assert rank_histogram(top, t) == tuple_walk(top, t, top)[top], (top, t)
+
+
+def test_the_walk_counts_as_the_tuple_walk_at_45():
+    assert rank_histograms(45, 7) == tuple_walk(45, 7, 0)
+    for n in range(46):
+        assert rank_histogram(n, 7) == tuple_walk(n, 7, n)[n], n
 
 
 def test_every_tail_is_tabled_with_its_beta_numbers():

@@ -183,6 +183,29 @@ def test_compare_reports_first_divergence():
     assert a.compare(a) is None
 
 
+@pytest.mark.parametrize(
+    "x, y, want",
+    [
+        ((1, 2, 3), (1, 2, 3), None),
+        ((1, 2, 3), (1, 2, 3, 9, 9), None),
+        ((1, 2, 3, 9, 9), (1, 2, 3), None),
+        ((4, 2, 3), (1, 2, 3, 9), Mismatch(0, 4, 1)),
+        ((1, 2, 3), (1, 2, 5, 9), Mismatch(2, 3, 5)),
+        ((1, 2, 3, 7), (1, 2, 3), None),
+        ((1, 2, 3, 7), (1, 2, 3, 8), Mismatch(3, 7, 8)),
+    ],
+    ids=["equal", "longer-right", "longer-left", "first", "last-common",
+         "past-the-common-order", "last"],
+)
+def test_compare_settles_the_common_order(x, y, want):
+    # Equal series, orders whose common prefix is equal, and a first
+    # mismatch at index 0 and at the last common index.
+    a, b = TruncSeries(len(x) - 1, x), TruncSeries(len(y) - 1, y)
+    assert a.compare(b) == want
+    flipped = None if want is None else Mismatch(want.exponent, want.rhs, want.lhs)
+    assert b.compare(a) == flipped
+
+
 def test_div_by_negative_unit():
     one = TruncSeries.one(8)
     d = one / TruncSeries(8, (-1, 1))
