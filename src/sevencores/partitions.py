@@ -26,13 +26,11 @@ Two independent views of the same counts live here.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import accumulate
 from operator import add
 from typing import Iterator
 
-from .series import TruncSeries, _check_int, check_order, prefix_cached
+from .series import TruncSeries, _check_int, _unpack, check_order, prefix_cached
 
 # Hard cap for the exponential enumeration; p(60) = 966467 partitions.
 PARTITION_BOUND = 60
@@ -126,23 +124,24 @@ def is_t_core(partition: tuple, t: int) -> bool:
 
 
 def _tails(top: int) -> tuple:
-    """(entries, ends) for the tails 2^a 1^b of size 2a + b <= top.
+    """(rooms, found) for the tails 2^a 1^b of size 2a + b <= top.
 
-    entries[k] is (size, width, bits, tail): the tail's size, its number
-    of parts a + b, the bit set of its beta-numbers over that many slots
-    and the tail itself as a tuple, by size ascending; ends[r] is the
-    number of entries of size at most r.  A tail's ones sit at
+    rooms[r] lists, by size ascending, the (width, bits) of every tail of
+    size at most r: its number of parts a + b and the bit set of its
+    beta-numbers over that many slots.  found maps a tail's bits, which
+    no two tails share, to its size and BG-rank.  A tail's ones sit at
     beta-numbers 1..b and its twos at b + 2..a + b + 1.
     """
-    entries, ends = [], []
+    pairs, found, rooms = [], {}, []
     for size in range(top + 1):
         for a in range(size // 2, -1, -1):
             b = size - 2 * a
             width = a + b
             bits = ((1 << (width + 2)) - 1) ^ (1 << (b + 1)) ^ 1
-            entries.append((size, width, bits, (2,) * a + (1,) * b))
-        ends.append(len(entries))
-    return entries, ends
+            pairs.append((width, bits))
+            found[bits] = (size, bg_rank((2,) * a + (1,) * b))
+        rooms.append(pairs[:])
+    return rooms, found
 
 
 def rank_histograms(top: int, t: int) -> list:
@@ -167,33 +166,14 @@ def rank_histograms(top: int, t: int) -> list:
     CPython 3.11, ``rank_histograms(40, 7)`` (215 308 partitions) takes
     about 33 ms and ``rank_histograms(60, 7)`` (6 639 349) about 0.94 s.
     """
-    return _walk(top, t, 0)
-
-
-def rank_histogram(n: int, t: int) -> dict:
-    """Rank class -> number of t-cores of n in it, by brute force: row n
-    of ``rank_histograms(n, t)``, from the walk of the partitions of n
-    alone, where each head takes only the tails of size n minus its own."""
-    return _walk(n, t, n)[n]
-
-
-def _walk(top: int, t: int, low: int) -> list:
-    """Rows 0..top of ``rank_histograms``, walked for the rows low..top
-    only: a head of size s takes the tails of sizes low - s to top - s,
-    and the rows below low stay empty."""
     _check_t(t)
     _check_n(top)
     rows: list = [{} for _ in range(top + 1)]
-    entries, ends = _tails(top)
-    pairs = [(width, bits) for _, width, bits, _ in entries]
-    # A tail's size and rank by its bits, which no two tails share.
-    found = {bits: (r, bg_rank(tail)) for r, _, bits, tail in entries}
-    rooms = [pairs[:end] for end in ends]
+    rooms, found = _tails(top)
 
     def grow(size, beta, rank, sign, last):
         room = top - size
-        tails = pairs[ends[low - size - 1] : ends[room]] if low > size else rooms[room]
-        for width, bits in tails:
+        for width, bits in rooms[room]:
             x = beta << width | bits
             if x >> t | x == x:
                 r, j = found[bits]
@@ -207,10 +187,13 @@ def _walk(top: int, t: int, low: int) -> list:
     return rows
 
 
-_RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
+def rank_histogram(n: int, t: int) -> dict:
+    """Rank class -> number of t-cores of n in it, by brute force: row n
+    of ``rank_histograms(n, t)``, so it walks every row up to n."""
+    return rank_histograms(n, t)[n]
 
-#: Unsigned array typecode for each slot width in bytes, widths ascending.
-_UNSIGNED = {array(code).itemsize: code for code in "BHILQ"}
+
+_RANK_FLIPS = {2: 0, 1: 2, 0: 4, -1: 6}
 
 
 def _coordinate_ranges(t: int, order: int) -> list:
@@ -277,30 +260,6 @@ def _least_costs(ranges: list, order: int) -> list:
     return needs
 
 
-def _unpack(raw: bytes, width: int) -> list:
-    """The little-endian unsigned slots of raw, width bytes each.
-
-    A width up to 8 bytes is spread into the next ``array`` itemsize
-    (1, 2, 4 or 8) by one strided copy per byte, then read at C speed.
-    """
-    code = next((c for w, c in _UNSIGNED.items() if w >= width), None)
-    if code is None:
-        return [
-            int.from_bytes(raw[k : k + width], "little")
-            for k in range(0, len(raw), width)
-        ]
-    item = array(code).itemsize
-    if item != width:
-        wide = bytearray(len(raw) // width * item)
-        for b in range(width):
-            wide[b::item] = raw[b::width]
-        raw = wide
-    slots = array(code, raw)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots.tolist()
-
-
 @prefix_cached
 def _flip_layers(t: int, order: int) -> tuple:
     """Counts of zero-sum vectors in Z^t by size, split by parity flips.
@@ -319,8 +278,6 @@ def _flip_layers(t: int, order: int) -> tuple:
     dropped, and every other is masked to the order - need - low + 1
     slots that can still reach q^order.
     """
-    if t < 2:
-        raise ValueError(f"t must be at least 2, got {t}")
     check_order(order)
     ranges = _coordinate_ranges(t, order)
     width = _slot_bytes(ranges)
@@ -362,14 +319,14 @@ def _flip_layers(t: int, order: int) -> tuple:
     for f in range(t + 1):
         low, poly = states.get((0, f), (0, 0))
         raw = poly.to_bytes(width * (order + 1 - low), "little")
-        counts = (0,) * low + tuple(_unpack(raw, width))
+        counts = (0,) * low + tuple(_unpack(raw, width, False))
         layers.append(TruncSeries._trusted(order, counts))
     return tuple(layers)
 
 
 def lattice_sum(t: int, order: int) -> TruncSeries:
     """Full t-core generating function from the lattice view."""
-    _check_int("t", t)
+    _check_t(t)
     layers = (layer.coeffs for layer in _flip_layers(t, order))
     return TruncSeries._trusted(order, tuple(map(sum, zip(*layers))))
 

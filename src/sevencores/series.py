@@ -91,8 +91,36 @@ SHIFTS_PER_SLOT = 1.5
 #: divisions at order 400 were flat from 24 to 64.
 BLOCK = 32
 
-#: Signed array typecode for each slot width in bytes, widths ascending.
+#: Signed array typecode for each slot width in bytes, widths ascending;
+#: its upper case is the unsigned one.
 _TYPECODES = {array(code).itemsize: code for code in "bhilq"}
+
+
+def _unpack(raw: bytes, width: int, signed: bool) -> list:
+    """The little-endian slots of raw, width bytes each, as ints: two's
+    complement when signed, else unsigned.
+
+    A slot of an ``array`` itemsize (1, 2, 4 or 8 bytes) is read at C
+    speed.  An unsigned slot of 3, 5, 6 or 7 bytes is first spread into
+    the next itemsize by one strided copy per byte, whose zero high
+    bytes keep it exact; any other slot is read one by one.
+    """
+    item = next((w for w in _TYPECODES if w >= width), None)
+    if item is None or signed and item != width:
+        return [
+            int.from_bytes(raw[k : k + width], "little", signed=signed)
+            for k in range(0, len(raw), width)
+        ]
+    if item != width:
+        wide = bytearray(len(raw) // width * item)
+        for b in range(width):
+            wide[b::item] = raw[b::width]
+        raw = wide
+    code = _TYPECODES[item]
+    slots = array(code if signed else code.upper(), raw)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
 
 
 def _pair_product(a: tuple, b: tuple, n: int) -> list:
@@ -130,7 +158,8 @@ def _kronecker(a: tuple, b: tuple, n: int, shifted: bool) -> list:
     ``to_bytes`` read and write.  A width of at most 8 bytes is rounded
     up to the next ``array`` itemsize (1, 2, 4 or 8), which packs and
     unpacks at C speed; only wider slots take ``to_bytes`` coefficient
-    by coefficient.
+    by coefficient.  ``_unpack`` is the slot reader, shared with the
+    lattice DP of ``partitions``.
     """
     bound = sum(map(abs, compress(a, a))) * max(max(b), -min(b))
     if not bound:
@@ -169,16 +198,7 @@ def _kronecker(a: tuple, b: tuple, n: int, shifted: bool) -> list:
         product = pack(a) * packed
     # Bits past slot n hold the truncated terms; the mask drops them.
     digits = (product + bias) & ((1 << (8 * size)) - 1)
-    raw = (digits ^ bias).to_bytes(size, "little")
-    if code:
-        slots = array(code, raw)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return slots.tolist()
-    return [
-        int.from_bytes(raw[k : k + width], "little", signed=True)
-        for k in range(0, size, width)
-    ]
+    return _unpack((digits ^ bias).to_bytes(size, "little"), width, True)
 
 
 def _divide(a: tuple, b: tuple, n: int) -> list:

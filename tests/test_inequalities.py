@@ -4,13 +4,18 @@
 comprehension per column and one loop step per instance.  The rows now
 take each column as a slice of the series, and a differential test
 checks them against it.  A report's ``millis`` is wall time, so the
-comparisons leave it out (``outcome``).
+comparisons leave it out (``outcome``).  ``divisor_count`` gives each
+conj-6.x row's coefficients from divisor sums alone, with no series
+code: the oracle for those rows, and for conj-6.4's witness past every
+order a scan may take.
 """
 
 import os
+import random
 import subprocess
 import sys
 from itertools import repeat
+from math import isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -190,6 +195,90 @@ def test_conj_6_1_first_fails_at_15198():
     assert run_claim("conj-6.1", 15197).status == "holds"
     r = run_claim("conj-6.1", 15200)
     assert (r.status, r.violation) == ("violated", (15198, -19, 0))
+
+
+def chi_divisors(m: int) -> int:
+    """d1(m) - d3(m), m >= 1: the divisors of m that are 1 mod 4 less
+    those that are 3 mod 4, by trial division."""
+    total = 0
+    for d in range(1, isqrt(m) + 1):
+        if m % d == 0:
+            for e in {d, m // d}:
+                total += {1: 1, 3: -1}.get(e % 4, 0)
+    return total
+
+
+def r2(m: int) -> int:
+    """The ways to write m as a sum of two squares, signs and order
+    counted: the coefficient of q^m in phi(q)^2 (Jacobi)."""
+    return 4 * chi_divisors(m) if m else 1
+
+
+def t2(m: int) -> int:
+    """The ways to write m as a sum of two triangular numbers, order
+    counted: the coefficient of q^m in psi(q)^2."""
+    return chi_divisors(4 * m + 1)
+
+
+def triangles(n: int):
+    # The exponents k(k + 1)/2 <= n of psi(q), one per k >= 0.
+    k = 0
+    while k * (k + 1) // 2 <= n:
+        yield k * (k + 1) // 2
+        k += 1
+
+
+def squares(n: int):
+    # Each j and -j: the exponents of phi(q), one per j in Z.
+    yield 0
+    for j in range(1, isqrt(n) + 1):
+        yield from (j * j, j * j)
+
+
+#: conj-6.x row -> (exponents of its outer factor, A, B) for the series
+#: outer * (A-series - B-series at q^7), with no series code.
+DIVISOR_ROWS = {
+    "conj-6.1": (triangles, t2, t2),
+    "conj-6.2": (triangles, r2, r2),
+    "conj-6.3": (squares, t2, t2),
+    "conj-6.4": (triangles, r2, t2),
+}
+
+
+def divisor_count(claim_id: str, n: int) -> int:
+    """Coefficient of q^n in the claim's series, as the sum over the
+    outer factor's exponents e <= n of A(m) - [7 | m] B(m / 7), with
+    m = n - e."""
+    outer, a, b = DIVISOR_ROWS[claim_id]
+    return sum(
+        a(m) - (b(m // 7) if m % 7 == 0 else 0)
+        for m in (n - e for e in outer(n))
+    )
+
+
+def row_series(claim_id: str, order: int) -> tuple:
+    text = next(c.runner for c in CLAIMS if c.id == claim_id).lhs_terms[0][1]
+    return identities.evaluate(text, order).coeffs
+
+
+@pytest.mark.parametrize("claim_id", DIVISOR_ROWS)
+def test_conj_6_rows_match_the_divisor_sums(claim_id):
+    # Every n below 200, and 200 drawn n up to 15200.
+    assert list(row_series(claim_id, 199)) == [
+        divisor_count(claim_id, n) for n in range(200)
+    ]
+    deep = row_series(claim_id, 15200)
+    for n in random.Random(claim_id).sample(range(200, 15201), 200):
+        assert deep[n] == divisor_count(claim_id, n), n
+
+
+def test_the_divisor_sums_find_the_conjecture_witnesses():
+    # conj-6.1's scan witness, conj-6.3 below the bench depth, and
+    # conj-6.4 past every order a scan may take.
+    assert divisor_count("conj-6.1", 15198) == -19
+    assert run_claim("conj-6.1", 15200).violation == (15198, -19, 0)
+    assert divisor_count("conj-6.3", 2858) == row_series("conj-6.3", 2858)[2858] == -8
+    assert divisor_count("conj-6.4", 522312) == -27
 
 
 def test_violation_stops_sampling_early():

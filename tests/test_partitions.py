@@ -14,8 +14,9 @@ slow oracle for the one ``rank_histograms`` builds from a head and a
 tail.  ``plain_partitions`` pops the trailing ones and rebuilds the tail
 at every step: the slow oracle for ZS1 and for the head-and-tail walk.
 ``tuple_walk`` is that walk as it was before it carried the rank: it
-builds each head as a tuple and ranks every core as head + tail, the
-oracle for the carried rank and the per-room tail lists.
+builds each head and each tail as a tuple, takes the tails' bits from
+``beta_bits`` and ranks every core as head + tail, the oracle for the
+carried rank and the tail table.
 ``ShiftSpy`` is a t that records every bit set the walk tests.
 """
 
@@ -360,26 +361,6 @@ def test_the_walk_keeps_each_partitions_beta_numbers(monkeypatch):
     assert len(tested) == 28629
 
 
-def test_one_row_walks_the_partitions_of_its_n_alone(monkeypatch):
-    # rank_histogram(n, t) is row n of the walk of every row, and its own
-    # walk tests the p(n) partitions of n, each once, and nothing smaller.
-    for t in range(2, 10):
-        rows = rank_histograms(30, t)
-        for n in range(31):
-            assert rank_histogram(n, t) == rows[n], (n, t)
-    counts = pentagonal_counts(PARTITION_BOUND)
-    monkeypatch.setattr(partitions_module, "_check_t", lambda t: None)
-    for n in (0, 1, 2, 3, 12, 20, 40):
-        spy = ShiftSpy(7)
-        spy.seen = []
-        rank_histogram(n, spy)
-        assert len(spy.seen) == counts[n], n
-        if n <= 20:
-            tested = sorted(from_beta_bits(x) for x in spy.seen)
-            assert tested == sorted(plain_partitions(n)), n
-    assert counts[40] == 37_338
-
-
 def test_the_walk_tests_every_partition_up_to_the_cap():
     # A t above every hook length makes every partition a t-core, so
     # each row counts every state the walk tests for its n.
@@ -389,16 +370,35 @@ def test_the_walk_tests_every_partition_up_to_the_cap():
     assert sum(want) == 6_639_349
 
 
-def tuple_walk(top: int, t: int, low: int) -> list:
-    """The rows of ``partitions._walk``, with every head kept as a tuple
-    and every core ranked by ``bg_rank(head + tail)``; each head slices
-    the tails of sizes low - size to top - size out of one table."""
+def all_tails(top: int) -> list:
+    """Every tail 2^a 1^b of size 2a + b <= top, by size ascending."""
+    return [
+        (2,) * a + (1,) * (size - 2 * a)
+        for size in range(top + 1)
+        for a in range(size // 2 + 1)
+    ]
+
+
+@lru_cache(maxsize=None)
+def tails_by_bits(top: int) -> dict:
+    """Each tail of ``all_tails(top)`` by its bits from ``beta_bits``."""
+    return {beta_bits(tail, len(tail)): tail for tail in all_tails(top)}
+
+
+def tuple_walk(top: int, t: int) -> list:
+    """The rows of ``rank_histograms``, with every head and tail kept as
+    a tuple and every core ranked by ``bg_rank(head + tail)``; a tail's
+    bits come from ``beta_bits``, not from the engine's table."""
     rows = [{} for _ in range(top + 1)]
-    tails, ends = _tails(top)
+    tails = [
+        (sum(tail), len(tail), beta_bits(tail, len(tail)), tail)
+        for tail in all_tails(top)
+    ]
 
     def grow(size, beta, head, last):
-        first = ends[low - size - 1] if low > size else 0
-        for r, width, bits, tail in tails[first : ends[top - size]]:
+        for r, width, bits, tail in tails:
+            if size + r > top:
+                break
             x = (beta << width) | bits
             if not (x >> t) & ~x:
                 j = bg_rank(head + tail)
@@ -412,35 +412,29 @@ def tuple_walk(top: int, t: int, low: int) -> list:
 
 
 def test_the_walk_counts_as_the_tuple_walk():
-    # Every top up to 30 for t = 2..11, one row or all of them.
+    # Every top up to 30 for t = 2..11; one row is row n of the walk.
     for t in range(2, 12):
         for top in range(31):
-            assert rank_histograms(top, t) == tuple_walk(top, t, 0), (top, t)
-            assert rank_histogram(top, t) == tuple_walk(top, t, top)[top], (top, t)
+            assert rank_histograms(top, t) == tuple_walk(top, t), (top, t)
+        rows = rank_histograms(30, t)
+        assert [rank_histogram(n, t) for n in range(31)] == rows, t
 
 
 def test_the_walk_counts_as_the_tuple_walk_at_45():
-    assert rank_histograms(45, 7) == tuple_walk(45, 7, 0)
-    for n in range(46):
-        assert rank_histogram(n, 7) == tuple_walk(n, 7, n)[n], n
+    assert rank_histograms(45, 7) == tuple_walk(45, 7)
 
 
 def test_every_tail_is_tabled_with_its_beta_numbers():
-    entries, ends = _tails(PARTITION_BOUND)
-    want = [
-        (size, a + b, (2,) * a + (1,) * b)
-        for size in range(PARTITION_BOUND + 1)
-        for a in range(size // 2, -1, -1)
-        for b in (size - 2 * a,)
-    ]
-    assert [(size, width, tail) for size, width, _, tail in entries] == want
-    for size, width, bits, tail in entries:
-        assert bits == beta_bits(tail, width), tail
-    assert ends == [
-        sum(1 for entry in entries if entry[0] <= r)
-        for r in range(PARTITION_BOUND + 1)
-    ]
-    assert _tails(0) == ([(0, 0, 0, ())], [1])
+    # Room r lists every tail of size at most r once, as its width and
+    # bits, and the bits find the tail's size and BG-rank.
+    rooms, found = _tails(PARTITION_BOUND)
+    by_bits = tails_by_bits(PARTITION_BOUND)
+    assert len(rooms) == PARTITION_BOUND + 1
+    for r, room in enumerate(rooms):
+        want = [(len(tail), bits) for bits, tail in by_bits.items() if sum(tail) <= r]
+        assert sorted(room) == sorted(want), r
+    assert found == {bits: (sum(tail), bg_rank(tail)) for bits, tail in by_bits.items()}
+    assert _tails(0) == ([[(0, 0)]], {0: (0, 0)})
 
 
 @st.composite
@@ -463,9 +457,10 @@ def test_the_shift_law_holds_for_drawn_heads(head):
     for p in head:
         beta = (beta << 1) | 1 << p
     assert beta == beta_bits(head, len(head))
-    entries, ends = _tails(PARTITION_BOUND)
-    for _, width, bits, tail in entries[: ends[PARTITION_BOUND - sum(head)]]:
-        whole = head + tail
+    rooms, _ = _tails(PARTITION_BOUND)
+    by_bits = tails_by_bits(PARTITION_BOUND)
+    for width, bits in rooms[PARTITION_BOUND - sum(head)]:
+        whole = head + by_bits[bits]
         assert (beta << width) | bits == beta_bits(whole, len(whole)), whole
 
 
@@ -597,7 +592,7 @@ def test_rank_residue_class_sizes():
 
 def test_lattice_rejects_bad_arguments():
     for t in (1, 0, -3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t must be at least 2"):
             lattice_sum(t, 5)
     for j in (-2, 3, 7):
         with pytest.raises(ValueError):

@@ -435,6 +435,39 @@ def test_kernels_at_the_slot_boundary(width, over, sign, lead, tail):
     kernels_agree(y, x)
 
 
+def read_slots(raw: bytes, width: int, signed: bool) -> list:
+    """The slots of raw by ``int.from_bytes``, one at a time."""
+    return [
+        int.from_bytes(raw[k : k + width], "little", signed=signed)
+        for k in range(0, len(raw), width)
+    ]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("width", range(1, 10))
+def test_the_slot_reader_reads_every_width(width, signed):
+    """``_unpack`` reads each slot as ``int.from_bytes`` does, at the
+    extremes of both signs: widths 1, 2, 4 and 8 are array itemsizes,
+    3, 5, 6 and 7 are spread (unsigned) or read one by one (signed), and
+    9 is past every itemsize."""
+    half = 1 << (8 * width - 1)
+    values = (0, 2 * half - 1, -half, half - 1, 1, -1, half, 0x1234567890ABCDEF12)
+    raw = b"".join((v % (2 * half)).to_bytes(width, "little") for v in values)
+    got = series._unpack(raw, width, signed)
+    assert got == read_slots(raw, width, signed)
+    want = [0, -1, -half, half - 1] if signed else [0, 2 * half - 1, half, half - 1]
+    assert got[:4] == want
+    assert series._unpack(b"", width, signed) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.booleans(),
+       st.integers(min_value=0, max_value=12), st.data())
+def test_the_slot_reader_reads_drawn_bytes(width, signed, slots, data):
+    raw = data.draw(st.binary(min_size=slots * width, max_size=slots * width))
+    assert series._unpack(raw, width, signed) == read_slots(raw, width, signed)
+
+
 def test_kernels_at_order_6000():
     """Two scan products: sigma(q^4)*fff7, and W*omega(q^2), where W has
     126-bit coefficients and the product's fit in 12 bits."""
